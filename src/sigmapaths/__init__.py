@@ -18,7 +18,7 @@ from .decompose import (
     MultDecomp,
     SigmaTriple,
     carried_by_zeros,
-    class_d_diagnostics,
+    class_d_from_batches,
     minimality_gap,
     mult_compose,
     mult_decompose,

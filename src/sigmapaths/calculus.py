@@ -187,11 +187,6 @@ def local_time_tanaka(K: Path) -> Path:
     return K.with_values(L, label=f"tanaka({K.label})")
 
 
-def tanaka_residual(K: Path) -> Path:
-    """Unclamped Tanaka residual, for diagnostics."""
-    return K.with_values(tanaka_raw(K.values), label=f"tanaka_raw({K.label})")
-
-
 def local_time_occupation(K: Path, epsilon: float) -> Path:
     """Local time at 0 via normalized occupation of the band ``(-eps, eps)``."""
     if not epsilon > 0:

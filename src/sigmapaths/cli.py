@@ -7,10 +7,10 @@ are generated from the experiment registry).
 
 Exit codes: 0 success; 2 invalid configuration or usage; 3 an acceptance
 threshold failed while the computation itself succeeded; 4 unwritable
-output.  The master seed comes from ``--seed``, falling back to the
-``SIGMA_SEED`` environment variable.  ``--config FILE`` supplies defaults
-from a flat ``key = value`` file (``#`` comments allowed); explicit flags
-win over the file.
+output.  The master seed, in [0, 2^64), comes from ``--seed``, falling
+back to the ``SIGMA_SEED`` environment variable.  ``--config FILE`` supplies
+defaults from a flat ``key = value`` file (``#`` comments allowed); explicit
+flags win over the file.
 """
 
 from __future__ import annotations
@@ -24,10 +24,11 @@ import click
 import numpy as np
 
 from . import reports
-from .decompose import class_d_from_batches
-from .experiments import EXPERIMENTS, _martingale_batch, _martingale_spec, _ranges, _stream_batches
-from .generators import FAMILIES, GeneratorSpec, make_ensemble
+from .calculus import running_min
+from .experiments import EXPERIMENTS, _martingale_spec, lemma_balance_experiment
+from .generators import FAMILIES, GeneratorSpec, generate_rows, make_ensemble
 from .grids import make_grid, write_paths_csv
+from .streams import MAX_SEED
 from .verify import VERIFY_SUITES, run_suites
 
 EXIT_ACCEPTANCE = 3
@@ -58,10 +59,11 @@ class RunConfig:
     def __post_init__(self):
         if self.command not in ("simulate", "decompose", "verify", "experiment"):
             raise ValueError(f"unknown command {self.command!r}")
-        for label, v in (("seed", self.seed), ("n_paths", self.n_paths),
-                         ("n_steps", self.n_steps), ("horizon", self.horizon),
-                         ("workers", self.workers)):
-            if label != "seed" and not v > 0:
+        if not 0 <= self.seed <= MAX_SEED:
+            raise ValueError(f"seed must lie in [0, 2^64), got {self.seed}")
+        for label, v in (("n_paths", self.n_paths), ("n_steps", self.n_steps),
+                         ("horizon", self.horizon), ("workers", self.workers)):
+            if not v > 0:
                 raise ValueError(f"{label} must be positive, got {v}")
 
     def to_argv(self) -> list[str]:
@@ -104,6 +106,7 @@ def run(config: RunConfig) -> int:
         return EXIT_OUTPUT
 
 _MAX_SIMULATE_VALUES = 50_000_000
+_SEED = click.IntRange(0, MAX_SEED)
 
 
 def _read_config(ctx: click.Context, param: click.Parameter, value):
@@ -128,8 +131,8 @@ def _read_config(ctx: click.Context, param: click.Parameter, value):
 
 
 def _common_options(fn):
-    fn = click.option("--seed", type=int, default=0, envvar="SIGMA_SEED", show_default=True,
-                      help="Master seed (flag wins over SIGMA_SEED).")(fn)
+    fn = click.option("--seed", type=_SEED, default=0, envvar="SIGMA_SEED", show_default=True,
+                      help="Master seed in [0, 2^64) (flag wins over SIGMA_SEED).")(fn)
     fn = click.option("--out", type=click.Path(file_okay=False), default="out", show_default=True,
                       help="Output directory.")(fn)
     fn = click.option("--formats", default="json,csv", show_default=True,
@@ -244,17 +247,16 @@ def simulate(family, horizon, n_steps, a, b, x0, stop_level, stop_line_drift,
 def decompose(family, horizon, n_steps, a, b, x0, stop_level, stop_line_drift,
               paths, seed, out, formats, workers):
     """Decompose a positive-martingale ensemble and write the class-(D)
-    diagnostics report (bessel3 enters via its normalized scale martingale)."""
+    diagnostics report: the "classd" block of "experiment lemma-balance" on
+    the same spec and seed (bessel3 enters via its normalized scale
+    martingale)."""
     fmt = _parse_formats(formats)
     spec = _build_spec(family, horizon, n_steps, a, b, x0, stop_level, stop_line_drift)
     try:
         mspec = _martingale_spec(spec)
+        classd = lemma_balance_experiment(spec, paths, seed, workers).classd
     except ValueError as exc:
         raise click.UsageError(str(exc))
-    rows = max(64, min(4096, 4_000_000 // (n_steps + 1)))
-    cfg = mspec.to_config()
-    args = [(cfg, seed, first, r) for first, r in _ranges(paths, rows)]
-    classd = class_d_from_batches(_stream_batches(_martingale_batch, args, workers), mspec.grid)
     envelope = {
         "schema": 1,
         "command": "decompose",
@@ -270,9 +272,6 @@ def decompose(family, horizon, n_steps, a, b, x0, stop_level, stop_line_drift,
         _write_guard(p.write_bytes, reports.report_json_bytes(envelope))
         written.append(p.name)
     if "csv" in fmt:
-        from .calculus import running_min
-        from .generators import generate_rows
-
         M = generate_rows(mspec, seed, 0, 1)[0]
         I = running_min(M)
         rows_csv = [
@@ -295,8 +294,8 @@ def decompose(family, horizon, n_steps, a, b, x0, stop_level, stop_line_drift,
 
 @main.command()
 @click.argument("suite", type=click.Choice(sorted(VERIFY_SUITES) + ["all"]))
-@click.option("--seed", type=int, default=None, envvar="SIGMA_SEED",
-              help="Override the suite's pinned seed.")
+@click.option("--seed", type=_SEED, default=None, envvar="SIGMA_SEED",
+              help="Override the suite's pinned seed (in [0, 2^64)).")
 def verify(suite, seed):
     """Run an exact property suite; exits 3 if a property fails."""
     names = sorted(VERIFY_SUITES) if suite == "all" else [suite]

@@ -26,12 +26,12 @@ for discretely sampled martingales.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
 from .calculus import ito_sum, running_min
-from .grids import Ensemble, McEstimate, Path, TimeGrid
+from .grids import McEstimate, Path, TimeGrid
 
 __all__ = [
     "MultDecomp",
@@ -47,7 +47,7 @@ __all__ = [
     "sigma_martingale",
     "carried_by_zeros",
     "minimality_gap",
-    "class_d_diagnostics",
+    "class_d_from_batches",
 ]
 
 #: Acceptance threshold for the zero-carried score.
@@ -344,84 +344,75 @@ def minimality_gap(M: Path, C: Path) -> float:
 # class-(D) diagnostics
 
 
-def _as_batches(ensemble) -> tuple[Iterator[np.ndarray], TimeGrid]:
-    if isinstance(ensemble, Ensemble):
-        grid = ensemble.paths[0].grid if ensemble.paths else None
-        if grid is None:
-            raise ValueError("empty ensemble")
-        mat = np.vstack([p.values for p in ensemble.paths])
-        return iter([mat]), grid
-    raise TypeError("expected an Ensemble; use class_d_from_batches for raw arrays")
+def class_d_path_stats(M: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Per-path class-(D) statistics of ``(rows, n+1)`` positive M-paths with
+    ``M_0 = 1``: the vectors ``(mc, int_right, int_left, log_inv_i, qv_u,
+    err_log, err_inf, m_T)``, each of length ``rows``.  Every statistic is a
+    reduction along its own row, so it does not depend on the other rows."""
+    M = np.asarray(M, dtype=float)
+    if M.ndim != 2:
+        raise ValueError("each batch must be a 2-D (paths, points) array")
+    if np.any(M[:, 0] != 1.0):
+        raise ValueError("every path must start at M_0 = 1")
+    if np.any(M <= 0):
+        raise ValueError("every path must stay positive")
+    I = running_min(M)
+    log_inv_i = -np.log(I[:, -1])
+    C = 1.0 / I
+    dC = np.diff(C, axis=1)
+    mc = M[:, -1] * C[:, -1]
+    int_right = 1.0 + np.sum(M[:, 1:] * dC, axis=1)
+    int_left = 1.0 + np.sum(M[:, :-1] * dC, axis=1)
+    u_inc = np.diff(M, axis=1)
+    u_inc /= M[:, :-1]
+    zero = np.zeros((M.shape[0], 1))
+    QV = np.concatenate([zero, np.cumsum(u_inc * u_inc, axis=1)], axis=1)
+    drift = np.concatenate([zero, np.cumsum(u_inc, axis=1)], axis=1)
+    drift -= 0.5 * QV
+    qv_u = QV[:, -1].copy()
+    err_inf = np.abs(log_inv_i + np.min(drift, axis=1))
+    drift -= np.log(M)
+    err_log = np.max(np.abs(drift), axis=1)
+    return mc, int_right, int_left, log_inv_i, qv_u, err_log, err_inf, M[:, -1].copy()
 
 
-def class_d_diagnostics(ensemble: Ensemble, tail_level: float = 10.0) -> ClassDReport:
-    """Integrability diagnostics for an ensemble of positive martingale paths."""
-    batches, grid = _as_batches(ensemble)
-    return class_d_from_batches(batches, grid, tail_level=tail_level)
-
-
-def class_d_from_batches(
-    batches: Iterable[np.ndarray], grid: TimeGrid, tail_level: float = 10.0
+def class_d_from_path_stats(
+    parts: Iterable[tuple[np.ndarray, ...]], grid: TimeGrid, tail_level: float = 10.0
 ) -> ClassDReport:
-    """Streaming form of :func:`class_d_diagnostics`.
-
-    ``batches`` yields ``(rows, n+1)`` arrays of positive M-paths with
-    ``M_0 = 1``.  Per-path statistics are concatenated in batch order, so the
-    result does not depend on how the ensemble was split into batches.
-    """
-    per_path: dict[str, list[np.ndarray]] = {k: [] for k in (
-        "mc", "int_right", "int_left", "log_inv_i", "qv_u", "err_log", "err_inf", "m_T")}
-    for M in batches:
-        M = np.asarray(M, dtype=float)
-        if M.ndim != 2:
-            raise ValueError("each batch must be a 2-D (paths, points) array")
-        if np.any(M[:, 0] != 1.0):
-            raise ValueError("every path must start at M_0 = 1")
-        if np.any(M <= 0):
-            raise ValueError("every path must stay positive")
-        # temporaries are released batch by batch; ensembles stream through
-        I = running_min(M)
-        log_inv_i = -np.log(I[:, -1])
-        C = 1.0 / I
-        del I
-        dC = np.diff(C, axis=1)
-        per_path["mc"].append(M[:, -1] * C[:, -1])
-        del C
-        per_path["int_right"].append(1.0 + np.sum(M[:, 1:] * dC, axis=1))
-        per_path["int_left"].append(1.0 + np.sum(M[:, :-1] * dC, axis=1))
-        del dC
-        u_inc = np.diff(M, axis=1)
-        u_inc /= M[:, :-1]
-        zero = np.zeros((M.shape[0], 1))
-        QV = np.concatenate([zero, np.cumsum(u_inc * u_inc, axis=1)], axis=1)
-        drift = np.concatenate([zero, np.cumsum(u_inc, axis=1)], axis=1)
-        del u_inc
-        drift -= 0.5 * QV
-        per_path["qv_u"].append(QV[:, -1].copy())
-        del QV
-        per_path["err_inf"].append(np.abs(log_inv_i + np.min(drift, axis=1)))
-        drift -= np.log(M)
-        per_path["err_log"].append(np.max(np.abs(drift), axis=1))
-        del drift
-        per_path["log_inv_i"].append(log_inv_i)
-        per_path["m_T"].append(M[:, -1].copy())
-    if not per_path["mc"]:
+    """Report from per-path statistic tuples (:func:`class_d_path_stats`
+    results), concatenated in the order ``parts`` yields them."""
+    parts = list(parts)
+    if not parts:
         raise ValueError("empty ensemble")
-    cat = {k: np.concatenate(v) for k, v in per_path.items()}
-    n = cat["mc"].size
+    mc, int_right, int_left, log_inv_i, qv_u, err_log, err_inf, m_T = map(np.concatenate, zip(*parts))
+    n = mc.size
     if n < 2:
         raise ValueError("need at least 2 paths")
     return ClassDReport(
         horizon=grid.horizon,
         n_paths=n,
-        e_mc=McEstimate.from_samples(cat["mc"]),
-        e_int=McEstimate.from_samples(cat["int_right"]),
-        e_log_inv_i=McEstimate.from_samples(cat["log_inv_i"]),
-        e_qv_u=McEstimate.from_samples(cat["qv_u"]),
-        pathwise_log_identity_median_err=float(np.median(cat["err_log"])),
-        pathwise_inf_identity_median_err=float(np.median(cat["err_inf"])),
-        e_int_left=McEstimate.from_samples(cat["int_left"]),
-        e_mean_drift=float(np.mean(cat["m_T"]) - 1.0),
+        e_mc=McEstimate.from_samples(mc),
+        e_int=McEstimate.from_samples(int_right),
+        e_log_inv_i=McEstimate.from_samples(log_inv_i),
+        e_qv_u=McEstimate.from_samples(qv_u),
+        pathwise_log_identity_median_err=float(np.median(err_log)),
+        pathwise_inf_identity_median_err=float(np.median(err_inf)),
+        e_int_left=McEstimate.from_samples(int_left),
+        e_mean_drift=float(np.mean(m_T) - 1.0),
         tail_level=tail_level,
-        tail_mass=float(np.mean(cat["m_T"] > tail_level)),
+        tail_mass=float(np.mean(m_T > tail_level)),
     )
+
+
+def class_d_from_batches(
+    batches: Iterable[np.ndarray], grid: TimeGrid, tail_level: float = 10.0
+) -> ClassDReport:
+    """Integrability diagnostics for an ensemble of positive martingale paths.
+
+    ``batches`` yields ``(rows, n+1)`` arrays of positive M-paths with
+    ``M_0 = 1``.  Per-path statistics are concatenated in batch order, so the
+    result does not depend on how the ensemble was split into batches.  The
+    experiments compute :func:`class_d_path_stats` where the paths are
+    generated and pass the vectors to :func:`class_d_from_path_stats`.
+    """
+    return class_d_from_path_stats((class_d_path_stats(M) for M in batches), grid, tail_level)

@@ -4,9 +4,12 @@ times, saturation probes, and passage-time tails.
 Estimation strategy notes, shared by several experiments:
 
 * Every experiment is a pure function of (spec, parameters, master seed).
-  Paths are generated from per-path keyed streams in fixed-size batches, and
-  per-path statistics are assembled in path order before any reduction, so
-  reports are bit-identical across reruns and worker counts.
+  Paths are generated from per-path keyed streams in fixed-size batches.
+  Each batch function reduces its paths where they are generated and returns
+  a tuple of per-path arrays (leading dimension = rows), so only those
+  vectors travel back from a worker.  The parent concatenates them in path
+  order before any cross-path reduction, so reports are bit-identical across
+  reruns, worker counts and batch splits.
 
 * Last-visit times ("honest times") are not stopping times: a finite
   simulation can only bound them.  The experiments resolve the revisit event
@@ -34,7 +37,7 @@ from numpy.random import Generator, Philox
 
 from . import oracles
 from .calculus import running_min, tanaka_raw
-from .decompose import ClassDReport, class_d_from_batches
+from .decompose import ClassDReport, class_d_from_path_stats, class_d_path_stats
 from .generators import GeneratorSpec, generate_rows
 from .grids import McEstimate, Path, make_grid
 from .streams import RNG_INFO, StreamKey
@@ -65,16 +68,11 @@ def _ranges(n_paths: int, rows: int) -> list[tuple[int, int]]:
     return [(first, min(rows, n_paths - first)) for first in range(0, n_paths, rows)]
 
 
-def _map_batches(fn: Callable, arglist: list, workers: int) -> list:
-    """Apply ``fn`` over batch argument tuples, in order, optionally in
-    worker processes.  Results are concatenated by the caller in batch order,
-    so the outcome does not depend on ``workers``."""
-    return list(_stream_batches(fn, arglist, workers))
-
-
 def _stream_batches(fn: Callable, arglist: list, workers: int):
-    """Like :func:`_map_batches` but lazy, holding at most a small window of
-    batch results; used where batches are full path matrices."""
+    """Apply ``fn`` over batch argument tuples, in order, optionally in
+    worker processes, holding at most a small window of batch results.
+    Results are concatenated by the caller in batch order, so the outcome
+    does not depend on ``workers``."""
     if workers <= 1:
         for a in arglist:
             yield fn(a)
@@ -89,6 +87,12 @@ def _stream_batches(fn: Callable, arglist: list, workers: int):
                 yield pending.popleft().result()
         while pending:
             yield pending.popleft().result()
+
+
+def _concat_batches(fn: Callable, arglist: list, workers: int) -> tuple[np.ndarray, ...]:
+    """Run batch functions that return tuples of per-path arrays, and
+    concatenate each array across batches in path order."""
+    return tuple(np.concatenate(v) for v in zip(*_stream_batches(fn, arglist, workers)))
 
 
 # ---------------------------------------------------------------------------
@@ -184,10 +188,20 @@ def _martingale_spec(spec: GeneratorSpec) -> GeneratorSpec:
     )
 
 
-def _martingale_batch(args) -> np.ndarray:
+#: Values per row tile of :func:`_martingale_batch` (8 MiB of float64): the smallest tile whose
+#: arrays all get numpy's huge pages (4 MiB and up); below that every tile page-faults afresh.
+_TILE_VALUES = 1 << 20
+
+
+def _martingale_batch(args) -> tuple[np.ndarray, ...]:
+    """Per-path class-(D) statistics of one batch, generated and reduced in
+    row tiles so the working set stays bounded whatever the batch size."""
     cfg, seed, first, rows = args
     spec = GeneratorSpec.from_config(cfg)
-    return generate_rows(spec, seed, first, rows)
+    tile = max(1, _TILE_VALUES // len(spec.grid))
+    parts = [class_d_path_stats(generate_rows(spec, seed, first + off, min(tile, rows - off)))
+             for off in range(0, rows, tile)]
+    return tuple(map(np.concatenate, zip(*parts)))
 
 
 def lemma_balance_experiment(
@@ -205,7 +219,7 @@ def lemma_balance_experiment(
     cfg = mspec.to_config()
     rows = _batch_rows(len(mspec.grid))
     args = [(cfg, master_seed, first, r) for first, r in _ranges(n_paths, rows)]
-    classd = class_d_from_batches(_stream_batches(_martingale_batch, args, workers), mspec.grid)
+    classd = class_d_from_path_stats(_stream_batches(_martingale_batch, args, workers), mspec.grid)
     degenerate = classd.e_mc.stderr == 0.0 and classd.e_int.stderr == 0.0
     return LemmaBalanceReport(
         spec_cfg=spec.to_config(), seed=master_seed, classd=classd, degenerate=degenerate
@@ -441,22 +455,18 @@ def azema_conditional_experiment(
             (master_seed, first, r, x0, level, grid.dt, grid.n_steps, t_idx, chunk_steps, escape_mult)
             for first, r in _ranges(n_paths, rows)
         ]
-        parts = _map_batches(_bessel_revisit_batch, args, workers)
+        batch = _bessel_revisit_batch
         formula_at = oracles.scale_hit_probability
     elif spec.family == "exp_martingale":
         if level > 1.0:
             raise ValueError("exp_martingale last-visit level must be <= M_0 = 1")
         cfg = spec.to_config()
         args = [(cfg, master_seed, first, r, level, t_idx) for first, r in _ranges(n_paths, rows)]
-        parts = _map_batches(_expmart_revisit_batch, args, workers)
+        batch = _expmart_revisit_batch
         formula_at = lambda z, a: oracles.exp_martingale_level_hit_probability(z, a)
     else:
         raise ValueError("azema experiment supports bessel3 and exp_martingale specs")
-
-    state_t = np.concatenate([p[0] for p in parts])
-    score = np.concatenate([p[1] for p in parts])
-    ambiguous = np.concatenate([p[2] for p in parts])
-    correction = np.concatenate([p[3] for p in parts])
+    state_t, score, ambiguous, correction = _concat_batches(batch, args, workers)
 
     edges = _state_bin_edges(state_t, bins)
 
@@ -538,7 +548,7 @@ def _two_infinity_batch(args):
     I = running_min(M)
     gaps = np.abs(M - 2.0 * I)
     out = np.stack([gaps[:, j] for j in h_indices], axis=1)
-    violation = max(float(np.max(X - 1.0, initial=0.0)), float(np.max(-S[:, 0], initial=0.0)))
+    violation = np.maximum(np.max(X - 1.0, axis=1, initial=0.0), -S[:, 0])
     return out, violation
 
 
@@ -570,11 +580,7 @@ def two_infinity_check(
     cfg = spec.to_config()
     rows = _batch_rows(len(grid))
     args = [(cfg, master_seed, first, r, y, h_indices) for first, r in _ranges(n_paths, rows)]
-    gap_parts, violation = [], 0.0
-    for out, v in _stream_batches(_two_infinity_batch, args, workers):
-        gap_parts.append(out)
-        violation = max(violation, v)
-    gaps = np.concatenate(gap_parts, axis=0)
+    gaps, violation = _concat_batches(_two_infinity_batch, args, workers)
     medians = [float(np.median(gaps[:, k])) for k in range(len(hs))]
     noninc = all(medians[k + 1] <= medians[k] + 1e-12 for k in range(len(medians) - 1))
     return TwoInfinityReport(
@@ -582,7 +588,7 @@ def two_infinity_check(
         horizons=tuple(hs),
         median_gap=tuple(medians),
         nonincreasing=noninc,
-        x_range_violation=violation,
+        x_range_violation=max(0.0, float(np.max(violation))),
         n_paths=int(gaps.shape[0]),
         spec_cfg=spec.to_config(),
         seed=master_seed,
@@ -653,12 +659,7 @@ def _walk(n_paths, master_seed, dt, n_steps, chunk, workers, **trig) -> tuple:
          trig.get("upper"), trig.get("lower"), trig.get("line_b"), trig.get("line_level", 1.0))
         for first, r in _ranges(n_paths, rows)
     ]
-    parts = _map_batches(_walk_brownian_batch, args, workers)
-    stop_step = np.concatenate([p[0] for p in parts])
-    stop_value = np.concatenate([p[1] for p in parts])
-    run_min = np.concatenate([p[2] for p in parts])
-    censored = np.concatenate([p[3] for p in parts])
-    return stop_step, stop_value, run_min, censored
+    return _concat_batches(_walk_brownian_batch, args, workers)
 
 
 # ---------------------------------------------------------------------------

@@ -2,12 +2,15 @@
 
 Reports are byte-deterministic: keys are sorted, floats use ``repr``, and the
 only non-reproducible content (wall-clock timestamp, library versions) lives
-in a separate ``meta`` object that comparison helpers strip.
+in a separate ``meta`` object that comparison helpers strip.  Reports are
+strict JSON: a non-finite float (an undefined rate, say) is written as
+``null``.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import platform
 from datetime import datetime, timezone
 from pathlib import Path as FsPath
@@ -32,11 +35,19 @@ def _meta() -> dict:
     }
 
 
+def _finite_or_null(v):
+    if isinstance(v, dict):
+        return {k: _finite_or_null(x) for k, x in v.items()}
+    if isinstance(v, (list, tuple)):
+        return [_finite_or_null(x) for x in v]
+    return None if isinstance(v, float) and not math.isfinite(v) else v
+
+
 def report_json_bytes(report: dict, with_meta: bool = True) -> bytes:
-    doc = dict(report)
+    doc = _finite_or_null(report)
     if with_meta:
         doc["meta"] = _meta()
-    return (json.dumps(doc, sort_keys=True, indent=2) + "\n").encode("utf-8")
+    return (json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n").encode("utf-8")
 
 
 def strip_meta(doc: dict) -> dict:

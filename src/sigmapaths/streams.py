@@ -17,22 +17,24 @@ from numpy.random import Generator, Philox
 
 from .grids import TimeGrid
 
-__all__ = ["StreamKey", "gaussian_increments", "standard_normal_block", "RNG_INFO"]
+__all__ = ["StreamKey", "gaussian_increments", "standard_normal_block", "RNG_INFO", "MAX_SEED"]
 
 #: Echoed into every report (design decision: fixed once, recorded).
 RNG_INFO = {"bit_generator": "Philox4x64", "gaussian_transform": "ziggurat"}
 
 _U32 = 1 << 32
-_U64 = 1 << 64
+
+#: Largest master seed: seeds fill one 64-bit word of the Philox key.
+MAX_SEED = (1 << 64) - 1
 
 
 @dataclass(frozen=True)
 class StreamKey:
     """Identity of one Gaussian stream.
 
-    ``path_index`` and ``substream`` must fit in 32 bits each; together with
-    the 64-bit master seed they form the 128-bit Philox key, so distinct
-    triples give distinct (independent) streams.
+    ``master_seed`` must lie in [0, 2^64) and ``path_index`` and
+    ``substream`` in [0, 2^32); together they form the 128-bit Philox key, so
+    distinct triples give distinct (independent) streams.
     """
 
     master_seed: int
@@ -40,15 +42,16 @@ class StreamKey:
     substream: int = 0
 
     def __post_init__(self):
+        if not 0 <= self.master_seed <= MAX_SEED:
+            raise ValueError(f"master_seed out of range [0, 2^64): {self.master_seed}")
         if not 0 <= self.path_index < _U32:
             raise ValueError(f"path_index out of range [0, 2^32): {self.path_index}")
         if not 0 <= self.substream < _U32:
             raise ValueError(f"substream out of range [0, 2^32): {self.substream}")
 
     def philox_key(self) -> np.ndarray:
-        w0 = self.master_seed % _U64
         w1 = (self.path_index << 32) | self.substream
-        return np.array([w0, w1], dtype=np.uint64)
+        return np.array([self.master_seed, w1], dtype=np.uint64)
 
 
 def standard_normal_block(key: StreamKey, n: int) -> np.ndarray:

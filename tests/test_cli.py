@@ -214,3 +214,56 @@ def test_simulate_size_cap(runner, tmp_path):
     ])
     assert r.exit_code == 2
     assert "cap" in r.output
+
+
+def _strict_json(raw):
+    def reject(token):
+        raise ValueError(f"non-finite number {token}")
+    return json.loads(raw, parse_constant=reject)
+
+
+def test_default_saturation_report_is_strict_json(runner, tmp_path):
+    out = tmp_path / "sat"
+    r = runner.invoke(main, ["experiment", "saturation", "--paths", "200", "--workers", "1",
+                             "--out", str(out), "--formats", "json"])
+    assert r.exit_code == 0, r.output
+    doc = _strict_json((out / "saturation.json").read_bytes())
+    assert doc["results"]["membership_rate"] is None  # undefined for this kind
+
+
+def test_report_json_encodes_non_finite_as_null():
+    from sigmapaths.reports import report_json_bytes
+
+    raw = report_json_bytes({"a": float("nan"), "b": [float("inf"), 1.5], "c": (-float("inf"),)})
+    doc = _strict_json(raw)
+    assert (doc["a"], doc["b"], doc["c"]) == (None, [None, 1.5], [None])
+
+
+@pytest.mark.parametrize("argv, env", [
+    (["--seed", "-1"], {}),
+    (["--seed", str(2**64)], {}),
+    ([], {"SIGMA_SEED": "-1"}),
+])
+def test_seed_outside_domain_exits_2(runner, tmp_path, argv, env):
+    r = runner.invoke(main, ["experiment", "lemma-balance", "--n-steps", "16", "--paths", "50",
+                             "--out", str(tmp_path / "s"), *argv], env=env)
+    assert r.exit_code == 2, r.output
+    r = runner.invoke(main, ["verify", "skorokhod", *argv], env=env)
+    assert r.exit_code == 2, r.output
+
+
+def test_largest_seed_is_accepted(runner, tmp_path):
+    out = tmp_path / "big"
+    r = runner.invoke(main, ["experiment", "lemma-balance", "--n-steps", "16", "--paths", "50",
+                             "--seed", str(2**64 - 1), "--out", str(out), "--formats", "json"])
+    assert r.exit_code == 0, r.output
+    assert json.loads((out / "lemma_balance.json").read_text())["seed"] == 2**64 - 1
+
+
+def test_run_config_rejects_seed_outside_domain():
+    from sigmapaths.cli import RunConfig
+
+    for seed in (-1, 2**64):
+        with pytest.raises(ValueError, match="seed"):
+            RunConfig(command="verify", name="skorokhod", seed=seed)
+    assert RunConfig(command="verify", seed=2**64 - 1).seed == 2**64 - 1

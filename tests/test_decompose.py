@@ -8,7 +8,6 @@ from sigmapaths.calculus import local_time_tanaka, running_min, tanaka_raw
 from sigmapaths.decompose import (
     CARRIED_SCORE_THRESHOLD,
     carried_by_zeros,
-    class_d_diagnostics,
     class_d_from_batches,
     default_zero_threshold,
     minimality_gap,
@@ -408,6 +407,6 @@ def test_class_d_pathwise_identities_converge_under_refinement():
 def test_class_d_from_ensemble_wrapper():
     g = make_grid(1.0, 32)
     ens = make_ensemble(GeneratorSpec("exp_martingale", {}, g), 16, 3)
-    rep = class_d_diagnostics(ens)
+    rep = class_d_from_batches([np.vstack([p.values for p in ens.paths])], g)
     assert rep.n_paths == 16
     assert rep.e_mc.n_samples == rep.e_int.n_samples == rep.e_qv_u.n_samples

@@ -66,3 +66,13 @@ def test_pooled_skewness_and_kurtosis():
 def test_stream_key_range_validation(path_index, substream):
     with pytest.raises(ValueError):
         StreamKey(1, path_index, substream)
+
+
+def test_master_seed_domain_is_64_bits():
+    for seed in (-1, 2**64):
+        with pytest.raises(ValueError, match="master_seed"):
+            StreamKey(seed)
+    # the largest seed is a valid key of its own stream
+    g = make_grid(1.0, 64)
+    top = gaussian_increments(g, StreamKey(2**64 - 1))
+    assert not np.array_equal(top, gaussian_increments(g, StreamKey(0)))
