@@ -28,30 +28,18 @@ from .decompose import (
 )
 from .experiments import (
     azema_conditional_experiment,
-    honest_time,
     lemma_balance_experiment,
     saturation_probe,
     tail_experiment,
     two_infinity_check,
 )
-from .generators import (
-    GeneratorSpec,
-    gen_bessel3,
-    gen_brownian,
-    gen_exp_martingale,
-    gen_stopped_hitting,
-    make_ensemble,
-    scale_martingale,
-)
+from .generators import GeneratorSpec, generate_rows
 from .grids import (
-    Ensemble,
     McEstimate,
     Path,
-    StoppedPath,
     TimeGrid,
     make_grid,
     read_paths_csv,
-    stop_path,
     write_paths_csv,
 )
 from .streams import StreamKey, gaussian_increments

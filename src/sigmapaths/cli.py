@@ -26,8 +26,8 @@ import numpy as np
 from . import reports
 from .calculus import running_min
 from .experiments import EXPERIMENTS, _martingale_spec, lemma_balance_experiment
-from .generators import FAMILIES, GeneratorSpec, generate_rows, make_ensemble
-from .grids import make_grid, write_paths_csv
+from .generators import FAMILIES, GeneratorSpec, generate_rows
+from .grids import Path, make_grid, write_paths_csv
 from .streams import MAX_SEED
 from .verify import VERIFY_SUITES, run_suites
 
@@ -137,7 +137,7 @@ def _common_options(fn):
                       help="Output directory.")(fn)
     fn = click.option("--formats", default="json,csv", show_default=True,
                       help="Comma list from {csv,json,svg}.")(fn)
-    fn = click.option("--workers", type=int, default=lambda: os.cpu_count() or 1,
+    fn = click.option("--workers", type=click.IntRange(min=1), default=lambda: os.cpu_count() or 1,
                       help="Worker processes (default: available parallelism).")(fn)
     fn = click.option("--config", type=click.Path(dir_okay=False), callback=_read_config,
                       expose_value=False, is_eager=True,
@@ -205,7 +205,7 @@ def main():
 
 @main.command()
 @_family_options
-@click.option("--paths", type=int, default=10, show_default=True)
+@click.option("--paths", type=click.IntRange(min=1), default=10, show_default=True)
 @_common_options
 def simulate(family, horizon, n_steps, a, b, x0, stop_level, stop_line_drift,
              paths, seed, out, formats, workers):
@@ -218,13 +218,14 @@ def simulate(family, horizon, n_steps, a, b, x0, stop_level, stop_line_drift,
             f"simulate materializes paths; {paths} x {n_steps + 1} values exceed "
             f"the {_MAX_SIMULATE_VALUES} cap -- reduce --paths or --n-steps"
         )
-    ens = make_ensemble(spec, paths, seed)
+    rows = generate_rows(spec, seed, 0, paths)
     out_dir = FsPath(out)
     _write_guard(out_dir.mkdir, parents=True, exist_ok=True)
     written = []
     if "csv" in fmt:
         p = out_dir / "paths.csv"
-        _write_guard(write_paths_csv, ens.paths, p)
+        _write_guard(write_paths_csv, (Path(spec.grid, row, label=f"{family}#{i}")
+                                       for i, row in enumerate(rows)), p)
         written.append(p.name)
     if "json" in fmt:
         doc = {

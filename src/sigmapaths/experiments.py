@@ -39,11 +39,10 @@ from . import oracles
 from .calculus import running_min, tanaka_raw
 from .decompose import ClassDReport, class_d_from_path_stats, class_d_path_stats
 from .generators import GeneratorSpec, generate_rows
-from .grids import McEstimate, Path, make_grid
+from .grids import McEstimate, make_grid
 from .streams import RNG_INFO, StreamKey
 
 __all__ = [
-    "honest_time",
     "lemma_balance_experiment",
     "azema_conditional_experiment",
     "two_infinity_check",
@@ -89,25 +88,15 @@ def _stream_batches(fn: Callable, arglist: list, workers: int):
             yield pending.popleft().result()
 
 
+def _concat(parts) -> tuple[np.ndarray, ...]:
+    """Concatenate tuples of per-path arrays, array by array, in order."""
+    return tuple(np.concatenate(v) for v in zip(*parts))
+
+
 def _concat_batches(fn: Callable, arglist: list, workers: int) -> tuple[np.ndarray, ...]:
     """Run batch functions that return tuples of per-path arrays, and
     concatenate each array across batches in path order."""
-    return tuple(np.concatenate(v) for v in zip(*_stream_batches(fn, arglist, workers)))
-
-
-# ---------------------------------------------------------------------------
-# honest times
-
-
-def honest_time(path: Path, predicate: Callable[[float], bool], horizon_index: int | None = None):
-    """Last index in ``[0, horizon_index]`` whose value satisfies the
-    predicate, or ``None`` when none does (the end of a visited set)."""
-    v = path.values
-    last = len(v) - 1 if horizon_index is None else min(horizon_index, len(v) - 1)
-    for j in range(last, -1, -1):
-        if predicate(float(v[j])):
-            return j
-    return None
+    return _concat(_stream_batches(fn, arglist, workers))
 
 
 # ---------------------------------------------------------------------------
@@ -188,20 +177,29 @@ def _martingale_spec(spec: GeneratorSpec) -> GeneratorSpec:
     )
 
 
-#: Values per row tile of :func:`_martingale_batch` (8 MiB of float64): the smallest tile whose
-#: arrays all get numpy's huge pages (4 MiB and up); below that every tile page-faults afresh.
+#: Values per row tile of :func:`_row_tiles` (8 MiB of float64): the smallest tile whose arrays
+#: all get numpy's huge pages (4 MiB and up); below that every tile page-faults afresh.
 _TILE_VALUES = 1 << 20
 
 
-def _martingale_batch(args) -> tuple[np.ndarray, ...]:
-    """Per-path class-(D) statistics of one batch, generated and reduced in
-    row tiles so the working set stays bounded whatever the batch size."""
-    cfg, seed, first, rows = args
+def _row_tiles(cfg: dict, seed: int, first: int, rows: int):
+    """A batch's rows, generated in path order as row tiles of about
+    ``_TILE_VALUES`` values, so that a batch function reducing one tile at a
+    time keeps its working set bounded whatever the batch size.  A reduction
+    that works row by row gives the same arrays for any tile size.  Callers
+    reduce the tiles in a list of their own rather than lazily inside
+    :func:`_concat`, so a per-function profile charges the reduction to the
+    batch function."""
     spec = GeneratorSpec.from_config(cfg)
     tile = max(1, _TILE_VALUES // len(spec.grid))
-    parts = [class_d_path_stats(generate_rows(spec, seed, first + off, min(tile, rows - off)))
-             for off in range(0, rows, tile)]
-    return tuple(map(np.concatenate, zip(*parts)))
+    for off in range(0, rows, tile):
+        yield generate_rows(spec, seed, first + off, min(tile, rows - off))
+
+
+def _martingale_batch(args) -> tuple[np.ndarray, ...]:
+    """Per-path class-(D) statistics of one batch."""
+    cfg, seed, first, rows = args
+    return _concat([class_d_path_stats(M) for M in _row_tiles(cfg, seed, first, rows)])
 
 
 def lemma_balance_experiment(
@@ -407,16 +405,18 @@ def _expmart_revisit_batch(args):
     """Exp-martingale variant: full-grid rows, crossing of the level after t,
     residual hit probability min(M_H / a, 1) at the horizon."""
     (cfg, seed, first, rows, level, t_idx) = args
-    spec = GeneratorSpec.from_config(cfg)
-    M = generate_rows(spec, seed, first, rows)
-    state_t = M[:, t_idx].copy()
-    rel = M[:, t_idx:] - level
-    crossed = (rel[:, :-1] * rel[:, 1:] <= 0).any(axis=1)
-    resid = np.minimum(M[:, -1] / level, 1.0)
-    score = np.where(crossed, 1.0, resid)
-    correction = np.where(crossed, 0.0, resid)
-    ambiguous = (~crossed) & (resid > 0.5)
-    return state_t, score, ambiguous, correction
+
+    def reduce(M):
+        state_t = M[:, t_idx].copy()
+        rel = M[:, t_idx:] - level
+        crossed = (rel[:, :-1] * rel[:, 1:] <= 0).any(axis=1)
+        resid = np.minimum(M[:, -1] / level, 1.0)
+        score = np.where(crossed, 1.0, resid)
+        correction = np.where(crossed, 0.0, resid)
+        ambiguous = (~crossed) & (resid > 0.5)
+        return state_t, score, ambiguous, correction
+
+    return _concat([reduce(M) for M in _row_tiles(cfg, seed, first, rows)])
 
 
 def azema_conditional_experiment(
@@ -538,18 +538,19 @@ class TwoInfinityReport:
 
 
 def _two_infinity_batch(args):
+    """Per path: |M - 2I| at each horizon index, and the x-range violation."""
     (cfg, seed, first, rows, level, h_indices) = args
-    spec = GeneratorSpec.from_config(cfg)
-    R = generate_rows(spec, seed, first, rows)
-    S = 1.0 - level / R
-    X = np.maximum(S, 0.0)
-    A = 0.5 * np.maximum.accumulate(tanaka_raw(S), axis=-1)
-    M = (1.0 + X) * np.exp(-A)
-    I = running_min(M)
-    gaps = np.abs(M - 2.0 * I)
-    out = np.stack([gaps[:, j] for j in h_indices], axis=1)
-    violation = np.maximum(np.max(X - 1.0, axis=1, initial=0.0), -S[:, 0])
-    return out, violation
+
+    def reduce(R):
+        S = 1.0 - level / R
+        X = np.maximum(S, 0.0)
+        A = 0.5 * np.maximum.accumulate(tanaka_raw(S), axis=-1)
+        M = (1.0 + X) * np.exp(-A)
+        gaps = np.abs(M - 2.0 * running_min(M))
+        violation = np.maximum(np.max(X - 1.0, axis=1, initial=0.0), -S[:, 0])
+        return gaps[:, h_indices], violation
+
+    return _concat([reduce(M) for M in _row_tiles(cfg, seed, first, rows)])
 
 
 def two_infinity_check(
@@ -652,6 +653,16 @@ def _walk_brownian_batch(args):
     return stop_step, stop_value, run_min, censored
 
 
+def _walk_steps(horizon: float, dt: float) -> int:
+    """Grid steps of a walker run over ``[0, horizon]``: at least one."""
+    if not (0 < dt < math.inf and 0 < horizon < math.inf):
+        raise ValueError(f"need finite dt > 0 and horizon > 0, got dt={dt}, horizon={horizon}")
+    n_steps = round(horizon / dt)
+    if n_steps < 1:
+        raise ValueError(f"horizon {horizon} rounds to zero steps of dt={dt}")
+    return n_steps
+
+
 def _walk(n_paths, master_seed, dt, n_steps, chunk, workers, **trig) -> tuple:
     rows = min(4096, max(256, n_paths))
     args = [
@@ -733,7 +744,7 @@ def saturation_probe(
     running-minimum set lies in H pathwise (the running minimum never exceeds
     B_0 = 0), verified for every uncensored path.
     """
-    n_steps = int(round(horizon / dt))
+    n_steps = _walk_steps(horizon, dt)
     chunk = 4000
     if kind == "nonsaturated_zero_set":
         a_max = max(levels)
@@ -849,7 +860,7 @@ def tail_experiment(
     asserted.  Survival of sigma_b at doubling horizons tracks its (fast)
     transience.
     """
-    n_steps = int(round(horizon / dt))
+    n_steps = _walk_steps(horizon, dt)
     chunk = 4000
     if kind == "T_a_heavy_tail":
         if not a > 0:

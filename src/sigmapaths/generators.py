@@ -15,10 +15,13 @@ Families
 * ``scale_martingale``           ``x0 / R_t`` for a Bessel(3) path ``R``: the
                                   scale-function martingale normalized to 1
 
-Generators are pure functions of ``(grid, key, parameters)``.  Batch variants
-(``*_rows``, :func:`generate_rows`) produce ``(rows, n+1)`` matrices with one
-keyed stream per path so ensembles can be built in any order, split across
-any number of workers, and still come out bit-identical.
+Every generator returns a ``(rows, n+1)`` matrix, one row per path, and draws
+each row from its own keyed stream (path index ``first_index + i``).  A
+single path is ``rows=1`` and a row does not depend on the batch it was
+drawn in, so ensembles can be built in any order, split across any number
+of workers, and still come out bit-identical.  :class:`~.grids.Path` objects
+are built from rows only at the API edge (``simulate``, the ``verify``
+suites).
 """
 
 from __future__ import annotations
@@ -28,22 +31,16 @@ from typing import Mapping
 
 import numpy as np
 
-from .grids import Ensemble, Path, StoppedPath, TimeGrid, freeze_after, make_grid
-from .streams import StreamKey, gaussian_increments
+from .grids import TimeGrid, make_grid
+from .streams import StreamKey, standard_normal_block
 
 __all__ = [
     "GeneratorSpec",
     "FAMILIES",
-    "gen_brownian",
-    "gen_stopped_hitting",
-    "gen_exp_martingale",
-    "gen_bessel3",
-    "scale_martingale",
     "brownian_rows",
     "bessel3_rows",
     "stop_at_mask_rows",
     "generate_rows",
-    "make_ensemble",
 ]
 
 #: family -> (required params, optional params)
@@ -107,136 +104,10 @@ class GeneratorSpec:
 
 
 # ---------------------------------------------------------------------------
-# single-path generators
-
-
-def gen_brownian(grid: TimeGrid, key: StreamKey | None = None, *, increments=None) -> Path:
-    """Brownian path from 0: cumulative sum of the key's Gaussian increments.
-
-    ``increments`` may be injected directly for deterministic tests; exactly
-    one of ``key`` / ``increments`` must be given.
-    """
-    inc = _resolve_increments(grid, key, increments, n_streams=1)
-    values = np.concatenate([[0.0], np.cumsum(inc)])
-    return Path(grid, values, label="brownian")
-
-
-def _resolve_increments(grid, key, increments, n_streams):
-    if (key is None) == (increments is None):
-        raise ValueError("provide exactly one of key or increments")
-    if increments is not None:
-        inc = np.asarray(increments, dtype=float)
-        want = (grid.n_steps,) if n_streams == 1 else (n_streams, grid.n_steps)
-        if inc.shape != want:
-            raise ValueError(f"increments must have shape {want}, got {inc.shape}")
-        return inc
-    if n_streams == 1:
-        return gaussian_increments(grid, key)
-    rows = [
-        gaussian_increments(grid, StreamKey(key.master_seed, key.path_index, key.substream + s))
-        for s in range(n_streams)
-    ]
-    return np.vstack(rows)
-
-
-def gen_stopped_hitting(base: Path, kind: str, *, a: float | None = None, b: float | None = None) -> StoppedPath:
-    """Freeze ``base`` at its first grid index past a level or a line.
-
-    kind='level': first index with ``B >= a`` (a > 0).
-    kind='line':  first index with ``B + b*t >= 1`` (b > 0).
-
-    No sub-step correction: the hit is resolved at grid resolution, and a
-    path that never triggers within the horizon comes back "not stopped".
-    """
-    v = base.values
-    if kind == "level":
-        if a is None or not a > 0:
-            raise ValueError("level kind requires a > 0")
-        mask = v >= a
-        rule = f"first B >= {a}"
-    elif kind == "line":
-        if b is None or not b > 0:
-            raise ValueError("line kind requires b > 0")
-        mask = v + b * base.grid.times >= 1.0
-        rule = f"first B + {b}*t >= 1"
-    else:
-        raise ValueError(f"kind must be 'level' or 'line', got {kind!r}")
-    if not mask.any():
-        return StoppedPath(path=base, stop_index=None, rule=rule)
-    k = int(np.argmax(mask))
-    return StoppedPath(path=base.with_values(freeze_after(v, k)), stop_index=k, rule=rule)
-
-
-def gen_exp_martingale(
-    grid: TimeGrid,
-    key: StreamKey | None = None,
-    *,
-    stop: tuple[str, float] | None = None,
-    increments=None,
-) -> Path:
-    """Exponential martingale path ``exp(B_{t ^ tau} - (t ^ tau)/2)``.
-
-    ``stop`` is ``None``, ``("level", a)`` or ``("line", b)``; the clock is
-    frozen together with the Brownian path.  Strictly positive, starts at 1.
-    A zero increment stream yields the deterministic ``exp(-t/2)`` branch
-    (the degenerate stream, not a martingale sample); the label records it.
-    """
-    B = gen_brownian(grid, key, increments=increments)
-    t = grid.times
-    label = "exp_martingale"
-    if stop is not None:
-        kind, value = stop
-        sp = gen_stopped_hitting(B, kind, **({"a": value} if kind == "level" else {"b": value}))
-        B = sp.path
-        if sp.stop_index is not None:
-            t = np.minimum(t, t[sp.stop_index])
-        label += f"[{sp.rule}]"
-    if increments is not None and not np.any(np.asarray(increments)):
-        label += "[degenerate zero stream]"
-    values = np.exp(B.values - t / 2.0)
-    values[0] = 1.0
-    return Path(grid, values, label=label)
-
-
-def gen_bessel3(grid: TimeGrid, x0: float, key: StreamKey | None = None, *, increments=None) -> Path:
-    """Bessel(3) path: norm of a 3-D Brownian motion from ``(x0, 0, 0)``.
-
-    Exact in law at the grid points, strictly positive.  Uses substreams
-    ``key.substream + {0, 1, 2}`` for the three components.
-    """
-    if not x0 > 0:
-        raise ValueError(f"x0 must be positive, got {x0}")
-    inc = _resolve_increments(grid, key, increments, n_streams=3)
-    w = np.cumsum(inc, axis=1)
-    sq = (x0 + w[0]) ** 2 + w[1] ** 2 + w[2] ** 2
-    values = np.concatenate([[x0], np.sqrt(sq)])
-    return Path(grid, values, label=f"bessel3(x0={x0})")
-
-
-def scale_martingale(R: Path, mode: str) -> Path:
-    """Scale-function transforms of a positive transient path.
-
-    mode='neg_inverse': ``1/R`` (the local martingale ``-s(R)`` for the
-    canonical scale ``s(x) = -1/x`` with s(0) = -inf, s(inf) = 0).
-    mode='normalized':  ``R_0 / R``, so the path starts at 1.
-    """
-    v = R.values
-    if np.any(v <= 0):
-        raise ValueError("scale_martingale requires a strictly positive path")
-    if mode == "neg_inverse":
-        return R.with_values(1.0 / v, label=f"1/({R.label})")
-    if mode == "normalized":
-        return R.with_values(v[0] / v, label=f"normalized 1/({R.label})")
-    raise ValueError(f"mode must be 'neg_inverse' or 'normalized', got {mode!r}")
-
-
-# ---------------------------------------------------------------------------
-# batch engines: one keyed stream per path, rows stacked in path order
+# row generators: one keyed stream per path, rows stacked in path order
 
 
 def _normal_rows(master_seed: int, first_index: int, rows: int, substream: int, n: int) -> np.ndarray:
-    from .streams import standard_normal_block
-
     out = np.empty((rows, n))
     for i in range(rows):
         out[i] = standard_normal_block(StreamKey(master_seed, first_index + i, substream), n)
@@ -320,16 +191,3 @@ def generate_rows(spec: GeneratorSpec, master_seed: int, first_index: int, rows:
         R = bessel3_rows(grid, spec.params["x0"], master_seed, first_index, rows)
         return spec.params["x0"] / R
     raise ValueError(f"unknown family {fam!r}")
-
-
-def make_ensemble(spec: GeneratorSpec, n_paths: int, master_seed: int) -> Ensemble:
-    """Materialize ``n_paths`` Path objects (small runs; experiments stream
-    row batches instead of building ensembles)."""
-    if n_paths < 1:
-        raise ValueError("n_paths must be >= 1")
-    values = generate_rows(spec, master_seed, 0, n_paths)
-    paths = [
-        Path(spec.grid, values[i], label=f"{spec.family}#{i}") for i in range(n_paths)
-    ]
-    seeds = [StreamKey(master_seed, i, 0) for i in range(n_paths)]
-    return Ensemble(spec=spec, paths=tuple(paths), seeds=tuple(seeds))

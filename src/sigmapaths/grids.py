@@ -1,31 +1,31 @@
-"""Uniform time grids, sampled paths, stopped paths, and ensembles.
+"""Uniform time grids, the validated single-path type, Monte Carlo
+estimates, and the long-form CSV path format.
 
 Every process in this package lives on a :class:`TimeGrid`: a uniform
 discretization ``0 = t_0 < t_1 < ... < t_n = T``.  A :class:`Path` holds the
-sampled values at those grid points; integrals and hitting times downstream
-are always defined in terms of grid sums and grid indices.  Hitting times are
-resolved at grid resolution (first grid index at/after the crossing), with no
-sub-step bridge correction; the resulting O(sqrt(dt)) first-passage bias is
-quantified by refinement studies in the test suite.
+sampled values at those grid points; it is the type of the API edge (the
+decomposition operations and CSV files), while paths are generated as row
+matrices by :func:`sigmapaths.generators.generate_rows`.  Integrals and
+hitting times downstream are always defined in terms of grid sums and grid
+indices.  Hitting times are resolved at grid resolution (first grid index
+at/after the crossing), with no sub-step bridge correction; the resulting
+O(sqrt(dt)) first-passage bias is quantified by refinement studies in the
+test suite.
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Iterable
 
 import numpy as np
 
 __all__ = [
     "TimeGrid",
     "Path",
-    "StoppedPath",
-    "Ensemble",
     "McEstimate",
     "make_grid",
-    "stop_path",
-    "freeze_after",
     "write_paths_csv",
     "read_paths_csv",
 ]
@@ -115,97 +115,6 @@ class Path:
         return len(self.values)
 
 
-@dataclass(frozen=True, eq=False)
-class StoppedPath:
-    """A path frozen from a stopping index onward.
-
-    ``stop_index is None`` means the stopping rule never triggered within the
-    horizon ("not stopped"); the path is then unchanged.
-    """
-
-    path: Path
-    stop_index: int | None
-    rule: str = ""
-
-    def __post_init__(self):
-        k = self.stop_index
-        if k is None:
-            return
-        if not 0 <= k < len(self.path):
-            raise ValueError(f"stop_index {k} outside [0, {len(self.path) - 1}]")
-        tail = self.path.values[k:]
-        if np.any(tail != tail[0]):
-            raise ValueError("values not constant after stop_index")
-
-    @property
-    def stopped(self) -> bool:
-        return self.stop_index is not None
-
-    @property
-    def values(self) -> np.ndarray:
-        return self.path.values
-
-    @property
-    def grid(self) -> TimeGrid:
-        return self.path.grid
-
-    def stop_time(self) -> float | None:
-        """Grid time of the stop, or None when not stopped."""
-        if self.stop_index is None:
-            return None
-        return float(self.grid.times[self.stop_index])
-
-
-def freeze_after(values: np.ndarray, stop_index: int) -> np.ndarray:
-    """Copy of ``values`` held constant at ``values[stop_index]`` from there on."""
-    out = np.array(values, dtype=float)
-    out[stop_index:] = out[stop_index]
-    return out
-
-
-def stop_path(path: Path, predicate: Callable[[float], bool], rule: str = "") -> StoppedPath:
-    """Stop ``path`` at the first index whose value satisfies ``predicate``.
-
-    Values are frozen at the stopped value from that index on.  A predicate
-    that never triggers yields a non-stopped result with the path unchanged.
-    """
-    stop_index: int | None = None
-    for j, v in enumerate(path.values):
-        if predicate(float(v)):
-            stop_index = j
-            break
-    if stop_index is None:
-        return StoppedPath(path=path, stop_index=None, rule=rule)
-    frozen = freeze_after(path.values, stop_index)
-    return StoppedPath(path=path.with_values(frozen), stop_index=stop_index, rule=rule)
-
-
-@dataclass(frozen=True, eq=False)
-class Ensemble:
-    """A collection of paths sharing one grid, with their generating seeds."""
-
-    spec: object
-    paths: tuple
-    seeds: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "paths", tuple(self.paths))
-        object.__setattr__(self, "seeds", tuple(self.seeds))
-        if len(self.paths) != len(self.seeds):
-            raise ValueError("one seed per path required")
-        if len(set(self.seeds)) != len(self.seeds):
-            raise ValueError("seeds must be pairwise distinct")
-        grids = {id(p.grid) for p in self.paths}
-        if len(grids) > 1:
-            g0 = self.paths[0].grid
-            for p in self.paths[1:]:
-                if not np.array_equal(p.grid.times, g0.times):
-                    raise ValueError("all paths in an ensemble must share one grid")
-
-    def __len__(self) -> int:
-        return len(self.paths)
-
-
 @dataclass(frozen=True)
 class McEstimate:
     """Monte Carlo mean with standard error of the mean."""
@@ -228,15 +137,6 @@ class McEstimate:
             raise ValueError("need at least 2 samples")
         return cls(mean=float(x.mean()), stderr=float(x.std(ddof=1) / np.sqrt(n)), n_samples=n)
 
-    @classmethod
-    def from_moments(cls, total: float, total_sq: float, n: int) -> "McEstimate":
-        """Estimate from accumulated sum and sum of squares (batched reduction)."""
-        if n < 2:
-            raise ValueError("need at least 2 samples")
-        mean = total / n
-        var = max(total_sq / n - mean * mean, 0.0) * n / (n - 1)
-        return cls(mean=float(mean), stderr=float(np.sqrt(var / n)), n_samples=n)
-
     def as_dict(self) -> dict:
         return {"mean": self.mean, "stderr": self.stderr, "n_samples": self.n_samples}
 
@@ -250,17 +150,15 @@ def _fmt(v: float) -> str:
     return format(float(v), ".17g")
 
 
-def write_paths_csv(paths: Iterable[Path | StoppedPath], dest) -> None:
+def write_paths_csv(paths: Iterable[Path], dest) -> None:
     """Write paths in long form CSV; ``dest`` is a path or text file object."""
     own = isinstance(dest, (str, bytes)) or hasattr(dest, "__fspath__")
     fh = open(dest, "w", encoding="utf-8", newline="\n") if own else dest
     try:
         fh.write("path_id,t,value\n")
         for i, p in enumerate(paths):
-            values = p.values
-            times = p.grid.times
-            pid = (p.path.label if isinstance(p, StoppedPath) else p.label) or str(i)
-            for t, v in zip(times, values):
+            pid = p.label or str(i)
+            for t, v in zip(p.grid.times, p.values):
                 fh.write(f"{pid},{_fmt(t)},{_fmt(v)}\n")
     finally:
         if own:

@@ -20,9 +20,8 @@ from .decompose import (
     sigma_compose,
     sigma_martingale,
 )
-from .generators import gen_brownian
+from .generators import brownian_rows
 from .grids import Path, make_grid
-from .streams import StreamKey
 
 __all__ = ["VERIFY_SUITES", "run_suite", "run_suites"]
 
@@ -134,9 +133,8 @@ def zero_sets_suite(seed: int = 20243) -> tuple[bool, str]:
 def carried_suite(seed: int = 20244) -> tuple[bool, str]:
     grid = make_grid(1.0, 2**14)
     worst_good, best_bad = 0.0, np.inf
-    for i in range(20):
-        B = gen_brownian(grid, StreamKey(seed, i, 0))
-        tri = sigma_example_triple(B, "abs")
+    for i, row in enumerate(brownian_rows(grid, seed, 0, 20)):
+        tri = sigma_example_triple(Path(grid, row), "abs")
         good = carried_by_zeros(tri.submartingale, tri.increasing_part, tri.zero_threshold)
         bad = carried_by_zeros(tri.submartingale, Path(grid, grid.times, "t"), tri.zero_threshold)
         worst_good = max(worst_good, good.score)

@@ -31,16 +31,20 @@ def test_class_d_from_batches_ignores_row_splits(cuts):
     assert class_d_from_batches(pieces, grid).as_dict() == whole
 
 
+def _with_tile_values(tile_values, fn, args):
+    saved = experiments._TILE_VALUES
+    experiments._TILE_VALUES = tile_values
+    try:
+        return fn(args)
+    finally:
+        experiments._TILE_VALUES = saved
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from(sorted(_SPECS)), st.integers(0, 50), st.integers(1, 30), st.integers(1, 3000))
 def test_tiled_martingale_batch_matches_one_block(name, first, rows, tile_values):
     spec = _SPECS[name]
-    saved = experiments._TILE_VALUES
-    experiments._TILE_VALUES = tile_values
-    try:
-        tiled = experiments._martingale_batch((spec.to_config(), 23, first, rows))
-    finally:
-        experiments._TILE_VALUES = saved
+    tiled = _with_tile_values(tile_values, experiments._martingale_batch, (spec.to_config(), 23, first, rows))
     assert isinstance(tiled, tuple)
     assert _bitwise_equal(tiled, class_d_path_stats(generate_rows(spec, 23, first, rows)))
 
@@ -70,3 +74,12 @@ def test_every_batch_function_returns_per_path_tuple(rows):
         assert isinstance(out, tuple), name
         for v in out:
             assert isinstance(v, np.ndarray) and v.shape[0] == rows, (name, type(v), np.shape(v))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(["_expmart_revisit_batch", "_two_infinity_batch"]), st.integers(1, 12),
+       st.integers(1, 3000))
+def test_tiled_batches_ignore_tile_size(name, rows, tile_values):
+    fn, args = getattr(experiments, name), _batch_args(rows)[name]
+    one_block = _with_tile_values(1 << 40, fn, args)
+    assert _bitwise_equal(_with_tile_values(tile_values, fn, args), one_block)

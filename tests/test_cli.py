@@ -267,3 +267,19 @@ def test_run_config_rejects_seed_outside_domain():
         with pytest.raises(ValueError, match="seed"):
             RunConfig(command="verify", name="skorokhod", seed=seed)
     assert RunConfig(command="verify", seed=2**64 - 1).seed == 2**64 - 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["experiment", "lemma-balance", "--n-steps", "16", "--paths", "50", "--workers", "0"],
+    ["experiment", "lemma-balance", "--n-steps", "16", "--paths", "50", "--workers", "-4"],
+    ["simulate", "--family", "brownian", "--n-steps", "16", "--paths", "0"],
+    ["experiment", "tail", "--paths", "10", "--dt", "0"],
+    ["experiment", "tail", "--paths", "10", "--horizon", "-1"],
+    ["experiment", "saturation", "--paths", "10", "--horizon", "0.001", "--dt", "0.01"],
+], ids=["workers-0", "workers-negative", "simulate-no-paths", "tail-dt-0", "tail-horizon-negative",
+        "saturation-zero-steps"])
+def test_out_of_domain_input_exits_2(runner, tmp_path, argv):
+    out = tmp_path / "o"
+    r = runner.invoke(main, [*argv, "--out", str(out)])
+    assert r.exit_code == 2, r.output
+    assert not out.exists()

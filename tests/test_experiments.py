@@ -10,7 +10,6 @@ from sigmapaths.experiments import (
     EXPERIMENTS,
     LEMMA_ACCEPTANCE_SPECS,
     azema_conditional_experiment,
-    honest_time,
     lemma_balance_experiment,
     saturation_probe,
     tail_experiment,
@@ -23,33 +22,6 @@ from sigmapaths.reports import reports_equal_ignoring_meta
 
 def _grid(h, n):
     return make_grid(float(h), n)
-
-
-# -- honest_time ---------------------------------------------------------------
-
-
-def test_honest_time_last_zero():
-    p = Path(_grid(1, 3), [0.0, 1.0, 0.0, 2.0])
-    assert honest_time(p, lambda v: v == 0.0) == 2
-
-
-def test_honest_time_never():
-    p = Path(_grid(1, 3), [0.0, 1.0, 0.0, 2.0])
-    assert honest_time(p, lambda v: v > 5.0) is None
-
-
-def test_honest_time_decreasing_path_running_min():
-    vals = np.array([3.0, 2.0, 1.0, 0.5])
-    p = Path(_grid(1, 3), vals)
-    mins = np.minimum.accumulate(vals)
-    hits = {j: vals[j] == mins[j] for j in range(4)}
-    assert all(hits.values())
-    assert honest_time(p, lambda v: True) == 3
-
-
-def test_honest_time_respects_horizon_index():
-    p = Path(_grid(1, 4), [0.0, 0.0, 1.0, 0.0, 0.0])
-    assert honest_time(p, lambda v: v == 0.0, horizon_index=2) == 1
 
 
 # -- lemma balance ---------------------------------------------------------------

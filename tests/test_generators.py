@@ -3,34 +3,39 @@
 import numpy as np
 import pytest
 
-from sigmapaths import oracles
+from sigmapaths import generators, oracles
 from sigmapaths.generators import (
     FAMILIES,
     GeneratorSpec,
     bessel3_rows,
     brownian_rows,
-    gen_bessel3,
-    gen_brownian,
-    gen_exp_martingale,
-    gen_stopped_hitting,
     generate_rows,
-    make_ensemble,
-    scale_martingale,
+    stop_at_mask_rows,
 )
-from sigmapaths.grids import Path, make_grid
-from sigmapaths.streams import StreamKey
+from sigmapaths.grids import make_grid
 
 
-def test_brownian_zero_stream_is_identically_zero():
+@pytest.fixture
+def fixed_normals(monkeypatch):
+    """Replace every keyed stream by ``draws[substream]``, the same for every path."""
+    def install(*draws):
+        def normal_rows(master_seed, first_index, rows, substream, n):
+            return np.tile(np.asarray(draws[substream], dtype=float), (rows, 1))
+        monkeypatch.setattr(generators, "_normal_rows", normal_rows)
+    return install
+
+
+def test_brownian_zero_stream_is_identically_zero(fixed_normals):
     g = make_grid(1.0, 8)
-    p = gen_brownian(g, increments=np.zeros(8))
-    assert np.all(p.values == 0.0)
+    fixed_normals(np.zeros(8))
+    p = generate_rows(GeneratorSpec("brownian", {}, g), 0, 0, 1)[0]
+    assert np.all(p == 0.0)
 
 
 def test_brownian_starts_at_zero_exactly():
     g = make_grid(2.0, 64)
-    p = gen_brownian(g, StreamKey(5, 0, 0))
-    assert p.values[0] == 0.0
+    p = brownian_rows(g, 5, 0, 1)[0]
+    assert p[0] == 0.0
 
 
 def test_brownian_terminal_moments():
@@ -45,35 +50,36 @@ def test_brownian_terminal_moments():
     assert abs(end.var(ddof=1) - 1.0) <= 3 * se_var
 
 
+def _ramp(increments):
+    return np.concatenate([[0.0], np.cumsum(increments)])[None, :]
+
+
 def test_stopped_hitting_on_deterministic_ramp():
-    g = make_grid(1.0, 4)
-    ramp = gen_brownian(g, increments=np.full(4, 0.25))  # b_t = t
-    sp = gen_stopped_hitting(ramp, "level", a=0.5)
-    assert sp.stop_index == 2
-    assert np.array_equal(sp.values, [0.0, 0.25, 0.5, 0.5, 0.5])
+    ramp = _ramp(np.full(4, 0.25))  # b_t = t
+    frozen, stop = stop_at_mask_rows(ramp, ramp >= 0.5)
+    assert stop[0] == 2
+    assert np.array_equal(frozen[0], [0.0, 0.25, 0.5, 0.5, 0.5])
 
 
 def test_stopped_hitting_never_triggers():
-    g = make_grid(1.0, 4)
-    ramp = gen_brownian(g, increments=np.full(4, 0.1))
-    sp = gen_stopped_hitting(ramp, "level", a=5.0)
-    assert sp.stop_index is None
-    assert np.array_equal(sp.values, ramp.values)
+    ramp = _ramp(np.full(4, 0.1))
+    frozen, stop = stop_at_mask_rows(ramp, ramp >= 5.0)
+    assert stop[0] == 4  # the final index: not stopped
+    assert np.array_equal(frozen, ramp)
 
 
 def test_stopped_hitting_line_rule():
     g = make_grid(1.0, 4)
-    flat = gen_brownian(g, increments=np.zeros(4))
-    sp = gen_stopped_hitting(flat, "line", b=2.0)  # 0 + 2t >= 1 at t = 0.5
-    assert sp.stop_index == 2
-    assert "line" not in sp.rule or "1" in sp.rule
+    flat = _ramp(np.zeros(4))
+    frozen, stop = stop_at_mask_rows(flat, flat + 2.0 * g.times >= 1.0)  # 0 + 2t >= 1 at t = 0.5
+    assert stop[0] == 2
 
 
-def test_exp_martingale_degenerate_stream():
+def test_exp_martingale_degenerate_stream(fixed_normals):
     g = make_grid(1.0, 4)
-    p = gen_exp_martingale(g, increments=np.zeros(4))
-    assert np.allclose(p.values, np.exp(-g.times / 2.0))
-    assert "degenerate" in p.label
+    fixed_normals(np.zeros(4))
+    p = generate_rows(GeneratorSpec("exp_martingale", {}, g), 0, 0, 1)[0]
+    assert np.allclose(p, np.exp(-g.times / 2.0))
 
 
 def test_exp_martingale_unit_mean():
@@ -91,24 +97,24 @@ def test_exp_martingale_unit_mean():
 
 def test_exp_martingale_stopped_is_bounded():
     g = make_grid(4.0, 1024)
-    key = StreamKey(17, 4, 0)
-    p = gen_exp_martingale(g, key, stop=("level", 1.0))
-    B = gen_brownian(g, key)
-    max_inc = np.max(np.abs(np.diff(B.values)))
-    assert np.max(p.values) <= np.exp(1.0 + max_inc)
+    p = generate_rows(GeneratorSpec("exp_martingale", {"stop_level": 1.0}, g), 17, 4, 1)[0]
+    B = brownian_rows(g, 17, 4, 1)[0]
+    max_inc = np.max(np.abs(np.diff(B)))
+    assert np.max(p) <= np.exp(1.0 + max_inc)
 
 
-def test_bessel3_zero_stream_is_constant():
+def test_bessel3_zero_stream_is_constant(fixed_normals):
     g = make_grid(1.0, 8)
-    p = gen_bessel3(g, x0=1.5, increments=np.zeros((3, 8)))
-    assert np.all(p.values == 1.5)
+    fixed_normals(*np.zeros((3, 8)))
+    p = generate_rows(GeneratorSpec("bessel3", {"x0": 1.5}, g), 0, 0, 1)[0]
+    assert np.all(p == 1.5)
 
 
 def test_bessel3_stays_positive():
     g = make_grid(1.0, 2048)
     for i in range(20):
-        p = gen_bessel3(g, 1.0, StreamKey(23, i, 0))
-        assert np.min(p.values) > 0.0
+        p = generate_rows(GeneratorSpec("bessel3", {"x0": 1.0}, g), 23, i, 1)[0]
+        assert np.min(p) > 0.0
 
 
 def test_bessel3_inverse_moment_oracle():
@@ -123,24 +129,30 @@ def test_bessel3_inverse_moment_oracle():
     assert abs(ref - 1.0) > 30 * se  # the naive martingale-mean guess is far away
 
 
-def test_scale_martingale_constant_path():
+def test_scale_martingale_constant_path(fixed_normals):
+    # zero streams hold R at x0 = 2, so x0/R is 1 throughout
     g = make_grid(1.0, 3)
-    R = Path(g, [2.0, 2.0, 2.0, 2.0])
-    N = scale_martingale(R, "normalized")
-    assert np.all(N.values == 1.0)
+    fixed_normals(*np.zeros((3, 3)))
+    N = generate_rows(GeneratorSpec("scale_martingale", {"x0": 2.0}, g), 0, 0, 1)[0]
+    assert np.all(N == 1.0)
 
 
-def test_scale_martingale_neg_inverse_values():
-    g = make_grid(1.0, 2)
-    R = Path(g, [1.0, 2.0, 4.0])
-    M = scale_martingale(R, "neg_inverse")
-    assert np.array_equal(M.values, [1.0, 0.5, 0.25])
+def test_scale_martingale_neg_inverse_values(fixed_normals):
+    # unit steps (dt = 1) of the first component give R = [1, 2, 4]; x0/R = 1/R for x0 = 1
+    g = make_grid(2.0, 2)
+    fixed_normals([1.0, 2.0], [0.0, 0.0], [0.0, 0.0])
+    assert np.array_equal(bessel3_rows(g, 1.0, 0, 0, 1)[0], [1.0, 2.0, 4.0])
+    M = generate_rows(GeneratorSpec("scale_martingale", {"x0": 1.0}, g), 0, 0, 1)[0]
+    assert np.array_equal(M, [1.0, 0.5, 0.25])
 
 
 def test_scale_martingale_rejects_nonpositive():
+    # R stays positive because its start x0 must be: that is where nonpositive input is refused
     g = make_grid(1.0, 2)
     with pytest.raises(ValueError, match="positive"):
-        scale_martingale(Path(g, [1.0, 0.0, 1.0]), "neg_inverse")
+        GeneratorSpec("scale_martingale", {"x0": 0.0}, g)
+    with pytest.raises(ValueError, match="positive"):
+        bessel3_rows(g, 0.0, 0, 0, 1)
 
 
 def test_normalized_scale_mean_matches_oracle():
@@ -204,8 +216,9 @@ def test_generate_rows_batch_split_invariance():
 
 def test_make_ensemble_distinct_paths_and_seeds():
     g = make_grid(1.0, 16)
-    ens = make_ensemble(GeneratorSpec("brownian", {}, g), 5, 12)
-    assert len(ens) == 5
-    assert len({s.path_index for s in ens.seeds}) == 5
-    vals = np.vstack([p.values for p in ens.paths])
+    spec = GeneratorSpec("brownian", {}, g)
+    vals = generate_rows(spec, 12, 0, 5)
+    assert len(vals) == 5
+    # row i is the stream of path index i
+    assert all(np.array_equal(vals[i], generate_rows(spec, 12, i, 1)[0]) for i in range(5))
     assert np.unique(vals[:, -1]).size == 5

@@ -1,19 +1,17 @@
-"""Grid, path, and ensemble container contracts."""
+"""Grid, path and estimate container contracts, and the row stop rule."""
 
 import io
 
 import numpy as np
 import pytest
 
+from sigmapaths.generators import stop_at_mask_rows
 from sigmapaths.grids import (
-    Ensemble,
     McEstimate,
     Path,
-    StoppedPath,
     TimeGrid,
     make_grid,
     read_paths_csv,
-    stop_path,
     write_paths_csv,
 )
 
@@ -61,48 +59,40 @@ def test_path_rejects_nan_and_length_mismatch():
         Path(g, [0.0, 1.0])
 
 
+def _stop_row(values, mask):
+    frozen, stop = stop_at_mask_rows(np.array([values]), np.array([mask]))
+    return frozen[0], int(stop[0])
+
+
 def test_stop_path_first_crossing():
-    g = make_grid(1.0, 3)
-    p = Path(g, [0.0, 0.5, 1.2, 0.7])
-    sp = stop_path(p, lambda v: v >= 1.0)
-    assert sp.stop_index == 2
-    assert np.array_equal(sp.values, [0.0, 0.5, 1.2, 1.2])
+    v = np.array([0.0, 0.5, 1.2, 0.7])
+    frozen, k = _stop_row(v, v >= 1.0)
+    assert k == 2
+    assert np.array_equal(frozen, [0.0, 0.5, 1.2, 1.2])
 
 
 def test_stop_path_never_triggers():
-    g = make_grid(1.0, 3)
-    p = Path(g, [0.0, 0.5, 1.2, 0.7])
-    sp = stop_path(p, lambda v: v >= 5.0)
-    assert sp.stop_index is None
-    assert not sp.stopped
-    assert np.array_equal(sp.values, p.values)
+    v = np.array([0.0, 0.5, 1.2, 0.7])
+    frozen, k = _stop_row(v, v >= 5.0)
+    assert k == len(v) - 1  # the final index: not stopped
+    assert np.array_equal(frozen, v)
 
 
 def test_stop_path_immediate():
-    g = make_grid(1.0, 3)
-    p = Path(g, [0.5, 0.6, 0.7, 0.8])
-    sp = stop_path(p, lambda v: v >= 0.0)
-    assert sp.stop_index == 0
-    assert np.array_equal(sp.values, [0.5, 0.5, 0.5, 0.5])
+    v = np.array([0.5, 0.6, 0.7, 0.8])
+    frozen, k = _stop_row(v, v >= 0.0)
+    assert k == 0
+    assert np.array_equal(frozen, [0.5, 0.5, 0.5, 0.5])
 
 
 def test_frozen_tail_property():
     rng = np.random.default_rng(7)
-    g = make_grid(1.0, 64)
     for _ in range(50):
-        p = Path(g, np.cumsum(np.concatenate([[0.0], rng.standard_normal(64)])))
+        v = np.cumsum(np.concatenate([[0.0], rng.standard_normal(64)]))
         level = rng.uniform(0.1, 1.5)
-        sp = stop_path(p, lambda v, a=level: v >= a)
-        if sp.stop_index is not None:
-            k = sp.stop_index
-            assert np.all(sp.values[k:] == sp.values[k])
-
-
-def test_stopped_path_validates_frozen_tail():
-    g = make_grid(1.0, 3)
-    p = Path(g, [0.0, 1.0, 2.0, 3.0])
-    with pytest.raises(ValueError, match="constant"):
-        StoppedPath(path=p, stop_index=1, rule="broken")
+        frozen, k = _stop_row(v, v >= level)
+        assert np.all(frozen[k:] == frozen[k])
+        assert np.array_equal(frozen[:k], v[:k])
 
 
 def test_mc_estimate_matches_sample_stats():
@@ -113,27 +103,6 @@ def test_mc_estimate_matches_sample_stats():
     assert est.n_samples == 4
     with pytest.raises(ValueError):
         McEstimate.from_samples([1.0])
-
-
-def test_mc_estimate_from_moments_agrees():
-    rng = np.random.default_rng(3)
-    x = rng.standard_normal(1000)
-    a = McEstimate.from_samples(x)
-    b = McEstimate.from_moments(float(x.sum()), float((x * x).sum()), x.size)
-    assert b.mean == pytest.approx(a.mean)
-    assert b.stderr == pytest.approx(a.stderr, rel=1e-10)
-
-
-def test_ensemble_requires_distinct_seeds_and_shared_grid():
-    g = make_grid(1.0, 2)
-    p1 = Path(g, [0.0, 1.0, 2.0], label="a")
-    p2 = Path(g, [0.0, -1.0, -2.0], label="b")
-    Ensemble(spec=None, paths=(p1, p2), seeds=(1, 2))
-    with pytest.raises(ValueError, match="distinct"):
-        Ensemble(spec=None, paths=(p1, p2), seeds=(1, 1))
-    other = Path(make_grid(2.0, 2), [0.0, 1.0, 2.0], label="c")
-    with pytest.raises(ValueError, match="grid"):
-        Ensemble(spec=None, paths=(p1, other), seeds=(1, 2))
 
 
 def test_csv_format_and_roundtrip():
