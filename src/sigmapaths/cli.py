@@ -153,21 +153,9 @@ def _parse_formats(formats: str) -> set[str]:
     return parts
 
 
-def _build_spec(family, horizon, n_steps, a, b, x0, stop_level, stop_line_drift) -> GeneratorSpec:
-    params = {}
-    if family in ("bessel3", "scale_martingale"):
-        params["x0"] = x0
-    if family == "brownian_stopped_level":
-        params["a"] = a
-    if family == "brownian_drift_stopped_line":
-        params["b"] = b
-    if family == "exp_martingale":
-        if stop_level > 0:
-            params["stop_level"] = stop_level
-        if stop_line_drift > 0:
-            params["stop_line_drift"] = stop_line_drift
+def _build_spec(family, horizon, n_steps, options) -> GeneratorSpec:
     try:
-        return GeneratorSpec(family, params, make_grid(horizon, n_steps))
+        return GeneratorSpec.from_options(family, make_grid(horizon, n_steps), **options)
     except ValueError as exc:
         raise click.UsageError(str(exc))
 
@@ -207,11 +195,10 @@ def main():
 @_family_options
 @click.option("--paths", type=click.IntRange(min=1), default=10, show_default=True)
 @_common_options
-def simulate(family, horizon, n_steps, a, b, x0, stop_level, stop_line_drift,
-             paths, seed, out, formats, workers):
+def simulate(family, horizon, n_steps, paths, seed, out, formats, workers, **options):
     """Generate an ensemble and write it in the long-form CSV path format."""
     fmt = _parse_formats(formats)
-    spec = _build_spec(family, horizon, n_steps, a, b, x0, stop_level, stop_line_drift)
+    spec = _build_spec(family, horizon, n_steps, options)
     total = paths * (n_steps + 1)
     if total > _MAX_SIMULATE_VALUES:
         raise click.UsageError(
@@ -243,16 +230,15 @@ def simulate(family, horizon, n_steps, a, b, x0, stop_level, stop_line_drift,
 
 @main.command()
 @_family_options
-@click.option("--paths", type=int, default=10000, show_default=True)
+@click.option("--paths", type=click.IntRange(min=1), default=10000, show_default=True)
 @_common_options
-def decompose(family, horizon, n_steps, a, b, x0, stop_level, stop_line_drift,
-              paths, seed, out, formats, workers):
+def decompose(family, horizon, n_steps, paths, seed, out, formats, workers, **options):
     """Decompose a positive-martingale ensemble and write the class-(D)
     diagnostics report: the "classd" block of "experiment lemma-balance" on
     the same spec and seed (bessel3 enters via its normalized scale
     martingale)."""
     fmt = _parse_formats(formats)
-    spec = _build_spec(family, horizon, n_steps, a, b, x0, stop_level, stop_line_drift)
+    spec = _build_spec(family, horizon, n_steps, options)
     try:
         mspec = _martingale_spec(spec)
         classd = lemma_balance_experiment(spec, paths, seed, workers).classd
@@ -344,7 +330,7 @@ def _summary_line(name: str, report) -> str:
 
 
 def _make_experiment_command(defn):
-    @click.option("--paths", type=int, default=10000, show_default=True)
+    @click.option("--paths", type=click.IntRange(min=1), default=10000, show_default=True)
     @_common_options
     def cmd(paths, seed, out, formats, workers, **params):
         fmt = _parse_formats(formats)

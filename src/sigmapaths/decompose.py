@@ -55,6 +55,8 @@ CARRIED_SCORE_THRESHOLD = 0.05
 
 _ADDITIVITY_TOL = 1e-10
 _NEG_FLOOR = -1e-12
+#: Level of the class-(D) tail-mass proxy P(M_T > level).
+_TAIL_LEVEL = 10.0
 
 
 def default_zero_threshold(grid: TimeGrid) -> float:
@@ -145,7 +147,7 @@ class ClassDReport:
     in the equivalences "Y of class (D)" <=> "E[M C] finite" <=> "E[int M dC]
     finite", and for the L^2 criterion through ``U = int dM/M``.  Uniform
     integrability itself is not testable from finitely many sampled paths;
-    ``e_mean_drift`` (E[M_T] - 1) and ``tail_mass`` (P(M_T > tail_level)) are
+    ``e_mean_drift`` (E[M_T] - 1) and ``tail_mass`` (P(M_T > 10)) are
     reported as labeled proxies only.
     """
 
@@ -159,7 +161,6 @@ class ClassDReport:
     pathwise_inf_identity_median_err: float
     e_int_left: McEstimate
     e_mean_drift: float
-    tail_level: float
     tail_mass: float
 
     def as_dict(self) -> dict:
@@ -175,7 +176,7 @@ class ClassDReport:
             "e_int_left": self.e_int_left.as_dict(),
             "ui_proxies": {
                 "e_mean_drift": self.e_mean_drift,
-                "tail_level": self.tail_level,
+                "tail_level": _TAIL_LEVEL,
                 "tail_mass": self.tail_mass,
             },
         }
@@ -376,9 +377,7 @@ def class_d_path_stats(M: np.ndarray) -> tuple[np.ndarray, ...]:
     return mc, int_right, int_left, log_inv_i, qv_u, err_log, err_inf, M[:, -1].copy()
 
 
-def class_d_from_path_stats(
-    parts: Iterable[tuple[np.ndarray, ...]], grid: TimeGrid, tail_level: float = 10.0
-) -> ClassDReport:
+def class_d_from_path_stats(parts: Iterable[tuple[np.ndarray, ...]], grid: TimeGrid) -> ClassDReport:
     """Report from per-path statistic tuples (:func:`class_d_path_stats`
     results), concatenated in the order ``parts`` yields them."""
     parts = list(parts)
@@ -399,14 +398,11 @@ def class_d_from_path_stats(
         pathwise_inf_identity_median_err=float(np.median(err_inf)),
         e_int_left=McEstimate.from_samples(int_left),
         e_mean_drift=float(np.mean(m_T) - 1.0),
-        tail_level=tail_level,
-        tail_mass=float(np.mean(m_T > tail_level)),
+        tail_mass=float(np.mean(m_T > _TAIL_LEVEL)),
     )
 
 
-def class_d_from_batches(
-    batches: Iterable[np.ndarray], grid: TimeGrid, tail_level: float = 10.0
-) -> ClassDReport:
+def class_d_from_batches(batches: Iterable[np.ndarray], grid: TimeGrid) -> ClassDReport:
     """Integrability diagnostics for an ensemble of positive martingale paths.
 
     ``batches`` yields ``(rows, n+1)`` arrays of positive M-paths with
@@ -415,4 +411,4 @@ def class_d_from_batches(
     experiments compute :func:`class_d_path_stats` where the paths are
     generated and pass the vectors to :func:`class_d_from_path_stats`.
     """
-    return class_d_from_path_stats((class_d_path_stats(M) for M in batches), grid, tail_level)
+    return class_d_from_path_stats((class_d_path_stats(M) for M in batches), grid)

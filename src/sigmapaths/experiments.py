@@ -20,9 +20,11 @@ Estimation strategy notes, shared by several experiments:
   stays genuinely ambiguous (residual hit probability above 1/2), plus the
   mean tail-correction mass.
 
-* First-passage events are decided at grid resolution.  Walkers simulate in
-  time chunks and retire paths as soon as their contribution is decided,
-  which is what makes the 10^5-path tail studies affordable.
+* First-passage events are decided at grid resolution.  The first-passage
+  and the Bessel last-visit batches reduce over one keyed chunk walker,
+  :func:`_keyed_chunks`, which draws each path's streams in time chunks and
+  stops drawing a path once its batch function retires it; that is what
+  makes the 10^5-path tail studies affordable.
 """
 
 from __future__ import annotations
@@ -97,6 +99,54 @@ def _concat_batches(fn: Callable, arglist: list, workers: int) -> tuple[np.ndarr
     """Run batch functions that return tuples of per-path arrays, and
     concatenate each array across batches in path order."""
     return _concat(_stream_batches(fn, arglist, workers))
+
+
+# ---------------------------------------------------------------------------
+# keyed chunk walker (the last-visit and first-passage batches reduce over it)
+
+#: Steps per chunk of the first-passage walker and of the last-visit walker.
+_WALK_CHUNK = 4000
+_REVISIT_CHUNK = 512
+#: The last-visit walker retires a path beyond this multiple of the level.
+_ESCAPE_MULT = 8.0
+
+
+def _keyed_chunks(seed, first, rows, start, dt, n_steps, chunk, retired):
+    """Walk ``rows`` paths of ``len(start)`` Brownian components from
+    ``start``, ``chunk`` grid steps at a time.
+
+    Component ``c`` of row ``i`` draws from ``StreamKey(seed, first + i, c)``,
+    a counter-based stream, so the chunks see the same increments as one
+    block.  Each chunk yields ``(step, alive, W)``: the grid index before the
+    chunk, the rows still walking, and their positions at the chunk's grid
+    indices, shaped ``(len(alive), cs, len(start))``.  Rows the caller sets in
+    ``retired`` are not drawn again.  Every chunk reuses one buffer; callers
+    reduce ``W`` in a function of their own, so that the reduction's
+    temporaries are freed before the next chunk is drawn.
+    """
+    k = len(start)
+    gens = [[Generator(Philox(key=StreamKey(seed, first + i, c).philox_key())) for c in range(k)]
+            for i in range(rows)]
+    pos = np.tile(np.asarray(start, dtype=float), (rows, 1))
+    buf = np.empty(rows * min(chunk, n_steps) * k)
+    sqrt_dt = math.sqrt(dt)
+    alive = np.arange(rows)
+    step = 0
+    while step < n_steps:
+        alive = alive[~retired[alive]]
+        if not alive.size:
+            return
+        cs = min(chunk, n_steps - step)
+        W = buf[: alive.size * cs * k].reshape(alive.size, cs, k)
+        for r, i in enumerate(alive):
+            for c in range(k):
+                W[r, :, c] = gens[i][c].standard_normal(cs)
+        W *= sqrt_dt
+        np.cumsum(W, axis=1, out=W)
+        W += pos[alive][:, None, :]
+        yield step, alive, W
+        pos[alive] = W[:, -1, :]
+        step += cs
 
 
 # ---------------------------------------------------------------------------
@@ -329,76 +379,37 @@ def _bessel_revisit_batch(args):
     (state at t, survival scores, ambiguous flags, correction mass).
     """
     (seed, first, rows, x0, level, dt, n_steps, t_idx, chunk, escape_mult) = args
-    sqrt_dt = math.sqrt(dt)
-    gens = [
-        [Generator(Philox(key=StreamKey(seed, first + i, c).philox_key())) for c in range(3)]
-        for i in range(rows)
-    ]
-    pos = np.zeros((rows, 3))
-    pos[:, 0] = x0
-
     state_t = np.empty(rows)
     score = np.empty(rows)
-    ambiguous = np.zeros(rows, dtype=bool)
     correction = np.zeros(rows)
-    alive = np.arange(rows)
-    prev_state = np.full(rows, x0)
-    escape = escape_mult * level
+    retired = np.zeros(rows, dtype=bool)
+    prev_state = np.full(rows, x0)  # R at the last grid index walked so far
 
-    step = 0
-    while step < n_steps and alive.size:
-        cs = min(chunk, n_steps - step)
-        comp = np.empty((alive.size, cs, 3))
-        for r, idx in enumerate(alive):
-            for c in range(3):
-                comp[r, :, c] = gens[idx][c].standard_normal(cs)
-        comp *= sqrt_dt
-        np.cumsum(comp, axis=1, out=comp)
-        comp += pos[alive][:, None, :]
-        state = np.sqrt(np.sum(comp * comp, axis=2))
-
-        if step < t_idx <= step + cs:
+    def scan(step, alive, W):
+        state = np.sqrt(np.sum(W * W, axis=2))
+        end = step + state.shape[1]
+        if step < t_idx <= end:
             state_t[alive] = state[:, t_idx - step - 1]
-
-        done_rows = []
-        if step + cs > t_idx:
+        if end > t_idx:
             lo = max(t_idx - step, 0)  # first chunk column that lies past t
-            seg = state[:, lo:] if lo > 0 else state
             prev = prev_state[alive] if lo == 0 else state[:, lo - 1]
-            rel = seg - level
-            crossed_inside = (rel[:, :-1] * rel[:, 1:] <= 0).any(axis=1) if rel.shape[1] > 1 else np.zeros(len(rel), dtype=bool)
-            crossed_entry = (prev - level) * rel[:, 0] <= 0
-            crossed = crossed_inside | crossed_entry
-            hit_rows = np.nonzero(crossed)[0]
-            if hit_rows.size:
-                score[alive[hit_rows]] = 1.0
-                done_rows.append(hit_rows)
-            escaped = (~crossed) & (seg[:, -1] >= escape)
-            esc_rows = np.nonzero(escaped)[0]
-            if esc_rows.size:
-                resid = level / seg[esc_rows, -1]
-                g = alive[esc_rows]
-                score[g] = resid
-                correction[g] = resid
-                done_rows.append(esc_rows)
-        step += cs
-        if done_rows:
-            done = np.concatenate(done_rows)
-            keep = np.ones(alive.size, dtype=bool)
-            keep[done] = False
-        else:
-            keep = np.ones(alive.size, dtype=bool)
-        pos[alive] = comp[:, -1, :]
+            rel = state[:, lo:] - level
+            crossed = (rel[:, :-1] * rel[:, 1:] <= 0).any(axis=1) | ((prev - level) * rel[:, 0] <= 0)
+            escaped = ~crossed & (state[:, -1] >= escape_mult * level)
+            resid = level / state[escaped, -1]
+            score[alive[crossed]] = 1.0
+            score[alive[escaped]] = resid
+            correction[alive[escaped]] = resid
+            retired[alive[crossed | escaped]] = True
         prev_state[alive] = state[:, -1]
-        alive = alive[keep]
 
-    if alive.size:
-        final = prev_state[alive]
-        resid = np.minimum(level / final, 1.0)
-        score[alive] = resid
-        correction[alive] = resid
-        ambiguous[alive] = resid > 0.5
-    return state_t, score, ambiguous, correction
+    for chunk_args in _keyed_chunks(seed, first, rows, (x0, 0.0, 0.0), dt, n_steps, chunk, retired):
+        scan(*chunk_args)
+    live = ~retired
+    resid = np.minimum(level / prev_state[live], 1.0)
+    score[live] = resid
+    correction[live] = resid
+    return state_t, score, live & (score > 0.5), correction
 
 
 def _expmart_revisit_batch(args):
@@ -427,8 +438,6 @@ def azema_conditional_experiment(
     n_paths: int,
     master_seed: int,
     workers: int = 1,
-    escape_mult: float = 8.0,
-    chunk_steps: int = 512,
 ) -> ConditionalLawTable:
     """Empirical conditional law of the last visit to a level, against the
     closed-form ``min(level/state, 1)`` (Bessel) / ``min(state/level, 1)``
@@ -452,7 +461,7 @@ def azema_conditional_experiment(
     if spec.family == "bessel3":
         x0 = spec.params["x0"]
         args = [
-            (master_seed, first, r, x0, level, grid.dt, grid.n_steps, t_idx, chunk_steps, escape_mult)
+            (master_seed, first, r, x0, level, grid.dt, grid.n_steps, t_idx, _REVISIT_CHUNK, _ESCAPE_MULT)
             for first, r in _ranges(n_paths, rows)
         ]
         batch = _bessel_revisit_batch
@@ -609,48 +618,32 @@ def _walk_brownian_batch(args):
     when censored), prefix minimum up to the stop, and the censored mask.
     """
     (seed, first, rows, dt, n_steps, chunk, upper, lower, line_b, line_level) = args
-    sqrt_dt = math.sqrt(dt)
-    gens = [Generator(Philox(key=StreamKey(seed, first + i, 0).philox_key())) for i in range(rows)]
-    last = np.zeros(rows)
     run_min = np.zeros(rows)
     stop_step = np.full(rows, -1, dtype=np.int64)
     stop_value = np.zeros(rows)
-    alive = np.arange(rows)
-    step = 0
-    while step < n_steps and alive.size:
-        cs = min(chunk, n_steps - step)
-        P = np.empty((alive.size, cs))
-        for r, idx in enumerate(alive):
-            P[r] = gens[idx].standard_normal(cs)
-        P *= sqrt_dt
-        np.cumsum(P, axis=1, out=P)
-        P += last[alive][:, None]
+    retired = np.zeros(rows, dtype=bool)
+
+    def scan(step, alive, W):
+        P = W[:, :, 0]
         trig = np.zeros(P.shape, dtype=bool)
         if upper is not None:
             trig |= P >= upper
         if lower is not None:
             trig |= P <= lower
         if line_b is not None:
-            tline = (np.arange(1, cs + 1) + step) * dt
+            tline = (np.arange(1, P.shape[1] + 1) + step) * dt
             trig |= P + line_b * tline[None, :] >= line_level
         has = trig.any(axis=1)
-        first_hit = trig.argmax(axis=1)
-        pref = np.minimum.accumulate(P, axis=1)
-        hit = np.nonzero(has)[0]
-        if hit.size:
-            g = alive[hit]
-            stop_step[g] = step + first_hit[hit] + 1
-            stop_value[g] = P[hit, first_hit[hit]]
-            run_min[g] = np.minimum(run_min[g], pref[hit, first_hit[hit]])
-        live = np.nonzero(~has)[0]
-        g2 = alive[live]
-        run_min[g2] = np.minimum(run_min[g2], pref[live, -1])
-        last[g2] = P[live, -1]
-        alive = g2
-        step += cs
-    censored = stop_step < 0
-    stop_value[censored] = last[censored]
-    return stop_step, stop_value, run_min, censored
+        at = np.where(has, trig.argmax(axis=1), P.shape[1] - 1)  # stop column, else the last
+        r = np.arange(alive.size)
+        stop_value[alive] = P[r, at]
+        run_min[alive] = np.minimum(run_min[alive], np.minimum.accumulate(P, axis=1)[r, at])
+        stop_step[alive[has]] = step + at[has] + 1
+        retired[alive[has]] = True
+
+    for chunk_args in _keyed_chunks(seed, first, rows, (0.0,), dt, n_steps, chunk, retired):
+        scan(*chunk_args)
+    return stop_step, stop_value, run_min, stop_step < 0
 
 
 def _walk_steps(horizon: float, dt: float) -> int:
@@ -663,10 +656,10 @@ def _walk_steps(horizon: float, dt: float) -> int:
     return n_steps
 
 
-def _walk(n_paths, master_seed, dt, n_steps, chunk, workers, **trig) -> tuple:
+def _walk(n_paths, master_seed, dt, n_steps, workers, **trig) -> tuple:
     rows = min(4096, max(256, n_paths))
     args = [
-        (master_seed, first, r, dt, n_steps, chunk,
+        (master_seed, first, r, dt, n_steps, _WALK_CHUNK,
          trig.get("upper"), trig.get("lower"), trig.get("line_b"), trig.get("line_level", 1.0))
         for first, r in _ranges(n_paths, rows)
     ]
@@ -675,6 +668,9 @@ def _walk(n_paths, master_seed, dt, n_steps, chunk, workers, **trig) -> tuple:
 
 # ---------------------------------------------------------------------------
 # saturation probe
+
+#: Most per-path samples a saturation report lists.
+_KEEP_SAMPLES = 10000
 
 
 @dataclass(frozen=True)
@@ -728,7 +724,6 @@ def saturation_probe(
     horizon: float = 64.0,
     dt: float = 4e-4,
     workers: int = 1,
-    keep_samples: int = 10000,
 ) -> SaturationReport:
     """Probe the ends of two random sets under Brownian paths run to T_1.
 
@@ -745,11 +740,10 @@ def saturation_probe(
     B_0 = 0), verified for every uncensored path.
     """
     n_steps = _walk_steps(horizon, dt)
-    chunk = 4000
     if kind == "nonsaturated_zero_set":
         a_max = max(levels)
         stop_step, stop_value, run_min, censored = _walk(
-            n_paths, master_seed, dt, n_steps, chunk, workers, upper=1.0, lower=-a_max
+            n_paths, master_seed, dt, n_steps, workers, upper=1.0, lower=-a_max
         )
         ok = ~censored
         neg_min = -run_min[ok]
@@ -758,14 +752,13 @@ def saturation_probe(
             ests.append(McEstimate.from_samples((neg_min >= a).astype(float)))
             refs.append(oracles.gamblers_ruin_down_before_up(a, 1.0))
         capped = stop_value[ok] <= -a_max
-        keep = min(keep_samples, neg_min.size)
         return SaturationReport(
             kind=kind,
             levels=tuple(float(a) for a in levels),
             empirical_survival=tuple(ests),
             reference=tuple(refs),
-            samples=tuple(float(v) for v in neg_min[:keep]),
-            sample_capped=tuple(bool(c) for c in capped[:keep]),
+            samples=tuple(float(v) for v in neg_min[:_KEEP_SAMPLES]),
+            sample_capped=tuple(bool(c) for c in capped[:_KEEP_SAMPLES]),
             membership_rate=float("nan"),
             n_uncensored=int(ok.sum()),
             n_censored=int(censored.sum()),
@@ -775,7 +768,7 @@ def saturation_probe(
         )
     if kind == "saturated_level_set":
         stop_step, stop_value, run_min, censored = _walk(
-            n_paths, master_seed, dt, n_steps, chunk, workers, upper=1.0
+            n_paths, master_seed, dt, n_steps, workers, upper=1.0
         )
         ok = ~censored
         membership = float(np.mean(run_min[ok] <= 0.0)) if ok.any() else float("nan")
@@ -861,12 +854,11 @@ def tail_experiment(
     transience.
     """
     n_steps = _walk_steps(horizon, dt)
-    chunk = 4000
     if kind == "T_a_heavy_tail":
         if not a > 0:
             raise ValueError("a must be positive")
         stop_step, _, _, censored = _walk(
-            n_paths, master_seed, dt, n_steps, chunk, workers, upper=a
+            n_paths, master_seed, dt, n_steps, workers, upper=a
         )
         t_hit = np.where(censored, np.inf, stop_step * dt)
         usable = [t for t in times if t <= horizon]
@@ -901,7 +893,7 @@ def tail_experiment(
         if not b > 0:
             raise ValueError("b must be positive")
         stop_step, stop_value, _, censored = _walk(
-            n_paths, master_seed, dt, n_steps, chunk, workers, line_b=b, line_level=1.0
+            n_paths, master_seed, dt, n_steps, workers, line_b=b, line_level=1.0
         )
         ok = ~censored
         sigma = stop_step[ok] * dt
@@ -951,22 +943,13 @@ class ExperimentDef:
     runner: Callable      # runner(seed, n_paths, workers, **params) -> report
 
 
-def _run_lemma(seed, n_paths, workers, family, horizon, n_steps, x0, stop_level, stop_line_drift):
-    params = {}
-    if family in ("bessel3", "scale_martingale"):
-        params["x0"] = x0
-    if family == "exp_martingale":
-        if stop_level > 0:
-            params["stop_level"] = stop_level
-        if stop_line_drift > 0:
-            params["stop_line_drift"] = stop_line_drift
-    spec = GeneratorSpec(family, params, make_grid(horizon, n_steps))
+def _run_lemma(seed, n_paths, workers, family, horizon, n_steps, **options):
+    spec = GeneratorSpec.from_options(family, make_grid(horizon, n_steps), **options)
     return lemma_balance_experiment(spec, n_paths, seed, workers)
 
 
 def _run_azema(seed, n_paths, workers, family, x0, level, t, bins, horizon, n_steps):
-    params = {"x0": x0} if family == "bessel3" else {}
-    spec = GeneratorSpec(family, params, make_grid(horizon, n_steps))
+    spec = GeneratorSpec.from_options(family, make_grid(horizon, n_steps), x0=x0)
     return azema_conditional_experiment(spec, level, t, bins, n_paths, seed, workers)
 
 

@@ -95,6 +95,15 @@ class GeneratorSpec:
         return cfg
 
     @classmethod
+    def from_options(cls, family: str, grid: TimeGrid, **options: float) -> "GeneratorSpec":
+        """Spec from option values that span every family, as the CLI has
+        them: the family's required parameters that are given, and its
+        optional ones that are not 0 (0 means off)."""
+        required, optional = FAMILIES.get(family, (set(), set()))
+        params = {k: v for k, v in options.items() if k in required or (k in optional and v != 0)}
+        return cls(family, params, grid)
+
+    @classmethod
     def from_config(cls, cfg: Mapping[str, str]) -> "GeneratorSpec":
         items = dict(cfg)
         family = items.pop("family")

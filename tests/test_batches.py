@@ -1,5 +1,5 @@
 """Property tests of the batch contract: per-path results do not depend on
-how an ensemble is split into batches, tiles or workers."""
+how an ensemble is split into batches, tiles, walker chunks or workers."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from sigmapaths import experiments
 from sigmapaths.decompose import class_d_from_batches, class_d_path_stats
-from sigmapaths.generators import GeneratorSpec, generate_rows
+from sigmapaths.generators import GeneratorSpec, bessel3_rows, brownian_rows, generate_rows, stop_at_mask_rows
 from sigmapaths.grids import make_grid
 
 _SPECS = {
@@ -83,3 +83,75 @@ def test_tiled_batches_ignore_tile_size(name, rows, tile_values):
     fn, args = getattr(experiments, name), _batch_args(rows)[name]
     one_block = _with_tile_values(1 << 40, fn, args)
     assert _bitwise_equal(_with_tile_values(tile_values, fn, args), one_block)
+
+
+_WALK_GRID = make_grid(3.0, 300)
+
+
+def _walked(start, rows, chunk, retire_after=None):
+    """Positions from ``_keyed_chunks`` over ``_WALK_GRID``, NaN where a row no
+    longer walks; row ``i`` is retired after chunk ``retire_after[i]``."""
+    g = _WALK_GRID
+    out = np.full((rows, g.n_steps, len(start)), np.nan)
+    retired = np.zeros(rows, dtype=bool)
+    for j, (step, alive, W) in enumerate(
+            experiments._keyed_chunks(31, 4, rows, start, g.dt, g.n_steps, chunk, retired)):
+        assert not retired[alive].any()
+        out[alive, step:step + W.shape[1]] = W
+        if retire_after is not None:
+            retired[np.asarray(retire_after) == j] = True
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 320))
+def test_keyed_chunks_match_one_block_engine(rows, chunk):
+    g = _WALK_GRID
+    B = brownian_rows(g, 31, 4, rows)[:, 1:]
+    R = bessel3_rows(g, 1.5, 31, 4, rows)[:, 1:]
+    W1 = _walked((0.0,), rows, chunk)[:, :, 0]
+    W3 = _walked((1.5, 0.0, 0.0), rows, chunk)
+    R3 = np.sqrt(np.sum(W3 * W3, axis=2))
+    assert np.max(np.abs(W1 - B)) <= 1e-12
+    assert np.max(np.abs(R3 - R)) <= 1e-12
+    if chunk >= g.n_steps:
+        assert W1.tobytes() == B.tobytes() and R3.tobytes() == R.tobytes()
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 64), st.data())
+def test_keyed_chunks_stop_drawing_retired_rows(chunk, data):
+    g = _WALK_GRID
+    n_chunks = -(-g.n_steps // chunk)
+    retire_after = data.draw(st.lists(st.integers(0, n_chunks), min_size=1, max_size=6))
+    rows = len(retire_after)
+    W = _walked((0.0,), rows, chunk, retire_after)[:, :, 0]
+    walked = ~np.isnan(W)
+    for i, j in enumerate(retire_after):
+        assert walked[i].sum() == min((j + 1) * chunk, g.n_steps)
+    assert np.max(np.abs(W - brownian_rows(g, 31, 4, rows)[:, 1:])[walked], initial=0.0) <= 1e-12
+
+
+_TRIGGERS = {"levels": (0.8, -0.5, None), "upper": (0.5, None, None), "line": (None, None, 0.5)}
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 8), st.integers(0, 10**6), st.sampled_from(sorted(_TRIGGERS)), st.integers(300, 400))
+def test_one_chunk_walk_equals_stop_at_mask_rows(rows, seed, trigger, chunk):
+    g = _WALK_GRID
+    upper, lower, line_b = _TRIGGERS[trigger]
+    stop_step, stop_value, run_min, censored = experiments._walk_brownian_batch(
+        (seed, 2, rows, g.dt, g.n_steps, chunk, upper, lower, line_b, 1.0))
+    B = brownian_rows(g, seed, 2, rows)
+    mask = np.zeros(B.shape, dtype=bool)
+    if upper is not None:
+        mask |= B >= upper
+    if lower is not None:
+        mask |= B <= lower
+    if line_b is not None:  # the walker's own grid times, index * dt
+        mask |= B + line_b * (np.arange(g.n_steps + 1) * g.dt) >= 1.0
+    frozen, stop = stop_at_mask_rows(B, mask)
+    assert np.array_equal(censored, ~mask.any(axis=1))
+    assert np.array_equal(np.where(censored, g.n_steps, stop_step), stop)
+    assert stop_value.tobytes() == frozen[:, -1].tobytes()
+    assert run_min.tobytes() == np.min(frozen, axis=1).tobytes()

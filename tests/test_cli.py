@@ -269,17 +269,26 @@ def test_run_config_rejects_seed_outside_domain():
     assert RunConfig(command="verify", seed=2**64 - 1).seed == 2**64 - 1
 
 
-@pytest.mark.parametrize("argv", [
-    ["experiment", "lemma-balance", "--n-steps", "16", "--paths", "50", "--workers", "0"],
-    ["experiment", "lemma-balance", "--n-steps", "16", "--paths", "50", "--workers", "-4"],
-    ["simulate", "--family", "brownian", "--n-steps", "16", "--paths", "0"],
-    ["experiment", "tail", "--paths", "10", "--dt", "0"],
-    ["experiment", "tail", "--paths", "10", "--horizon", "-1"],
-    ["experiment", "saturation", "--paths", "10", "--horizon", "0.001", "--dt", "0.01"],
+@pytest.mark.parametrize("argv,option", [
+    (["experiment", "lemma-balance", "--n-steps", "16", "--paths", "50", "--workers", "0"], "--workers"),
+    (["experiment", "lemma-balance", "--n-steps", "16", "--paths", "50", "--workers", "-4"], "--workers"),
+    (["simulate", "--family", "brownian", "--n-steps", "16", "--paths", "0"], "--paths"),
+    (["experiment", "tail", "--paths", "10", "--dt", "0"], "dt"),
+    (["experiment", "tail", "--paths", "10", "--horizon", "-1"], "horizon"),
+    (["experiment", "saturation", "--paths", "10", "--horizon", "0.001", "--dt", "0.01"], "horizon"),
+    (["experiment", "lemma-balance", "--n-steps", "64", "--paths", "64", "--stop-level", "-1"], "stop_level"),
+    (["decompose", "--family", "exp_martingale", "--n-steps", "64", "--paths", "64", "--stop-line-drift", "-2"],
+     "stop_line_drift"),
+    (["experiment", "tail", "--paths", "0"], "--paths"),
+    (["experiment", "two-infinity", "--paths", "0"], "--paths"),
+    (["experiment", "azema-law", "--paths", "-3"], "--paths"),
+    (["decompose", "--family", "exp_martingale", "--paths", "0"], "--paths"),
 ], ids=["workers-0", "workers-negative", "simulate-no-paths", "tail-dt-0", "tail-horizon-negative",
-        "saturation-zero-steps"])
-def test_out_of_domain_input_exits_2(runner, tmp_path, argv):
+        "saturation-zero-steps", "lemma-stop-level-negative", "decompose-stop-line-drift-negative",
+        "tail-no-paths", "two-infinity-no-paths", "azema-paths-negative", "decompose-no-paths"])
+def test_out_of_domain_input_exits_2(runner, tmp_path, argv, option):
     out = tmp_path / "o"
     r = runner.invoke(main, [*argv, "--out", str(out)])
     assert r.exit_code == 2, r.output
+    assert option in r.output, r.output
     assert not out.exists()
