@@ -3,7 +3,8 @@
 Each entry pins, at a reduced size, the sha256 of a report without its
 ``meta`` block in the package's canonical encoding, or of the raw bytes of a
 ``simulate`` CSV.  Sizes are chosen so that every experiment splits into at
-least two batches, and the full-matrix ones into several row tiles.  A
+least two batches, the full-matrix ones into several row tiles, and the
+first-passage walker across several of its 4000-step carry chunks.  A
 change that alters a digest on purpose updates the table and says why in
 CHANGES.md.
 """
@@ -22,6 +23,7 @@ _SPEC = ["--family", "exp_martingale", "--stop-level", "1", "--horizon", "4", "-
 _LONG = ["--horizon", "16", "--n-steps", "16384", "--paths", "600"]  # 2 batches of 63-row tiles
 _WALK4 = ["--horizon", "4", "--dt", "0.01", "--paths", "4352"]       # 2 walker batches
 _WALK16 = ["--horizon", "16", "--dt", "0.01", "--paths", "4352"]
+_CARRY4 = ["--horizon", "16", "--dt", "0.001", "--paths", "4352"]    # 4 carry chunks of 4000 steps
 _SIM = ["simulate", "--horizon", "4", "--n-steps", "64", "--paths", "3"]
 
 #: name -> (argv before the seed, output file, sha256)
@@ -54,6 +56,18 @@ GOLDEN = {
     "tail sigma_b": (
         ["experiment", "tail", "--kind", "sigma_b_expectation", "--b", "1", *_WALK16], "tail.json",
         "cd3e38ac9ff020bbbc160d71ba9725cecb6bea086fe16c19695b26a235a6b9e6"),
+    "tail T_a, 4 carry chunks": (
+        ["experiment", "tail", "--kind", "T_a_heavy_tail", *_CARRY4], "tail.json",
+        "7620a921219cf7bdcef8b3e0db6d9197601efd5205a959630c99fe7a3c30c385"),
+    "tail sigma_b, 4 carry chunks": (
+        ["experiment", "tail", "--kind", "sigma_b_expectation", "--b", "1", *_CARRY4], "tail.json",
+        "e91703a2bd635482f7514d3c2ed046271232ace189c76477229e4054d93111cb"),
+    "saturation nonsaturated, 4 carry chunks": (
+        ["experiment", "saturation", "--kind", "nonsaturated_zero_set", *_CARRY4], "saturation.json",
+        "37ff99a1459f5a6d3de1a604017fe8602744ba7a17b434aaedabfd5c16f66a0b"),
+    "saturation saturated, 4 carry chunks": (
+        ["experiment", "saturation", "--kind", "saturated_level_set", *_CARRY4], "saturation.json",
+        "43278d87e1f1d7702711cea717b0c30cde718430953ff27fc05f40fdfadbd6f8"),
     "simulate brownian": (
         [*_SIM, "--family", "brownian"], "paths.csv",
         "9834a60c7e52a162a450e1e0b6626036e9757390438da56c9e59155546a6a123"),
