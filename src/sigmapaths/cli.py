@@ -22,6 +22,7 @@ from pathlib import Path as FsPath
 
 import click
 import numpy as np
+from click.core import ParameterSource
 
 from . import reports
 from .calculus import running_min
@@ -147,13 +148,34 @@ def _common_options(fn):
 
 def _parse_formats(formats: str) -> set[str]:
     parts = {p.strip() for p in formats.split(",") if p.strip()}
+    if not parts:
+        raise click.UsageError("--formats names no format; give a comma list from {csv,json,svg}")
     bad = parts - {"csv", "json", "svg"}
     if bad:
         raise click.UsageError(f"unknown formats: {sorted(bad)}")
     return parts
 
 
+#: Options that set a parameter of some family.
+_FAMILY_PARAMS = set().union(*(required | optional for required, optional in FAMILIES.values()))
+
+
+def _reject_foreign_options(family: str, options) -> None:
+    """Exit 2 when an option set on the command line sets a parameter that
+    ``family`` does not take, which ``GeneratorSpec.from_options`` would drop."""
+    if family not in FAMILIES:
+        return  # the spec reports an unknown family
+    ctx = click.get_current_context()
+    required, optional = FAMILIES[family]
+    foreign = sorted(f"--{k.replace('_', '-')}" for k in options
+                     if k in _FAMILY_PARAMS - required - optional
+                     and ctx.get_parameter_source(k) is ParameterSource.COMMANDLINE)
+    if foreign:
+        raise click.UsageError(f"family {family!r} does not take {', '.join(foreign)}")
+
+
 def _build_spec(family, horizon, n_steps, options) -> GeneratorSpec:
+    _reject_foreign_options(family, options)
     try:
         return GeneratorSpec.from_options(family, make_grid(horizon, n_steps), **options)
     except ValueError as exc:
@@ -334,6 +356,8 @@ def _make_experiment_command(defn):
     @_common_options
     def cmd(paths, seed, out, formats, workers, **params):
         fmt = _parse_formats(formats)
+        if "family" in params:
+            _reject_foreign_options(params["family"], params)
         try:
             report = defn.runner(seed=seed, n_paths=paths, workers=workers, **params)
         except ValueError as exc:

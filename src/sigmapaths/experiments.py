@@ -22,9 +22,11 @@ Estimation strategy notes, shared by several experiments:
 
 * First-passage events are decided at grid resolution.  The first-passage
   and the Bessel last-visit batches reduce over one keyed chunk walker,
-  :func:`_keyed_chunks`, which draws each path's streams in time chunks and
-  stops drawing a path once its batch function retires it; that is what
-  makes the 10^5-path tail studies affordable.
+  :func:`_keyed_chunks`, which carries each path's position across fixed
+  carry chunks (their period is part of a report's identity), draws each
+  path's streams in blocks that never straddle a carry boundary (their size
+  changes no report byte), and stops drawing a path once its batch function
+  retires it; that is what makes the 10^5-path tail studies affordable.
 """
 
 from __future__ import annotations
@@ -104,31 +106,46 @@ def _concat_batches(fn: Callable, arglist: list, workers: int) -> tuple[np.ndarr
 # ---------------------------------------------------------------------------
 # keyed chunk walker (the last-visit and first-passage batches reduce over it)
 
-#: Steps per chunk of the first-passage walker and of the last-visit walker.
+#: Carry periods, in grid steps, of the first-passage and the last-visit walkers.
+#: A walk restarts its running sum at every multiple of its period, and
+#: floating-point addition is not associative, so a period is part of a
+#: report's identity: changing one changes the report bytes.
 _WALK_CHUNK = 4000
 _REVISIT_CHUNK = 512
+#: Steps per draw block of the first-passage walker.  A block does not change a
+#: report byte; a shorter one draws fewer normals past a path's stop.
+_WALK_BLOCK = 1000
 #: The last-visit walker retires a path beyond this multiple of the level.
 _ESCAPE_MULT = 8.0
 
 
-def _keyed_chunks(seed, first, rows, start, dt, n_steps, chunk, retired):
+def _keyed_chunks(seed, first, rows, start, dt, n_steps, chunk, block, retired):
     """Walk ``rows`` paths of ``len(start)`` Brownian components from
-    ``start``, ``chunk`` grid steps at a time.
+    ``start``, at most ``block`` grid steps at a time.
 
     Component ``c`` of row ``i`` draws from ``StreamKey(seed, first + i, c)``,
-    a counter-based stream, so the chunks see the same increments as one
-    block.  Each chunk yields ``(step, alive, W)``: the grid index before the
-    chunk, the rows still walking, and their positions at the chunk's grid
-    indices, shaped ``(len(alive), cs, len(start))``.  Rows the caller sets in
-    ``retired`` are not drawn again.  Every chunk reuses one buffer; callers
-    reduce ``W`` in a function of their own, so that the reduction's
-    temporaries are freed before the next chunk is drawn.
+    a counter-based stream, so the blocks see the same increments as one
+    draw.  The running sum restarts at every multiple of the carry period
+    ``chunk``: a position is the position at the last carry boundary plus the
+    sum of the increments since.  A block never straddles a carry boundary,
+    and inside a carry chunk the sum of the earlier blocks is folded into the
+    block's first increment before its cumsum.  numpy's accumulate is
+    sequential, so the positions are the same bits for every ``block``.
+
+    Each block yields ``(step, alive, W)``: the grid index before the block,
+    the rows still walking, and their positions at the block's grid indices,
+    shaped ``(len(alive), cs, len(start))``.  Rows the caller sets in
+    ``retired`` are not drawn again.  Every block reuses one buffer, and each
+    stream draws straight into it; callers reduce ``W`` in a function of
+    their own, so that the reduction's temporaries are freed before the next
+    block is drawn.
     """
     k = len(start)
     gens = [[Generator(Philox(key=StreamKey(seed, first + i, c).philox_key())) for c in range(k)]
             for i in range(rows)]
-    pos = np.tile(np.asarray(start, dtype=float), (rows, 1))
-    buf = np.empty(rows * min(chunk, n_steps) * k)
+    pos = np.tile(np.asarray(start, dtype=float), (rows, 1))  # at the last carry boundary
+    raw = np.zeros((rows, k))  # Brownian sum since the last carry boundary
+    buf = np.empty(rows * k * min(block, chunk, n_steps))
     sqrt_dt = math.sqrt(dt)
     alive = np.arange(rows)
     step = 0
@@ -136,17 +153,22 @@ def _keyed_chunks(seed, first, rows, start, dt, n_steps, chunk, retired):
         alive = alive[~retired[alive]]
         if not alive.size:
             return
-        cs = min(chunk, n_steps - step)
-        W = buf[: alive.size * cs * k].reshape(alive.size, cs, k)
+        end = min(step + block, (step // chunk + 1) * chunk, n_steps)
+        cs = end - step
+        W = buf[: alive.size * k * cs].reshape(alive.size, k, cs)  # out= needs each stream's block contiguous
         for r, i in enumerate(alive):
             for c in range(k):
-                W[r, :, c] = gens[i][c].standard_normal(cs)
+                gens[i][c].standard_normal(cs, out=W[r, c])
         W *= sqrt_dt
-        np.cumsum(W, axis=1, out=W)
-        W += pos[alive][:, None, :]
-        yield step, alive, W
-        pos[alive] = W[:, -1, :]
-        step += cs
+        if step % chunk:
+            W[:, :, 0] += raw[alive]
+        np.cumsum(W, axis=2, out=W)
+        raw[alive] = W[:, :, -1]
+        W += pos[alive][:, :, None]
+        yield step, alive, W.transpose(0, 2, 1)
+        if end % chunk == 0:
+            pos[alive] = W[:, :, -1]
+        step = end
 
 
 # ---------------------------------------------------------------------------
@@ -403,7 +425,7 @@ def _bessel_revisit_batch(args):
             retired[alive[crossed | escaped]] = True
         prev_state[alive] = state[:, -1]
 
-    for chunk_args in _keyed_chunks(seed, first, rows, (x0, 0.0, 0.0), dt, n_steps, chunk, retired):
+    for chunk_args in _keyed_chunks(seed, first, rows, (x0, 0.0, 0.0), dt, n_steps, chunk, chunk, retired):
         scan(*chunk_args)
     live = ~retired
     resid = np.minimum(level / prev_state[live], 1.0)
@@ -585,6 +607,8 @@ def two_infinity_check(
     if not hs or hs[-1] != spec.grid.horizon:
         raise ValueError("largest horizon must equal the spec grid horizon")
     y = spec.params["x0"] if level is None else float(level)
+    if not y > 0:
+        raise ValueError(f"level must be positive, got {y}")
     grid = spec.grid
     h_indices = [grid.index_at(h) for h in hs]
     cfg = spec.to_config()
@@ -610,7 +634,7 @@ def two_infinity_check(
 
 
 def _walk_brownian_batch(args):
-    """Simulate Brownian rows chunk by chunk until a trigger or the horizon.
+    """Simulate Brownian rows block by block until a trigger or the horizon.
 
     Triggers: ``upper`` level (B >= upper), ``lower`` level (B <= lower),
     or the drifted line ``B + line_b * t >= line_level``.  Returns per path:
@@ -635,14 +659,16 @@ def _walk_brownian_batch(args):
             trig |= P + line_b * tline[None, :] >= line_level
         has = trig.any(axis=1)
         at = np.where(has, trig.argmax(axis=1), P.shape[1] - 1)  # stop column, else the last
-        r = np.arange(alive.size)
-        stop_value[alive] = P[r, at]
-        run_min[alive] = np.minimum(run_min[alive], np.minimum.accumulate(P, axis=1)[r, at])
+        stop_value[alive] = P[np.arange(alive.size), at]
+        low = P.min(axis=1)
+        for j in np.flatnonzero(has):
+            low[j] = P[j, :at[j] + 1].min()
+        run_min[alive] = np.minimum(run_min[alive], low)
         stop_step[alive[has]] = step + at[has] + 1
         retired[alive[has]] = True
 
-    for chunk_args in _keyed_chunks(seed, first, rows, (0.0,), dt, n_steps, chunk, retired):
-        scan(*chunk_args)
+    for block_args in _keyed_chunks(seed, first, rows, (0.0,), dt, n_steps, chunk, _WALK_BLOCK, retired):
+        scan(*block_args)
     return stop_step, stop_value, run_min, stop_step < 0
 
 
@@ -954,6 +980,9 @@ def _run_azema(seed, n_paths, workers, family, x0, level, t, bins, horizon, n_st
 
 
 def _run_two_infinity(seed, n_paths, workers, x0, level, horizon, n_steps):
+    if not horizon >= 4.0:
+        raise ValueError(f"two-infinity needs --horizon of at least 4 (its smallest doubling horizon), "
+                         f"got {horizon}")
     spec = GeneratorSpec("bessel3", {"x0": x0}, make_grid(horizon, n_steps))
     hs = []
     h = horizon

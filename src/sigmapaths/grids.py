@@ -16,6 +16,7 @@ test suite.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -82,8 +83,8 @@ def make_grid(horizon: float, n_steps: int) -> TimeGrid:
 
     The final grid point equals ``horizon`` exactly.
     """
-    if not horizon > 0:
-        raise ValueError(f"horizon must be positive, got {horizon}")
+    if not 0 < horizon < math.inf:
+        raise ValueError(f"horizon must be positive and finite, got {horizon}")
     if n_steps < 1:
         raise ValueError(f"n_steps must be >= 1, got {n_steps}")
     times = np.linspace(0.0, float(horizon), int(n_steps) + 1)

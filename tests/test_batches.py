@@ -88,19 +88,52 @@ def test_tiled_batches_ignore_tile_size(name, rows, tile_values):
 _WALK_GRID = make_grid(3.0, 300)
 
 
-def _walked(start, rows, chunk, retire_after=None):
-    """Positions from ``_keyed_chunks`` over ``_WALK_GRID``, NaN where a row no
-    longer walks; row ``i`` is retired after chunk ``retire_after[i]``."""
+class _CountingGenerator:
+    """A numpy Generator that counts the normals drawn from it."""
+
+    def __init__(self, bitgen):
+        self.gen, self.drawn = np.random.Generator(bitgen), 0
+
+    def standard_normal(self, size, out):
+        self.drawn += size
+        return self.gen.standard_normal(size, out=out)
+
+
+def _walked(start, rows, chunk, block=None, retire_after=None):
+    """Walk ``_WALK_GRID`` with ``_keyed_chunks`` in blocks of ``block`` steps
+    (default ``chunk``).  Returns the positions (NaN where a row no longer
+    walks), the ``(step, steps)`` of each yielded block, and the normals each
+    row drew; row ``i`` is retired after block ``retire_after[i]``."""
     g = _WALK_GRID
     out = np.full((rows, g.n_steps, len(start)), np.nan)
     retired = np.zeros(rows, dtype=bool)
-    for j, (step, alive, W) in enumerate(
-            experiments._keyed_chunks(31, 4, rows, start, g.dt, g.n_steps, chunk, retired)):
-        assert not retired[alive].any()
-        out[alive, step:step + W.shape[1]] = W
-        if retire_after is not None:
-            retired[np.asarray(retire_after) == j] = True
-    return out
+    blocks, gens = [], []
+
+    def counting(bitgen):
+        gens.append(_CountingGenerator(bitgen))
+        return gens[-1]
+
+    saved, experiments.Generator = experiments.Generator, counting
+    try:
+        for j, (step, alive, W) in enumerate(experiments._keyed_chunks(
+                31, 4, rows, start, g.dt, g.n_steps, chunk, block or chunk, retired)):
+            assert not retired[alive].any()
+            assert W.shape == (alive.size, W.shape[1], len(start))
+            out[alive, step:step + W.shape[1]] = W
+            blocks.append((step, W.shape[1]))
+            if retire_after is not None:
+                retired[np.asarray(retire_after) == j] = True
+    finally:
+        experiments.Generator = saved
+    drawn = np.array([gen.drawn for gen in gens]).reshape(rows, len(start))
+    return out, blocks, drawn
+
+
+def _block_ends(n_steps, chunk, block):
+    """Grid indices where the blocks end: every ``block`` steps from each
+    multiple of ``chunk``, at each multiple of ``chunk``, and at the end."""
+    return sorted({min(c + b, c + chunk, n_steps)
+                   for c in range(0, n_steps, chunk) for b in range(block, chunk + block, block)})
 
 
 @settings(max_examples=40, deadline=None)
@@ -109,8 +142,8 @@ def test_keyed_chunks_match_one_block_engine(rows, chunk):
     g = _WALK_GRID
     B = brownian_rows(g, 31, 4, rows)[:, 1:]
     R = bessel3_rows(g, 1.5, 31, 4, rows)[:, 1:]
-    W1 = _walked((0.0,), rows, chunk)[:, :, 0]
-    W3 = _walked((1.5, 0.0, 0.0), rows, chunk)
+    W1 = _walked((0.0,), rows, chunk)[0][:, :, 0]
+    W3 = _walked((1.5, 0.0, 0.0), rows, chunk)[0]
     R3 = np.sqrt(np.sum(W3 * W3, axis=2))
     assert np.max(np.abs(W1 - B)) <= 1e-12
     assert np.max(np.abs(R3 - R)) <= 1e-12
@@ -118,30 +151,54 @@ def test_keyed_chunks_match_one_block_engine(rows, chunk):
         assert W1.tobytes() == B.tobytes() and R3.tobytes() == R.tobytes()
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 5), st.integers(1, 320), st.data())
+def test_keyed_chunk_blocks_keep_every_position_bit(rows, chunk, data):
+    block = data.draw(st.integers(1, chunk))
+    for start in ((0.0,), (1.5, 0.0, 0.0)):
+        W, blocks, drawn = _walked(start, rows, chunk, block)
+        assert W.tobytes() == _walked(start, rows, chunk)[0].tobytes()
+        ends = _block_ends(_WALK_GRID.n_steps, chunk, block)
+        assert blocks == list(zip([0, *ends[:-1]], np.diff([0, *ends]).tolist()))
+        assert all(step // chunk == (step + cs - 1) // chunk for step, cs in blocks)  # no straddle
+        assert (drawn == _WALK_GRID.n_steps).all()
+
+
 @settings(max_examples=30, deadline=None)
-@given(st.integers(1, 64), st.data())
-def test_keyed_chunks_stop_drawing_retired_rows(chunk, data):
+@given(st.integers(1, 64), st.integers(1, 64), st.data())
+def test_keyed_chunks_stop_drawing_retired_rows(chunk, block, data):
     g = _WALK_GRID
-    n_chunks = -(-g.n_steps // chunk)
-    retire_after = data.draw(st.lists(st.integers(0, n_chunks), min_size=1, max_size=6))
+    ends = _block_ends(g.n_steps, chunk, block)
+    retire_after = data.draw(st.lists(st.integers(0, len(ends)), min_size=1, max_size=6))
     rows = len(retire_after)
-    W = _walked((0.0,), rows, chunk, retire_after)[:, :, 0]
+    W, _, drawn = _walked((0.0,), rows, chunk, block, retire_after)
+    W = W[:, :, 0]
     walked = ~np.isnan(W)
     for i, j in enumerate(retire_after):
-        assert walked[i].sum() == min((j + 1) * chunk, g.n_steps)
+        assert walked[i].sum() == drawn[i, 0] == ends[min(j, len(ends) - 1)]
     assert np.max(np.abs(W - brownian_rows(g, 31, 4, rows)[:, 1:])[walked], initial=0.0) <= 1e-12
 
 
 _TRIGGERS = {"levels": (0.8, -0.5, None), "upper": (0.5, None, None), "line": (None, None, 0.5)}
 
 
+def _walk_in_blocks(block, args):
+    saved = experiments._WALK_BLOCK
+    experiments._WALK_BLOCK = block
+    try:
+        return experiments._walk_brownian_batch(args)
+    finally:
+        experiments._WALK_BLOCK = saved
+
+
 @settings(max_examples=30, deadline=None)
-@given(st.integers(1, 8), st.integers(0, 10**6), st.sampled_from(sorted(_TRIGGERS)), st.integers(300, 400))
-def test_one_chunk_walk_equals_stop_at_mask_rows(rows, seed, trigger, chunk):
+@given(st.integers(1, 8), st.integers(0, 10**6), st.sampled_from(sorted(_TRIGGERS)), st.integers(300, 400),
+       st.integers(1, 400))
+def test_one_chunk_walk_equals_stop_at_mask_rows(rows, seed, trigger, chunk, block):
     g = _WALK_GRID
     upper, lower, line_b = _TRIGGERS[trigger]
-    stop_step, stop_value, run_min, censored = experiments._walk_brownian_batch(
-        (seed, 2, rows, g.dt, g.n_steps, chunk, upper, lower, line_b, 1.0))
+    stop_step, stop_value, run_min, censored = _walk_in_blocks(
+        block, (seed, 2, rows, g.dt, g.n_steps, chunk, upper, lower, line_b, 1.0))
     B = brownian_rows(g, seed, 2, rows)
     mask = np.zeros(B.shape, dtype=bool)
     if upper is not None:
@@ -155,3 +212,14 @@ def test_one_chunk_walk_equals_stop_at_mask_rows(rows, seed, trigger, chunk):
     assert np.array_equal(np.where(censored, g.n_steps, stop_step), stop)
     assert stop_value.tobytes() == frozen[:, -1].tobytes()
     assert run_min.tobytes() == np.min(frozen, axis=1).tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 8), st.integers(0, 10**6), st.sampled_from(sorted(_TRIGGERS)), st.integers(1, 320),
+       st.data())
+def test_walk_blocks_match_one_block_per_chunk(rows, seed, trigger, chunk, data):
+    block = data.draw(st.integers(1, chunk))
+    g = _WALK_GRID
+    upper, lower, line_b = _TRIGGERS[trigger]
+    args = (seed, 2, rows, g.dt, g.n_steps, chunk, upper, lower, line_b, 1.0)
+    assert _bitwise_equal(_walk_in_blocks(block, args), _walk_in_blocks(chunk, args))

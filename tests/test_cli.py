@@ -283,9 +283,22 @@ def test_run_config_rejects_seed_outside_domain():
     (["experiment", "two-infinity", "--paths", "0"], "--paths"),
     (["experiment", "azema-law", "--paths", "-3"], "--paths"),
     (["decompose", "--family", "exp_martingale", "--paths", "0"], "--paths"),
+    (["experiment", "lemma-balance", "--family", "bessel3", "--x0", "4", "--stop-level", "1"], "--stop-level"),
+    (["experiment", "azema-law", "--family", "exp_martingale", "--level", "0.5", "--x0", "2"], "--x0"),
+    (["simulate", "--family", "brownian", "--n-steps", "16", "--paths", "2", "--a", "2"], "--a"),
+    (["decompose", "--family", "scale_martingale", "--x0", "2", "--stop-line-drift", "1"], "--stop-line-drift"),
+    (["experiment", "two-infinity", "--paths", "10", "--level", "-1"], "level"),
+    (["experiment", "two-infinity", "--paths", "10", "--level", "0"], "level"),
+    (["experiment", "tail", "--paths", "10", "--formats", ""], "--formats"),
+    (["simulate", "--family", "brownian", "--paths", "2", "--formats", ","], "--formats"),
+    (["experiment", "lemma-balance", "--paths", "10", "--horizon", "inf"], "horizon"),
+    (["experiment", "two-infinity", "--paths", "10", "--horizon", "2"], "--horizon of at least 4"),
 ], ids=["workers-0", "workers-negative", "simulate-no-paths", "tail-dt-0", "tail-horizon-negative",
         "saturation-zero-steps", "lemma-stop-level-negative", "decompose-stop-line-drift-negative",
-        "tail-no-paths", "two-infinity-no-paths", "azema-paths-negative", "decompose-no-paths"])
+        "tail-no-paths", "two-infinity-no-paths", "azema-paths-negative", "decompose-no-paths",
+        "lemma-bessel3-stop-level", "azema-exp_martingale-x0", "simulate-brownian-a",
+        "decompose-scale_martingale-stop-line-drift", "two-infinity-level-negative", "two-infinity-level-0",
+        "formats-empty", "formats-comma", "horizon-inf", "two-infinity-horizon-below-4"])
 def test_out_of_domain_input_exits_2(runner, tmp_path, argv, option):
     out = tmp_path / "o"
     r = runner.invoke(main, [*argv, "--out", str(out)])
