@@ -366,14 +366,13 @@ def class_d_path_stats(M: np.ndarray) -> tuple[np.ndarray, ...]:
     int_left = 1.0 + np.sum(M[:, :-1] * dC, axis=1)
     u_inc = np.diff(M, axis=1)
     u_inc /= M[:, :-1]
-    zero = np.zeros((M.shape[0], 1))
-    QV = np.concatenate([zero, np.cumsum(u_inc * u_inc, axis=1)], axis=1)
-    drift = np.concatenate([zero, np.cumsum(u_inc, axis=1)], axis=1)
+    QV = np.cumsum(u_inc * u_inc, axis=1)
+    drift = np.cumsum(u_inc, axis=1)
     drift -= 0.5 * QV
     qv_u = QV[:, -1].copy()
-    err_inf = np.abs(log_inv_i + np.min(drift, axis=1))
-    drift -= np.log(M)
-    err_log = np.max(np.abs(drift), axis=1)
+    err_inf = np.abs(log_inv_i + np.minimum(np.min(drift, axis=1), 0.0))  # drift_0 = 0
+    drift -= np.log(M[:, 1:])
+    err_log = np.max(np.abs(drift), axis=1, initial=0.0)  # |drift_0 - log M_0| = 0
     return mc, int_right, int_left, log_inv_i, qv_u, err_log, err_inf, M[:, -1].copy()
 
 

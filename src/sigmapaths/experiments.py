@@ -20,13 +20,17 @@ Estimation strategy notes, shared by several experiments:
   stays genuinely ambiguous (residual hit probability above 1/2), plus the
   mean tail-correction mass.
 
-* First-passage events are decided at grid resolution.  The first-passage
-  and the Bessel last-visit batches reduce over one keyed chunk walker,
-  :func:`_keyed_chunks`, which carries each path's position across fixed
-  carry chunks (their period is part of a report's identity), draws each
-  path's streams in blocks that never straddle a carry boundary (their size
-  changes no report byte), and stops drawing a path once its batch function
-  retires it; that is what makes the 10^5-path tail studies affordable.
+* Every path is drawn by one keyed chunk engine, :func:`_keyed_chunks`.  It
+  carries each path's position across fixed carry chunks (their period is
+  part of a report's identity), draws each path's streams in blocks that
+  never straddle a carry boundary (their size changes no report byte), and
+  stops drawing a path once its caller retires it.  The first-passage and
+  the Bessel last-visit batches reduce over it chunk by chunk;
+  :func:`~.generators.generate_rows` walks it with one carry chunk over the
+  whole grid for the full-row batches.  Stops are decided at grid
+  resolution by one rule, :func:`_first_stop`, and a stopped path draws no
+  block past its stop; that is what makes the 10^5-path tail studies
+  affordable.
 """
 
 from __future__ import annotations
@@ -104,7 +108,7 @@ def _concat_batches(fn: Callable, arglist: list, workers: int) -> tuple[np.ndarr
 
 
 # ---------------------------------------------------------------------------
-# keyed chunk walker (the last-visit and first-passage batches reduce over it)
+# keyed chunk engine (every path is drawn by it) and the one stop rule
 
 #: Carry periods, in grid steps, of the first-passage and the last-visit walkers.
 #: A walk restarts its running sum at every multiple of its period, and
@@ -112,8 +116,9 @@ def _concat_batches(fn: Callable, arglist: list, workers: int) -> tuple[np.ndarr
 #: report's identity: changing one changes the report bytes.
 _WALK_CHUNK = 4000
 _REVISIT_CHUNK = 512
-#: Steps per draw block of the first-passage walker.  A block does not change a
-#: report byte; a shorter one draws fewer normals past a path's stop.
+#: Steps per draw block of the first-passage walker and of the stopped families
+#: of ``generate_rows``.  A block does not change a report byte; a shorter one
+#: draws fewer normals past a path's stop.
 _WALK_BLOCK = 1000
 #: The last-visit walker retires a path beyond this multiple of the level.
 _ESCAPE_MULT = 8.0
@@ -169,6 +174,22 @@ def _keyed_chunks(seed, first, rows, start, dt, n_steps, chunk, block, retired):
         if end % chunk == 0:
             pos[alive] = W[:, :, -1]
         step = end
+
+
+def _first_stop(P, times, upper=None, lower=None, line_b=None, line_level=1.0):
+    """The stop rule of every stopped path: the first column of each row of
+    ``P`` (paths at grid ``times``) where ``P >= upper``, ``P <= lower`` or
+    ``P + line_b * t >= line_level``.  Returns the rows that stop, and their
+    stop column (the last column for rows that do not)."""
+    trig = np.zeros(P.shape, dtype=bool)
+    if upper is not None:
+        trig |= P >= upper
+    if lower is not None:
+        trig |= P <= lower
+    if line_b is not None:
+        trig |= P + line_b * times[None, :] >= line_level
+    has = trig.any(axis=1)
+    return has, np.where(has, trig.argmax(axis=1), P.shape[1] - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -514,6 +535,9 @@ def azema_conditional_experiment(
         centers.append(float(center))
         estimates.append(McEstimate.from_samples(score[sel]))
         formulas.append(float(formula_at(center, level)))
+    if not estimates:
+        raise ValueError(f"no state bin holds 2 of the {state_t.size} paths; "
+                         "raise --paths or lower --bins")
 
     censoring = float(np.mean(ambiguous))
     warning = ""
@@ -611,6 +635,9 @@ def two_infinity_check(
         raise ValueError(f"level must be positive, got {y}")
     grid = spec.grid
     h_indices = [grid.index_at(h) for h in hs]
+    if h_indices[0] < 1 or any(a >= b for a, b in zip(h_indices, h_indices[1:])):
+        raise ValueError(f"horizons {hs} fall on grid indices {h_indices} of {grid.n_steps} steps; "
+                         "they need distinct indices of at least 1: raise --n-steps")
     cfg = spec.to_config()
     rows = _batch_rows(len(grid))
     args = [(cfg, master_seed, first, r, y, h_indices) for first, r in _ranges(n_paths, rows)]
@@ -649,16 +676,7 @@ def _walk_brownian_batch(args):
 
     def scan(step, alive, W):
         P = W[:, :, 0]
-        trig = np.zeros(P.shape, dtype=bool)
-        if upper is not None:
-            trig |= P >= upper
-        if lower is not None:
-            trig |= P <= lower
-        if line_b is not None:
-            tline = (np.arange(1, P.shape[1] + 1) + step) * dt
-            trig |= P + line_b * tline[None, :] >= line_level
-        has = trig.any(axis=1)
-        at = np.where(has, trig.argmax(axis=1), P.shape[1] - 1)  # stop column, else the last
+        has, at = _first_stop(P, (np.arange(1, P.shape[1] + 1) + step) * dt, upper, lower, line_b, line_level)
         stop_value[alive] = P[np.arange(alive.size), at]
         low = P.min(axis=1)
         for j in np.flatnonzero(has):

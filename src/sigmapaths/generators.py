@@ -15,13 +15,14 @@ Families
 * ``scale_martingale``           ``x0 / R_t`` for a Bessel(3) path ``R``: the
                                   scale-function martingale normalized to 1
 
-Every generator returns a ``(rows, n+1)`` matrix, one row per path, and draws
-each row from its own keyed stream (path index ``first_index + i``).  A
-single path is ``rows=1`` and a row does not depend on the batch it was
-drawn in, so ensembles can be built in any order, split across any number
-of workers, and still come out bit-identical.  :class:`~.grids.Path` objects
-are built from rows only at the API edge (``simulate``, the ``verify``
-suites).
+:func:`generate_rows` returns a ``(rows, n+1)`` matrix, one row per path, and
+draws each row from its own keyed streams (path index ``first_index + i``)
+through the one keyed chunk engine of :mod:`~.experiments`, with the stop
+rule the first-passage walker uses.  A single path is ``rows=1`` and a row
+does not depend on the batch it was drawn in, so ensembles can be built in
+any order, split across any number of workers, and still come out
+bit-identical.  :class:`~.grids.Path` objects are built from rows only at the
+API edge (``simulate``, the ``verify`` suites).
 """
 
 from __future__ import annotations
@@ -32,16 +33,8 @@ from typing import Mapping
 import numpy as np
 
 from .grids import TimeGrid, make_grid
-from .streams import StreamKey, standard_normal_block
 
-__all__ = [
-    "GeneratorSpec",
-    "FAMILIES",
-    "brownian_rows",
-    "bessel3_rows",
-    "stop_at_mask_rows",
-    "generate_rows",
-]
+__all__ = ["GeneratorSpec", "FAMILIES", "generate_rows"]
 
 #: family -> (required params, optional params)
 FAMILIES: dict[str, tuple[set, set]] = {
@@ -113,90 +106,62 @@ class GeneratorSpec:
 
 
 # ---------------------------------------------------------------------------
-# row generators: one keyed stream per path, rows stacked in path order
+# rows: the keyed chunk engine of ``experiments`` with one carry chunk per grid
 
 
-def _normal_rows(master_seed: int, first_index: int, rows: int, substream: int, n: int) -> np.ndarray:
-    out = np.empty((rows, n))
-    for i in range(rows):
-        out[i] = standard_normal_block(StreamKey(master_seed, first_index + i, substream), n)
-    return out
-
-
-def brownian_rows(grid: TimeGrid, master_seed: int, first_index: int, rows: int, substream: int = 0) -> np.ndarray:
-    """(rows, n+1) Brownian paths; row i uses path_index = first_index + i."""
-    out = np.empty((rows, grid.n_steps + 1))
-    out[:, 0] = 0.0
-    inc = _normal_rows(master_seed, first_index, rows, substream, grid.n_steps)
-    inc *= np.sqrt(grid.dt)
-    np.cumsum(inc, axis=1, out=out[:, 1:])
-    return out
-
-
-def bessel3_rows(grid: TimeGrid, x0: float, master_seed: int, first_index: int, rows: int) -> np.ndarray:
-    """(rows, n+1) Bessel(3) paths from x0 via three component substreams."""
-    if not x0 > 0:
-        raise ValueError(f"x0 must be positive, got {x0}")
-    sq = None
-    for comp in range(3):
-        inc = _normal_rows(master_seed, first_index, rows, comp, grid.n_steps)
-        inc *= np.sqrt(grid.dt)
-        w = np.cumsum(inc, axis=1)
-        if comp == 0:
-            w += x0
-        sq = w * w if sq is None else sq + w * w
-        del inc, w
-    out = np.empty((rows, grid.n_steps + 1))
-    out[:, 0] = x0
-    np.sqrt(sq, out=out[:, 1:])
-    return out
-
-
-def stop_at_mask_rows(values: np.ndarray, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Freeze each row at its first True in ``mask``.
-
-    Returns the frozen matrix and per-row stop indices (the final index for
-    rows that never trigger, which leaves them unchanged).
-    """
-    n_last = values.shape[1] - 1
-    any_hit = mask.any(axis=1)
-    stop = np.where(any_hit, mask.argmax(axis=1), n_last)
-    idx = np.minimum(np.arange(values.shape[1])[None, :], stop[:, None])
-    frozen = np.take_along_axis(values, idx, axis=1)
-    return frozen, stop
+def _freeze(values: np.ndarray, stop: np.ndarray) -> np.ndarray:
+    """Hold each row of ``values`` at its value in column ``stop`` from there
+    on, in place; returns ``values``."""
+    held = values[np.arange(len(values)), stop][:, None]
+    np.copyto(values, held, where=np.arange(values.shape[1]) > stop[:, None])
+    return values
 
 
 def generate_rows(spec: GeneratorSpec, master_seed: int, first_index: int, rows: int) -> np.ndarray:
-    """Batch of the family's primary output, one keyed stream set per path."""
-    grid = spec.grid
-    fam = spec.family
-    if fam == "brownian":
-        return brownian_rows(grid, master_seed, first_index, rows)
-    if fam == "brownian_stopped_level":
-        B = brownian_rows(grid, master_seed, first_index, rows)
-        frozen, _ = stop_at_mask_rows(B, B >= spec.params["a"])
-        return frozen
-    if fam == "brownian_drift_stopped_line":
-        B = brownian_rows(grid, master_seed, first_index, rows)
-        line = B + spec.params["b"] * grid.times[None, :]
-        frozen, _ = stop_at_mask_rows(B, line >= 1.0)
-        return frozen
-    if fam == "exp_martingale":
-        B = brownian_rows(grid, master_seed, first_index, rows)
-        t = np.broadcast_to(grid.times, B.shape)
-        if "stop_level" in spec.params:
-            B, stop = stop_at_mask_rows(B, B >= spec.params["stop_level"])
-            t = np.minimum(grid.times[None, :], grid.times[stop][:, None])
-        elif "stop_line_drift" in spec.params:
-            line = B + spec.params["stop_line_drift"] * grid.times[None, :]
-            B, stop = stop_at_mask_rows(B, line >= 1.0)
-            t = np.minimum(grid.times[None, :], grid.times[stop][:, None])
-        M = np.exp(B - t / 2.0)
-        M[:, 0] = 1.0
-        return M
-    if fam == "bessel3":
-        return bessel3_rows(grid, spec.params["x0"], master_seed, first_index, rows)
-    if fam == "scale_martingale":
-        R = bessel3_rows(grid, spec.params["x0"], master_seed, first_index, rows)
-        return spec.params["x0"] / R
-    raise ValueError(f"unknown family {fam!r}")
+    """Batch of the family's primary output, one keyed stream set per path.
+
+    The rows are walked by :func:`~.experiments._keyed_chunks` with one carry
+    chunk over the whole grid, so each row equals one cumulative sum of its
+    streams bit for bit, in passes of at most ``_batch_rows`` rows.  A stopped
+    family draws in ``_WALK_BLOCK`` blocks, stops drawing a row after the block
+    that holds its stop, and fills the frozen tail from the stop column."""
+    from .experiments import _WALK_BLOCK, _batch_rows, _first_stop, _keyed_chunks
+
+    grid, p = spec.grid, spec.params
+    n = grid.n_steps
+    x0 = p.get("x0")
+    start = (0.0,) if x0 is None else (x0, 0.0, 0.0)
+    level = p.get("a", p.get("stop_level"))
+    line_b = p.get("b", p.get("stop_line_drift"))
+    stops = level is not None or line_b is not None
+    out = np.empty((rows, n + 1))
+    out[:, 0] = start[0]
+    stop = np.full(rows, n)
+    bound = _batch_rows(len(grid))
+    for off in range(0, rows, bound):
+        r = min(bound, rows - off)
+        retired = np.zeros(r, dtype=bool)
+        for step, alive, W in _keyed_chunks(master_seed, first_index + off, r, start, grid.dt, n, n,
+                                            _WALK_BLOCK if stops else n, retired):
+            cols = slice(step + 1, step + 1 + W.shape[1])
+            if x0 is None:
+                out[off + alive, cols] = W[:, :, 0]
+            else:
+                sq = W[:, :, 0] * W[:, :, 0]
+                sq += W[:, :, 1] * W[:, :, 1]
+                sq += W[:, :, 2] * W[:, :, 2]
+                out[off + alive, cols] = np.sqrt(sq, out=sq)
+            if stops:
+                has, at = _first_stop(W[:, :, 0], grid.times[cols], upper=level, line_b=line_b)
+                stop[off + alive[has]] = step + 1 + at[has]
+                retired[alive[has]] = True
+    if stops:
+        out = _freeze(out, stop)
+    if spec.family == "exp_martingale":
+        t = np.minimum(grid.times, grid.times[stop][:, None]) if stops else grid.times
+        out -= t / 2.0
+        np.exp(out, out=out)
+        out[:, 0] = 1.0
+    elif spec.family == "scale_martingale":
+        np.divide(x0, out, out=out)
+    return out

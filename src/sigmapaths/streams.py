@@ -4,8 +4,10 @@ Each ``(master_seed, path_index, substream)`` triple maps injectively to a
 Philox counter-based key, so any worker can regenerate any path's increments
 independently of scheduling order: the draw for a given key is a pure
 function of the key.  The Gaussian transform is numpy's ziggurat, applied to
-the keyed stream in one block per path; both choices are fixed and echoed
-into report metadata so runs remain comparable.
+the keyed stream in order, so a stream drawn in several blocks gives the same
+normals as one draw; both choices are fixed and echoed into report metadata
+so runs remain comparable.  The path engine (``experiments._keyed_chunks``)
+builds its generators from these keys.
 """
 
 from __future__ import annotations

@@ -20,7 +20,7 @@ from .decompose import (
     sigma_compose,
     sigma_martingale,
 )
-from .generators import brownian_rows
+from .generators import GeneratorSpec, generate_rows
 from .grids import Path, make_grid
 
 __all__ = ["VERIFY_SUITES", "run_suite", "run_suites"]
@@ -133,7 +133,7 @@ def zero_sets_suite(seed: int = 20243) -> tuple[bool, str]:
 def carried_suite(seed: int = 20244) -> tuple[bool, str]:
     grid = make_grid(1.0, 2**14)
     worst_good, best_bad = 0.0, np.inf
-    for i, row in enumerate(brownian_rows(grid, seed, 0, 20)):
+    for i, row in enumerate(generate_rows(GeneratorSpec("brownian", {}, grid), seed, 0, 20)):
         tri = sigma_example_triple(Path(grid, row), "abs")
         good = carried_by_zeros(tri.submartingale, tri.increasing_part, tri.zero_threshold)
         bad = carried_by_zeros(tri.submartingale, Path(grid, grid.times, "t"), tri.zero_threshold)

@@ -1,5 +1,6 @@
 """Property tests of the batch contract: per-path results do not depend on
-how an ensemble is split into batches, tiles, walker chunks or workers."""
+how an ensemble is split into batches, tiles, walker chunks, draw blocks,
+row passes or workers."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -7,8 +8,10 @@ from hypothesis import strategies as st
 
 from sigmapaths import experiments
 from sigmapaths.decompose import class_d_from_batches, class_d_path_stats
-from sigmapaths.generators import GeneratorSpec, bessel3_rows, brownian_rows, generate_rows, stop_at_mask_rows
+from sigmapaths.generators import GeneratorSpec, generate_rows
 from sigmapaths.grids import make_grid
+
+from reference import bessel3_rows, brownian_rows, reference_rows, stop_at_mask_rows
 
 _SPECS = {
     "exp_martingale stopped": GeneratorSpec("exp_martingale", {"stop_level": 0.5}, make_grid(4.0, 64)),
@@ -223,3 +226,72 @@ def test_walk_blocks_match_one_block_per_chunk(rows, seed, trigger, chunk, data)
     upper, lower, line_b = _TRIGGERS[trigger]
     args = (seed, 2, rows, g.dt, g.n_steps, chunk, upper, lower, line_b, 1.0)
     assert _bitwise_equal(_walk_in_blocks(block, args), _walk_in_blocks(chunk, args))
+
+
+_GEN_GRID = make_grid(4.0, 160)
+_GEN_SPECS = {
+    f"{family} {params}": GeneratorSpec(family, params, _GEN_GRID) for family, params in [
+        ("brownian", {}), ("brownian_stopped_level", {"a": 0.5}), ("brownian_drift_stopped_line", {"b": 0.5}),
+        ("exp_martingale", {}), ("exp_martingale", {"stop_level": 0.5}),
+        ("exp_martingale", {"stop_line_drift": 0.5}), ("bessel3", {"x0": 1.5}), ("scale_martingale", {"x0": 1.5})]}
+
+
+def _engine_rows(spec, seed, first, rows, block, bound):
+    """``generate_rows`` with draw block ``_WALK_BLOCK = block`` and row passes
+    of at most ``bound`` rows.  Returns the rows, the row count of each engine
+    pass, and the normals each stream drew (one column per component)."""
+    passes, gens = [], []
+    keyed_chunks = experiments._keyed_chunks
+
+    def recording(seed, first, rows, *rest):
+        passes.append(rows)
+        return keyed_chunks(seed, first, rows, *rest)
+
+    def counting(bitgen):
+        gens.append(_CountingGenerator(bitgen))
+        return gens[-1]
+
+    names = ("_WALK_BLOCK", "_batch_rows", "_keyed_chunks", "Generator")
+    saved = [getattr(experiments, name) for name in names]
+    for name, value in zip(names, (block, lambda n_cols: bound, recording, counting)):
+        setattr(experiments, name, value)
+    try:
+        out = generate_rows(spec, seed, first, rows)
+    finally:
+        for name, value in zip(names, saved):
+            setattr(experiments, name, value)
+    return out, passes, np.array([gen.drawn for gen in gens]).reshape(rows, -1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(_GEN_SPECS)), st.integers(1, 12), st.integers(0, 10**6), st.integers(0, 50),
+       st.data())
+def test_generate_rows_match_reference_generators(name, rows, seed, first, data):
+    block = data.draw(st.integers(1, _GEN_GRID.n_steps), label="block")
+    bound = data.draw(st.integers(1, rows), label="bound")
+    spec = _GEN_SPECS[name]
+    out = _engine_rows(spec, seed, first, rows, block, bound)[0]
+    assert out.tobytes() == reference_rows(spec, seed, first, rows)[0].tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(_GEN_SPECS)), st.integers(1, 12), st.integers(0, 10**6), st.data())
+def test_stopped_rows_draw_to_the_end_of_their_stop_block(name, rows, seed, data):
+    block = data.draw(st.integers(1, _GEN_GRID.n_steps), label="block")
+    bound = data.draw(st.integers(1, rows), label="bound")
+    spec, n = _GEN_SPECS[name], _GEN_GRID.n_steps
+    _, stop = reference_rows(spec, seed, 0, rows)
+    drawn = _engine_rows(spec, seed, 0, rows, block, bound)[2]
+    if set(spec.params) & {"a", "b", "stop_level", "stop_line_drift"}:
+        expected = np.minimum(((stop - 1) // block + 1) * block, n)
+    else:
+        expected = np.full(rows, n)
+    assert drawn.shape[1] == (3 if "x0" in spec.params else 1)
+    assert np.array_equal(drawn, np.repeat(expected[:, None], drawn.shape[1], axis=1))
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from(sorted(_GEN_SPECS)), st.integers(1, 40), st.integers(1, 40))
+def test_generate_rows_passes_hold_at_most_the_row_bound(name, rows, bound):
+    _, passes, _ = _engine_rows(_GEN_SPECS[name], 3, 0, rows, 50, bound)
+    assert max(passes) <= bound and sum(passes) == rows and len(passes) == -(-rows // bound)

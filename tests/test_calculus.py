@@ -16,7 +16,7 @@ from sigmapaths.calculus import (
     tanaka_raw,
 )
 from sigmapaths.decompose import carried_by_zeros, default_zero_threshold
-from sigmapaths.generators import brownian_rows
+from sigmapaths.generators import GeneratorSpec, generate_rows
 from sigmapaths.grids import Path, make_grid
 from sigmapaths.streams import StreamKey, gaussian_increments
 
@@ -95,7 +95,7 @@ def test_qv_brownian_tracks_horizon():
     g = make_grid(1.0, 2**16)
     devs = []
     for i in range(100):
-        B = Path(g, brownian_rows(g, 311, i, 1)[0])
+        B = Path(g, generate_rows(GeneratorSpec("brownian", {}, g), 311, i, 1)[0])
         devs.append(abs(quadratic_variation(B).values[-1] - 1.0))
     assert np.median(devs) <= 0.05
 
@@ -177,7 +177,7 @@ def test_tanaka_mean_at_interval_exit():
     # stopping at an interval exit avoids horizon censoring entirely.
     g = make_grid(16.0, 16 * 2048)
     n_paths = 2000
-    B = brownian_rows(g, master_seed=515, first_index=0, rows=n_paths)
+    B = generate_rows(GeneratorSpec("brownian", {}, g), master_seed=515, first_index=0, rows=n_paths)
     hit = (B >= 1.0) | (B <= -1.0)
     stop = np.where(hit.any(axis=1), hit.argmax(axis=1), g.n_steps)
     assert np.all(hit.any(axis=1))  # horizon 16 leaves no censored exits here
@@ -258,7 +258,7 @@ def test_sigma_example_triple_requires_zero_start():
 
 def test_abs_triple_is_carried_on_brownian_paths():
     g = make_grid(1.0, 2**14)
-    B = Path(g, brownian_rows(g, 519, 0, 1)[0])
+    B = Path(g, generate_rows(GeneratorSpec("brownian", {}, g), 519, 0, 1)[0])
     tri = sigma_example_triple(B, "abs")
     verdict = carried_by_zeros(tri.submartingale, tri.increasing_part, default_zero_threshold(g))
     assert verdict.carried
@@ -266,7 +266,7 @@ def test_abs_triple_is_carried_on_brownian_paths():
 
 def test_pos_part_triple_additivity_and_half_local_time():
     g = make_grid(1.0, 1024)
-    B = Path(g, brownian_rows(g, 521, 0, 1)[0])
+    B = Path(g, generate_rows(GeneratorSpec("brownian", {}, g), 521, 0, 1)[0])
     tri_abs = sigma_example_triple(B, "abs")
     tri_pos = sigma_example_triple(B, "pos_part")
     assert np.allclose(tri_pos.increasing_part.values, 0.5 * tri_abs.increasing_part.values)

@@ -2,6 +2,9 @@
 
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -293,15 +296,31 @@ def test_run_config_rejects_seed_outside_domain():
     (["simulate", "--family", "brownian", "--paths", "2", "--formats", ","], "--formats"),
     (["experiment", "lemma-balance", "--paths", "10", "--horizon", "inf"], "horizon"),
     (["experiment", "two-infinity", "--paths", "10", "--horizon", "2"], "--horizon of at least 4"),
+    (["experiment", "azema-law", "--paths", "5"], "--paths"),
+    (["experiment", "two-infinity", "--paths", "10", "--n-steps", "8"], "--n-steps"),
+    (["experiment", "two-infinity", "--paths", "10", "--n-steps", "1"], "--n-steps"),
 ], ids=["workers-0", "workers-negative", "simulate-no-paths", "tail-dt-0", "tail-horizon-negative",
         "saturation-zero-steps", "lemma-stop-level-negative", "decompose-stop-line-drift-negative",
         "tail-no-paths", "two-infinity-no-paths", "azema-paths-negative", "decompose-no-paths",
         "lemma-bessel3-stop-level", "azema-exp_martingale-x0", "simulate-brownian-a",
         "decompose-scale_martingale-stop-line-drift", "two-infinity-level-negative", "two-infinity-level-0",
-        "formats-empty", "formats-comma", "horizon-inf", "two-infinity-horizon-below-4"])
+        "formats-empty", "formats-comma", "horizon-inf", "two-infinity-horizon-below-4",
+        "azema-every-bin-dropped", "two-infinity-horizon-index-0", "two-infinity-horizons-aliased"])
 def test_out_of_domain_input_exits_2(runner, tmp_path, argv, option):
     out = tmp_path / "o"
     r = runner.invoke(main, [*argv, "--out", str(out)])
     assert r.exit_code == 2, r.output
     assert option in r.output, r.output
     assert not out.exists()
+
+
+def test_commands_run_without_scipy(tmp_path):
+    # scipy is a test dependency only: the package must run with it absent
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys; sys.modules['scipy'] = None; from sigmapaths.cli import main; main()"
+    for argv in (["verify", "all"],
+                 ["simulate", "--family", "brownian", "--paths", "2", "--n-steps", "64", "--out", str(tmp_path)]):
+        r = subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True)
+        assert r.returncode == 0, r.stdout + r.stderr
+    assert len(read_paths_csv(tmp_path / "paths.csv")) == 2

@@ -17,7 +17,7 @@ from sigmapaths.decompose import (
     sigma_compose,
     sigma_martingale,
 )
-from sigmapaths.generators import GeneratorSpec, brownian_rows, generate_rows
+from sigmapaths.generators import GeneratorSpec, generate_rows
 from sigmapaths.grids import Path, make_grid
 from sigmapaths.streams import StreamKey, gaussian_increments
 
@@ -236,7 +236,7 @@ def test_sigma_roundtrip_exact():
 
 def test_sigma_martingale_drawdown_identity():
     g = make_grid(1.0, 1024)
-    K = Path(g, brownian_rows(g, 885, 0, 1)[0])
+    K = Path(g, generate_rows(GeneratorSpec("brownian", {}, g), 885, 0, 1)[0])
     kbar = np.maximum.accumulate(K.values)
     X = Path(g, kbar - K.values)
     A = Path(g, kbar)
@@ -279,7 +279,7 @@ def test_carried_zero_increasing_part():
 def test_carried_discriminates_on_brownian_path():
     g = make_grid(1.0, 2**14)
     eps = default_zero_threshold(g)
-    B = Path(g, brownian_rows(g, 889, 0, 1)[0])
+    B = Path(g, generate_rows(GeneratorSpec("brownian", {}, g), 889, 0, 1)[0])
     X = Path(g, np.abs(B.values))
     L = local_time_tanaka(B)
     assert carried_by_zeros(X, L, eps).carried
@@ -341,7 +341,7 @@ def test_minimality_rejects_inadmissible_pair():
 
 def test_zero_set_equality_and_c_consistency():
     g = make_grid(1.0, 2048)
-    M = Path(g, brownian_rows(g, 891, 0, 1)[0])
+    M = Path(g, generate_rows(GeneratorSpec("brownian", {}, g), 891, 0, 1)[0])
     M = M.with_values(np.exp(M.values - g.times / 2.0))
     tri = sigma_compose(M)
     I = running_min(M.values)

@@ -3,26 +3,40 @@
 import numpy as np
 import pytest
 
-from sigmapaths import generators, oracles
-from sigmapaths.generators import (
-    FAMILIES,
-    GeneratorSpec,
-    bessel3_rows,
-    brownian_rows,
-    generate_rows,
-    stop_at_mask_rows,
-)
+from sigmapaths import experiments, oracles
+from sigmapaths.experiments import _first_stop
+from sigmapaths.generators import FAMILIES, GeneratorSpec, generate_rows
 from sigmapaths.grids import make_grid
+
+
+class _FixedStream:
+    """A stand-in Generator that serves ``draws`` in order."""
+
+    def __init__(self, draws):
+        self.draws, self.pos = np.asarray(draws, dtype=float), 0
+
+    def standard_normal(self, size, out):
+        out[...] = self.draws[self.pos:self.pos + size]
+        self.pos += size
+        return out
 
 
 @pytest.fixture
 def fixed_normals(monkeypatch):
     """Replace every keyed stream by ``draws[substream]``, the same for every path."""
     def install(*draws):
-        def normal_rows(master_seed, first_index, rows, substream, n):
-            return np.tile(np.asarray(draws[substream], dtype=float), (rows, 1))
-        monkeypatch.setattr(generators, "_normal_rows", normal_rows)
+        # the low 32 bits of the key's second word are the substream
+        monkeypatch.setattr(experiments, "Philox", lambda key: int(key[1]) & 0xFFFFFFFF)
+        monkeypatch.setattr(experiments, "Generator", lambda substream: _FixedStream(draws[substream]))
     return install
+
+
+def _brownian(g, seed, first, rows):
+    return generate_rows(GeneratorSpec("brownian", {}, g), seed, first, rows)
+
+
+def _bessel3(g, x0, seed, first, rows):
+    return generate_rows(GeneratorSpec("bessel3", {"x0": x0}, g), seed, first, rows)
 
 
 def test_brownian_zero_stream_is_identically_zero(fixed_normals):
@@ -34,13 +48,13 @@ def test_brownian_zero_stream_is_identically_zero(fixed_normals):
 
 def test_brownian_starts_at_zero_exactly():
     g = make_grid(2.0, 64)
-    p = brownian_rows(g, 5, 0, 1)[0]
+    p = _brownian(g, 5, 0, 1)[0]
     assert p[0] == 0.0
 
 
 def test_brownian_terminal_moments():
     g = make_grid(1.0, 16)
-    B = brownian_rows(g, master_seed=101, first_index=0, rows=100_000)
+    B = _brownian(g, 101, 0, 100_000)
     end = B[:, -1]
     n = end.size
     se_mean = end.std(ddof=1) / np.sqrt(n)
@@ -54,16 +68,22 @@ def _ramp(increments):
     return np.concatenate([[0.0], np.cumsum(increments)])[None, :]
 
 
-def test_stopped_hitting_on_deterministic_ramp():
-    ramp = _ramp(np.full(4, 0.25))  # b_t = t
-    frozen, stop = stop_at_mask_rows(ramp, ramp >= 0.5)
+def test_stopped_hitting_on_deterministic_ramp(fixed_normals):
+    g = make_grid(1.0, 4)
+    fixed_normals(np.full(4, 0.5))  # sqrt(dt) = 0.5: b_t = t
+    ramp = _ramp(np.full(4, 0.25))
+    frozen = generate_rows(GeneratorSpec("brownian_stopped_level", {"a": 0.5}, g), 0, 0, 1)
+    _, stop = _first_stop(ramp, g.times, upper=0.5)
     assert stop[0] == 2
     assert np.array_equal(frozen[0], [0.0, 0.25, 0.5, 0.5, 0.5])
 
 
-def test_stopped_hitting_never_triggers():
+def test_stopped_hitting_never_triggers(fixed_normals):
+    g = make_grid(1.0, 4)
+    fixed_normals(np.full(4, 0.2))
     ramp = _ramp(np.full(4, 0.1))
-    frozen, stop = stop_at_mask_rows(ramp, ramp >= 5.0)
+    frozen = generate_rows(GeneratorSpec("brownian_stopped_level", {"a": 5.0}, g), 0, 0, 1)
+    _, stop = _first_stop(ramp, g.times, upper=5.0)
     assert stop[0] == 4  # the final index: not stopped
     assert np.array_equal(frozen, ramp)
 
@@ -71,7 +91,7 @@ def test_stopped_hitting_never_triggers():
 def test_stopped_hitting_line_rule():
     g = make_grid(1.0, 4)
     flat = _ramp(np.zeros(4))
-    frozen, stop = stop_at_mask_rows(flat, flat + 2.0 * g.times >= 1.0)  # 0 + 2t >= 1 at t = 0.5
+    _, stop = _first_stop(flat, g.times, line_b=2.0, line_level=1.0)  # 0 + 2t >= 1 at t = 0.5
     assert stop[0] == 2
 
 
@@ -98,7 +118,7 @@ def test_exp_martingale_unit_mean():
 def test_exp_martingale_stopped_is_bounded():
     g = make_grid(4.0, 1024)
     p = generate_rows(GeneratorSpec("exp_martingale", {"stop_level": 1.0}, g), 17, 4, 1)[0]
-    B = brownian_rows(g, 17, 4, 1)[0]
+    B = _brownian(g, 17, 4, 1)[0]
     max_inc = np.max(np.abs(np.diff(B)))
     assert np.max(p) <= np.exp(1.0 + max_inc)
 
@@ -121,7 +141,7 @@ def test_bessel3_inverse_moment_oracle():
     # 1/R is a strict local martingale: its mean at T is (2*Phi(x0/sqrt(T))-1)/x0,
     # not 1/x0; the closed form is the oracle here
     g = make_grid(1.0, 512)
-    R = bessel3_rows(g, 1.0, master_seed=606, first_index=0, rows=100_000)
+    R = _bessel3(g, 1.0, 606, 0, 100_000)
     inv = 1.0 / R[:, -1]
     se = inv.std(ddof=1) / np.sqrt(inv.size)
     ref = oracles.bessel3_inverse_moment(1.0, 1.0)
@@ -141,7 +161,7 @@ def test_scale_martingale_neg_inverse_values(fixed_normals):
     # unit steps (dt = 1) of the first component give R = [1, 2, 4]; x0/R = 1/R for x0 = 1
     g = make_grid(2.0, 2)
     fixed_normals([1.0, 2.0], [0.0, 0.0], [0.0, 0.0])
-    assert np.array_equal(bessel3_rows(g, 1.0, 0, 0, 1)[0], [1.0, 2.0, 4.0])
+    assert np.array_equal(_bessel3(g, 1.0, 0, 0, 1)[0], [1.0, 2.0, 4.0])
     M = generate_rows(GeneratorSpec("scale_martingale", {"x0": 1.0}, g), 0, 0, 1)[0]
     assert np.array_equal(M, [1.0, 0.5, 0.25])
 
@@ -151,8 +171,6 @@ def test_scale_martingale_rejects_nonpositive():
     g = make_grid(1.0, 2)
     with pytest.raises(ValueError, match="positive"):
         GeneratorSpec("scale_martingale", {"x0": 0.0}, g)
-    with pytest.raises(ValueError, match="positive"):
-        bessel3_rows(g, 0.0, 0, 0, 1)
 
 
 def test_normalized_scale_mean_matches_oracle():
@@ -168,7 +186,7 @@ def test_normalized_scale_mean_matches_oracle():
 
 def test_bessel3_transience_proxy():
     g = make_grid(1.0, 1024)
-    R = bessel3_rows(g, 1.0, master_seed=808, first_index=0, rows=5000)
+    R = _bessel3(g, 1.0, 808, 0, 5000)
     mins = R.min(axis=1)
     probs = [(mins < eps).mean() for eps in (0.1, 0.05, 0.01)]
     assert probs[0] >= probs[1] >= probs[2]

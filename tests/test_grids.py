@@ -5,7 +5,8 @@ import io
 import numpy as np
 import pytest
 
-from sigmapaths.generators import stop_at_mask_rows
+from sigmapaths import generators
+from sigmapaths.experiments import _first_stop
 from sigmapaths.grids import (
     McEstimate,
     Path,
@@ -59,28 +60,29 @@ def test_path_rejects_nan_and_length_mismatch():
         Path(g, [0.0, 1.0])
 
 
-def _stop_row(values, mask):
-    frozen, stop = stop_at_mask_rows(np.array([values]), np.array([mask]))
-    return frozen[0], int(stop[0])
+def _stop_row(values, level):
+    """The shared stop rule at ``values >= level``, and the row frozen from there."""
+    _, stop = _first_stop(np.array([values]), None, upper=level)
+    return generators._freeze(np.array([values]), stop)[0], int(stop[0])
 
 
 def test_stop_path_first_crossing():
     v = np.array([0.0, 0.5, 1.2, 0.7])
-    frozen, k = _stop_row(v, v >= 1.0)
+    frozen, k = _stop_row(v, 1.0)
     assert k == 2
     assert np.array_equal(frozen, [0.0, 0.5, 1.2, 1.2])
 
 
 def test_stop_path_never_triggers():
     v = np.array([0.0, 0.5, 1.2, 0.7])
-    frozen, k = _stop_row(v, v >= 5.0)
+    frozen, k = _stop_row(v, 5.0)
     assert k == len(v) - 1  # the final index: not stopped
     assert np.array_equal(frozen, v)
 
 
 def test_stop_path_immediate():
     v = np.array([0.5, 0.6, 0.7, 0.8])
-    frozen, k = _stop_row(v, v >= 0.0)
+    frozen, k = _stop_row(v, 0.0)
     assert k == 0
     assert np.array_equal(frozen, [0.5, 0.5, 0.5, 0.5])
 
@@ -90,7 +92,7 @@ def test_frozen_tail_property():
     for _ in range(50):
         v = np.cumsum(np.concatenate([[0.0], rng.standard_normal(64)]))
         level = rng.uniform(0.1, 1.5)
-        frozen, k = _stop_row(v, v >= level)
+        frozen, k = _stop_row(v, level)
         assert np.all(frozen[k:] == frozen[k])
         assert np.array_equal(frozen[:k], v[:k])
 
