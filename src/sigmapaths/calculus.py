@@ -17,6 +17,12 @@ Conventions, fixed once:
   absorbing summation rounding, not discretization noise.)
 * The occupation-time estimator uses the band ``(-eps, eps)`` with default
   ``eps = sqrt(dt)``.
+* Full-row reductions (``tanaka_raw`` here; the class-(D) statistics of
+  ``decompose`` and the two-infinity tiles of ``experiments`` on top of these
+  kernels) reuse a few buffers of their own instead of allocating one array
+  per numpy step.  Each step keeps its operands and their order, so the
+  results are bit-identical to the one-array-per-step form, and no kernel
+  writes into an array its caller passed in.
 """
 
 from __future__ import annotations
@@ -85,8 +91,13 @@ def regulator(z: np.ndarray) -> np.ndarray:
 
 def tanaka_raw(k: np.ndarray) -> np.ndarray:
     """Tanaka residual ``|K_j| - |K_0| - sum_{i<j} sgn(K_i) dK_i``, sgn(0) = -1."""
-    sgn = np.where(k > 0, 1.0, -1.0)
-    return np.abs(k) - np.abs(k[..., :1]) - ito_sum(sgn, k)
+    ito = np.diff(k, axis=-1).astype(float, copy=False)
+    np.negative(ito, out=ito, where=~(k[..., :-1] > 0))  # sgn(K_i) dK_i, exactly
+    out = np.abs(k)
+    out -= np.abs(k[..., :1])
+    out = out.astype(float, copy=False)
+    out[..., 1:] -= np.cumsum(ito, axis=-1, out=ito)
+    return out
 
 
 def occupation_sum(k: np.ndarray, epsilon: float, dt: float) -> np.ndarray:

@@ -10,7 +10,9 @@ threshold failed while the computation itself succeeded; 4 unwritable
 output.  The master seed, in [0, 2^64), comes from ``--seed``, falling
 back to the ``SIGMA_SEED`` environment variable.  ``--config FILE`` supplies
 defaults from a flat ``key = value`` file (``#`` comments allowed); explicit
-flags win over the file.
+flags win over the file, and a key that names no option of the command exits
+2.  Family and experiment parameters that must be positive must also be
+finite: ``inf`` and ``nan`` exit 2.
 """
 
 from __future__ import annotations
@@ -111,9 +113,11 @@ _SEED = click.IntRange(0, MAX_SEED)
 
 
 def _read_config(ctx: click.Context, param: click.Parameter, value):
-    """Eager --config callback: file values become the command's defaults."""
+    """Eager --config callback: file values become the command's defaults.
+    A key that names no option of the command is an error, not ignored."""
     if not value:
         return value
+    known = {p.name for p in ctx.command.params if p.expose_value}
     defaults = {}
     try:
         with open(value, "r", encoding="utf-8") as fh:
@@ -124,7 +128,11 @@ def _read_config(ctx: click.Context, param: click.Parameter, value):
                 if "=" not in line:
                     raise click.UsageError(f"{value}:{lineno}: expected 'key = value'")
                 key, val = (part.strip() for part in line.split("=", 1))
-                defaults[key.replace("-", "_")] = val
+                name = key.replace("-", "_")
+                if name not in known:
+                    raise click.UsageError(f"{value}:{lineno}: unknown key {key!r}; "
+                                           f"{ctx.command.name} has no option --{name.replace('_', '-')}")
+                defaults[name] = val
     except OSError as exc:
         raise click.UsageError(f"cannot read config file {value}: {exc}")
     ctx.default_map = {**defaults, **(ctx.default_map or {})}

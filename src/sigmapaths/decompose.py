@@ -357,22 +357,25 @@ def class_d_path_stats(M: np.ndarray) -> tuple[np.ndarray, ...]:
         raise ValueError("every path must start at M_0 = 1")
     if np.any(M <= 0):
         raise ValueError("every path must stay positive")
-    I = running_min(M)
-    log_inv_i = -np.log(I[:, -1])
-    C = 1.0 / I
+    # Three row buffers of our own (C, dC, u); M is the caller's and is only read.
+    C = running_min(M)
+    log_inv_i = -np.log(C[:, -1])
+    np.divide(1.0, C, out=C)
     dC = np.diff(C, axis=1)
     mc = M[:, -1] * C[:, -1]
-    int_right = 1.0 + np.sum(M[:, 1:] * dC, axis=1)
-    int_left = 1.0 + np.sum(M[:, :-1] * dC, axis=1)
-    u_inc = np.diff(M, axis=1)
-    u_inc /= M[:, :-1]
-    QV = np.cumsum(u_inc * u_inc, axis=1)
-    drift = np.cumsum(u_inc, axis=1)
-    drift -= 0.5 * QV
+    prod = C[:, 1:]  # C is spent: it holds the integrand products from here on
+    int_right = 1.0 + np.sum(np.multiply(M[:, 1:], dC, out=prod), axis=1)
+    int_left = 1.0 + np.sum(np.multiply(M[:, :-1], dC, out=prod), axis=1)
+    u = np.diff(M, axis=1)
+    u /= M[:, :-1]
+    QV = np.cumsum(np.multiply(u, u, out=dC), axis=1, out=dC)
+    drift = np.cumsum(u, axis=1, out=u)
     qv_u = QV[:, -1].copy()
+    QV *= 0.5
+    drift -= QV
     err_inf = np.abs(log_inv_i + np.minimum(np.min(drift, axis=1), 0.0))  # drift_0 = 0
-    drift -= np.log(M[:, 1:])
-    err_log = np.max(np.abs(drift), axis=1, initial=0.0)  # |drift_0 - log M_0| = 0
+    drift -= np.log(M[:, 1:], out=QV)
+    err_log = np.max(np.abs(drift, out=drift), axis=1, initial=0.0)  # |drift_0 - log M_0| = 0
     return mc, int_right, int_left, log_inv_i, qv_u, err_log, err_inf, M[:, -1].copy()
 
 

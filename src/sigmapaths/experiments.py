@@ -495,8 +495,8 @@ def azema_conditional_experiment(
     grid = spec.grid
     if not 0 < t < grid.horizon:
         raise ValueError("need 0 < t < horizon with room to resolve last visits")
-    if not level > 0:
-        raise ValueError("level must be positive")
+    if not 0 < level < math.inf:
+        raise ValueError(f"level must be positive and finite, got {level}")
     t_idx = grid.index_at(t)
     if t_idx < 1:
         raise ValueError("t is below grid resolution")
@@ -597,13 +597,24 @@ def _two_infinity_batch(args):
     (cfg, seed, first, rows, level, h_indices) = args
 
     def reduce(R):
-        S = 1.0 - level / R
-        X = np.maximum(S, 0.0)
-        A = 0.5 * np.maximum.accumulate(tanaka_raw(S), axis=-1)
-        M = (1.0 + X) * np.exp(-A)
-        gaps = np.abs(M - 2.0 * running_min(M))
-        violation = np.maximum(np.max(X - 1.0, axis=1, initial=0.0), -S[:, 0])
-        return gaps[:, h_indices], violation
+        # In place on the tile, which no one else holds: S = 1 - level/R, then
+        # E = exp(-A) with A half the clamped Tanaka local time, then
+        # M = (1 + X) E with X = max(S, 0) in the S buffer.
+        S = np.subtract(1.0, np.divide(level, R, out=R), out=R)
+        E = tanaka_raw(S)
+        np.maximum.accumulate(E, axis=-1, out=E)
+        E *= 0.5
+        np.negative(E, out=E)
+        np.exp(E, out=E)
+        # max(X - 1, initial=0) == max(X, initial=1) - 1: rounding is monotone
+        violation = np.maximum(np.max(S, axis=1, initial=1.0) - 1.0, -S[:, 0])
+        M = np.maximum(S, 0.0, out=S)
+        M += 1.0
+        M *= E
+        I = running_min(M)
+        gaps = M[:, h_indices]
+        gaps -= 2.0 * I[:, h_indices]
+        return np.abs(gaps, out=gaps), violation
 
     return _concat([reduce(M) for M in _row_tiles(cfg, seed, first, rows)])
 
@@ -631,8 +642,8 @@ def two_infinity_check(
     if not hs or hs[-1] != spec.grid.horizon:
         raise ValueError("largest horizon must equal the spec grid horizon")
     y = spec.params["x0"] if level is None else float(level)
-    if not y > 0:
-        raise ValueError(f"level must be positive, got {y}")
+    if not 0 < y < math.inf:
+        raise ValueError(f"level must be positive and finite, got {y}")
     grid = spec.grid
     h_indices = [grid.index_at(h) for h in hs]
     if h_indices[0] < 1 or any(a >= b for a, b in zip(h_indices, h_indices[1:])):
@@ -899,8 +910,8 @@ def tail_experiment(
     """
     n_steps = _walk_steps(horizon, dt)
     if kind == "T_a_heavy_tail":
-        if not a > 0:
-            raise ValueError("a must be positive")
+        if not 0 < a < math.inf:
+            raise ValueError(f"a must be positive and finite, got {a}")
         stop_step, _, _, censored = _walk(
             n_paths, master_seed, dt, n_steps, workers, upper=a
         )
@@ -934,8 +945,8 @@ def tail_experiment(
             seed=master_seed,
         )
     if kind == "sigma_b_expectation":
-        if not b > 0:
-            raise ValueError("b must be positive")
+        if not 0 < b < math.inf:
+            raise ValueError(f"b must be positive and finite, got {b}")
         stop_step, stop_value, _, censored = _walk(
             n_paths, master_seed, dt, n_steps, workers, line_b=b, line_level=1.0
         )

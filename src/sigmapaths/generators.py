@@ -27,6 +27,7 @@ API edge (``simulate``, the ``verify`` suites).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -73,8 +74,8 @@ class GeneratorSpec:
         if self.family == "exp_martingale" and {"stop_level", "stop_line_drift"} <= given:
             raise ValueError("exp_martingale accepts at most one stopping rule")
         for k, v in self.params.items():
-            if k in _POSITIVE_PARAMS and not v > 0:
-                raise ValueError(f"parameter {k} must be positive, got {v}")
+            if k in _POSITIVE_PARAMS and not 0 < v < math.inf:
+                raise ValueError(f"parameter {k} must be positive and finite, got {v}")
 
     def to_config(self) -> dict[str, str]:
         """Flat key-value form (echoed into reports)."""
@@ -146,11 +147,12 @@ def generate_rows(spec: GeneratorSpec, master_seed: int, first_index: int, rows:
             cols = slice(step + 1, step + 1 + W.shape[1])
             if x0 is None:
                 out[off + alive, cols] = W[:, :, 0]
-            else:
-                sq = W[:, :, 0] * W[:, :, 0]
-                sq += W[:, :, 1] * W[:, :, 1]
-                sq += W[:, :, 2] * W[:, :, 2]
-                out[off + alive, cols] = np.sqrt(sq, out=sq)
+            else:  # the Bessel families never stop, so every row of the pass is alive
+                R = out[off:off + r, cols]
+                np.multiply(W[:, :, 0], W[:, :, 0], out=R)
+                R += W[:, :, 1] * W[:, :, 1]
+                R += W[:, :, 2] * W[:, :, 2]
+                np.sqrt(R, out=R)
             if stops:
                 has, at = _first_stop(W[:, :, 0], grid.times[cols], upper=level, line_b=line_b)
                 stop[off + alive[has]] = step + 1 + at[has]

@@ -1,9 +1,12 @@
-"""Independent reference generators for the engine tests: one keyed block per
-stream and one cumulative sum per row, with no chunk engine in between.
+"""Independent references for the engine and reduction tests.
 
-These are the row generators the package used before every family was drawn
-through the keyed chunk engine of ``experiments``; the tests compare the
-engine against them bit for bit."""
+The row generators draw one keyed block per stream and take one cumulative
+sum per row, with no chunk engine in between: they are the generators the
+package used before every family was drawn through the keyed chunk engine of
+``experiments``.  The full-row reductions (Tanaka residual, two-infinity tile
+reduction, class-(D) statistics) build one fresh array per numpy step, as the
+package did before they worked in reused buffers.  The tests compare the
+package against both bit for bit."""
 
 import numpy as np
 
@@ -86,3 +89,67 @@ def reference_rows(spec, master_seed: int, first_index: int, rows: int) -> tuple
     M = np.exp(B - t / 2.0)
     M[:, 0] = 1.0
     return M, stop
+
+
+# ---------------------------------------------------------------------------
+# full-row reductions as the package computed them with one fresh array per
+# numpy step; the in-place kernels must equal them bit for bit
+
+
+def _with_zero_start(increments: np.ndarray) -> np.ndarray:
+    """Cumulative sum with a 0 prepended along the last axis."""
+    out = np.zeros(increments.shape[:-1] + (increments.shape[-1] + 1,))
+    np.cumsum(increments, axis=-1, out=out[..., 1:])
+    return out
+
+
+def ito_sum(h: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Left-point stochastic sum of ``h`` against increments of ``x``."""
+    return _with_zero_start(h[..., :-1] * np.diff(x, axis=-1))
+
+
+def tanaka_raw(k: np.ndarray) -> np.ndarray:
+    """Tanaka residual ``|K_j| - |K_0| - sum_{i<j} sgn(K_i) dK_i``, sgn(0) = -1."""
+    sgn = np.where(k > 0, 1.0, -1.0)
+    return np.abs(k) - np.abs(k[..., :1]) - ito_sum(sgn, k)
+
+
+def two_infinity_reduce(R: np.ndarray, level: float, h_indices) -> tuple[np.ndarray, np.ndarray]:
+    """Per path of a Bessel(3) tile ``R``: |M - 2I| at each horizon index, and
+    the x-range violation."""
+    S = 1.0 - level / R
+    X = np.maximum(S, 0.0)
+    A = 0.5 * np.maximum.accumulate(tanaka_raw(S), axis=-1)
+    M = (1.0 + X) * np.exp(-A)
+    gaps = np.abs(M - 2.0 * np.minimum.accumulate(M, axis=-1))
+    violation = np.maximum(np.max(X - 1.0, axis=1, initial=0.0), -S[:, 0])
+    return gaps[:, h_indices], violation
+
+
+def class_d_path_stats(M: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Per-path class-(D) statistics ``(mc, int_right, int_left, log_inv_i,
+    qv_u, err_log, err_inf, m_T)`` of ``(rows, n+1)`` positive M-paths."""
+    M = np.asarray(M, dtype=float)
+    if M.ndim != 2:
+        raise ValueError("each batch must be a 2-D (paths, points) array")
+    if np.any(M[:, 0] != 1.0):
+        raise ValueError("every path must start at M_0 = 1")
+    if np.any(M <= 0):
+        raise ValueError("every path must stay positive")
+    I = np.minimum.accumulate(M, axis=-1)
+    log_inv_i = -np.log(I[:, -1])
+    C = 1.0 / I
+    dC = np.diff(C, axis=1)
+    mc = M[:, -1] * C[:, -1]
+    int_right = 1.0 + np.sum(M[:, 1:] * dC, axis=1)
+    int_left = 1.0 + np.sum(M[:, :-1] * dC, axis=1)
+    u_inc = np.diff(M, axis=1)
+    u_inc /= M[:, :-1]
+    QV = np.cumsum(u_inc * u_inc, axis=1)
+    drift = np.cumsum(u_inc, axis=1)
+    drift -= 0.5 * QV
+    qv_u = QV[:, -1].copy()
+    err_inf = np.abs(log_inv_i + np.minimum(np.min(drift, axis=1), 0.0))  # drift_0 = 0
+    drift -= np.log(M[:, 1:])
+    err_log = np.max(np.abs(drift), axis=1, initial=0.0)  # |drift_0 - log M_0| = 0
+    return mc, int_right, int_left, log_inv_i, qv_u, err_log, err_inf, M[:, -1].copy()

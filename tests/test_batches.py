@@ -5,8 +5,11 @@ row passes or workers."""
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+import reference
 from sigmapaths import experiments
+from sigmapaths.calculus import tanaka_raw
 from sigmapaths.decompose import class_d_from_batches, class_d_path_stats
 from sigmapaths.generators import GeneratorSpec, generate_rows
 from sigmapaths.grids import make_grid
@@ -295,3 +298,50 @@ def test_stopped_rows_draw_to_the_end_of_their_stop_block(name, rows, seed, data
 def test_generate_rows_passes_hold_at_most_the_row_bound(name, rows, bound):
     _, passes, _ = _engine_rows(_GEN_SPECS[name], 3, 0, rows, 50, bound)
     assert max(passes) <= bound and sum(passes) == rows and len(passes) == -(-rows // bound)
+
+
+# The in-place full-row reductions against their one-array-per-step forms in
+# ``tests/reference.py``: same bits, and the caller's array left as it was.
+
+_ROW_SHAPES = hnp.array_shapes(min_dims=1, max_dims=2, min_side=1, max_side=40)
+_ROWS = st.one_of(
+    hnp.arrays(np.float64, _ROW_SHAPES,
+               elements=st.one_of(st.just(0.0), st.just(-0.0), st.floats(-4.0, 4.0, allow_subnormal=False))),
+    hnp.arrays(np.int64, _ROW_SHAPES, elements=st.integers(-3, 3)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_ROWS)
+def test_tanaka_raw_matches_reference(k):
+    before = k.copy()
+    out = tanaka_raw(k)
+    assert out.dtype == np.float64 and out.shape == k.shape
+    assert out.tobytes() == reference.tanaka_raw(k).tobytes()
+    assert k.tobytes() == before.tobytes()
+
+
+_CLASS_D_SPECS = {
+    f"{family} {params}": GeneratorSpec(family, params, make_grid(2.0, 96)) for family, params in [
+        ("exp_martingale", {}), ("exp_martingale", {"stop_level": 0.3}),
+        ("exp_martingale", {"stop_line_drift": 0.5}), ("scale_martingale", {"x0": 1.5})]}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(_CLASS_D_SPECS)), st.integers(1, 12), st.integers(0, 10**6))
+def test_class_d_path_stats_matches_reference(name, rows, seed):
+    M = generate_rows(_CLASS_D_SPECS[name], seed, 0, rows)
+    before = M.copy()
+    assert _bitwise_equal(class_d_path_stats(M), reference.class_d_path_stats(before))
+    assert M.tobytes() == before.tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 8), st.integers(0, 10**6), st.sampled_from([0.5, 1.0, 1.5, 3.0]),
+       st.lists(st.integers(1, 128), min_size=1, max_size=5, unique=True).map(sorted))
+def test_two_infinity_batch_matches_reference(rows, seed, level, h_indices):
+    cfg = GeneratorSpec("bessel3", {"x0": 1.0}, make_grid(8.0, 128)).to_config()
+    args = (cfg, seed, 2, rows, level, list(h_indices))
+    expected = reference.two_infinity_reduce(generate_rows(GeneratorSpec.from_config(cfg), seed, 2, rows),
+                                             level, h_indices)
+    assert _bitwise_equal(experiments._two_infinity_batch(args), expected)
+    assert args[5] == h_indices

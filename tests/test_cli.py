@@ -150,6 +150,16 @@ def test_config_file_defaults_and_flag_override(runner, tmp_path):
     assert doc2["seed"] == 99  # explicit flag beats the config file
 
 
+def test_config_file_unknown_key_exits_2(runner, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("paths = 4\n# a misspelt option is not silently ignored\nn_step = 100\n")
+    out = tmp_path / "o"
+    r = runner.invoke(main, ["experiment", "two-infinity", "--config", str(cfg), "--out", str(out)])
+    assert r.exit_code == 2, r.output
+    assert f"{cfg}:3" in r.output and "'n_step'" in r.output, r.output
+    assert not out.exists()
+
+
 def test_seed_env_var_fallback(runner, tmp_path):
     out = tmp_path / "env"
     r = runner.invoke(main, [
@@ -299,13 +309,24 @@ def test_run_config_rejects_seed_outside_domain():
     (["experiment", "azema-law", "--paths", "5"], "--paths"),
     (["experiment", "two-infinity", "--paths", "10", "--n-steps", "8"], "--n-steps"),
     (["experiment", "two-infinity", "--paths", "10", "--n-steps", "1"], "--n-steps"),
+    (["simulate", "--family", "bessel3", "--x0", "inf", "--paths", "2", "--n-steps", "4"], "x0"),
+    (["experiment", "two-infinity", "--paths", "10", "--level", "inf"], "level"),
+    (["experiment", "two-infinity", "--paths", "10", "--x0", "inf"], "x0"),
+    (["experiment", "tail", "--paths", "10", "--a", "inf"], "a must be positive and finite"),
+    (["experiment", "tail", "--paths", "10", "--kind", "sigma_b_expectation", "--b", "inf"],
+     "b must be positive and finite"),
+    (["experiment", "azema-law", "--paths", "64", "--level", "inf"], "level"),
+    (["experiment", "lemma-balance", "--paths", "10", "--stop-level", "inf"], "stop_level"),
+    (["experiment", "tail", "--paths", "10", "--a", "nan"], "a must be positive and finite"),
 ], ids=["workers-0", "workers-negative", "simulate-no-paths", "tail-dt-0", "tail-horizon-negative",
         "saturation-zero-steps", "lemma-stop-level-negative", "decompose-stop-line-drift-negative",
         "tail-no-paths", "two-infinity-no-paths", "azema-paths-negative", "decompose-no-paths",
         "lemma-bessel3-stop-level", "azema-exp_martingale-x0", "simulate-brownian-a",
         "decompose-scale_martingale-stop-line-drift", "two-infinity-level-negative", "two-infinity-level-0",
         "formats-empty", "formats-comma", "horizon-inf", "two-infinity-horizon-below-4",
-        "azema-every-bin-dropped", "two-infinity-horizon-index-0", "two-infinity-horizons-aliased"])
+        "azema-every-bin-dropped", "two-infinity-horizon-index-0", "two-infinity-horizons-aliased",
+        "simulate-x0-inf", "two-infinity-level-inf", "two-infinity-x0-inf", "tail-a-inf", "tail-b-inf",
+        "azema-level-inf", "lemma-stop-level-inf", "tail-a-nan"])
 def test_out_of_domain_input_exits_2(runner, tmp_path, argv, option):
     out = tmp_path / "o"
     r = runner.invoke(main, [*argv, "--out", str(out)])
