@@ -18,7 +18,7 @@ Conventions, fixed once:
 * The occupation-time estimator uses the band ``(-eps, eps)`` with default
   ``eps = sqrt(dt)``.
 * Full-row reductions (``tanaka_raw`` here; the class-(D) statistics of
-  ``decompose`` and the two-infinity tiles of ``experiments`` on top of these
+  ``decompose`` and the two-infinity batch of ``experiments`` on top of these
   kernels) reuse a few buffers of their own instead of allocating one array
   per numpy step.  Each step keeps its operands and their order, so the
   results are bit-identical to the one-array-per-step form, and no kernel

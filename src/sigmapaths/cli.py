@@ -145,7 +145,7 @@ def _common_options(fn):
     fn = click.option("--out", type=click.Path(file_okay=False), default="out", show_default=True,
                       help="Output directory.")(fn)
     fn = click.option("--formats", default="json,csv", show_default=True,
-                      help="Comma list from {csv,json,svg}.")(fn)
+                      help="Comma list from {csv,json,svg} (svg: experiments only).")(fn)
     fn = click.option("--workers", type=click.IntRange(min=1), default=lambda: os.cpu_count() or 1,
                       help="Worker processes (default: available parallelism).")(fn)
     fn = click.option("--config", type=click.Path(dir_okay=False), callback=_read_config,
@@ -154,13 +154,11 @@ def _common_options(fn):
     return fn
 
 
-def _parse_formats(formats: str) -> set[str]:
+def _parse_formats(formats: str, known: set[str]) -> set[str]:
+    """The ``--formats`` set, from the ``known`` formats the command writes."""
     parts = {p.strip() for p in formats.split(",") if p.strip()}
-    if not parts:
-        raise click.UsageError("--formats names no format; give a comma list from {csv,json,svg}")
-    bad = parts - {"csv", "json", "svg"}
-    if bad:
-        raise click.UsageError(f"unknown formats: {sorted(bad)}")
+    if not parts or parts - known:
+        raise click.UsageError(f"--formats {formats!r}: give a comma list from {sorted(known)}")
     return parts
 
 
@@ -227,7 +225,7 @@ def main():
 @_common_options
 def simulate(family, horizon, n_steps, paths, seed, out, formats, workers, **options):
     """Generate an ensemble and write it in the long-form CSV path format."""
-    fmt = _parse_formats(formats)
+    fmt = _parse_formats(formats, {"csv", "json"})
     spec = _build_spec(family, horizon, n_steps, options)
     total = paths * (n_steps + 1)
     if total > _MAX_SIMULATE_VALUES:
@@ -267,7 +265,7 @@ def decompose(family, horizon, n_steps, paths, seed, out, formats, workers, **op
     diagnostics report: the "classd" block of "experiment lemma-balance" on
     the same spec and seed (bessel3 enters via its normalized scale
     martingale)."""
-    fmt = _parse_formats(formats)
+    fmt = _parse_formats(formats, {"csv", "json"})
     spec = _build_spec(family, horizon, n_steps, options)
     try:
         mspec = _martingale_spec(spec)
@@ -363,7 +361,7 @@ def _make_experiment_command(defn):
     @click.option("--paths", type=click.IntRange(min=1), default=10000, show_default=True)
     @_common_options
     def cmd(paths, seed, out, formats, workers, **params):
-        fmt = _parse_formats(formats)
+        fmt = _parse_formats(formats, {"csv", "json", "svg"})
         if "family" in params:
             _reject_foreign_options(params["family"], params)
         try:

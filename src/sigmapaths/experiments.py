@@ -4,8 +4,11 @@ times, saturation probes, and passage-time tails.
 Estimation strategy notes, shared by several experiments:
 
 * Every experiment is a pure function of (spec, parameters, master seed).
-  Paths are generated from per-path keyed streams in fixed-size batches.
-  Each batch function reduces its paths where they are generated and returns
+  Paths are generated from per-path keyed streams in batches, and a batch is
+  the only grouping of paths: one rule, :func:`_batch_rows`, sizes every
+  batch so that it holds about ``_BATCH_VALUES`` values at a time (a full
+  row per path, or a walker's draw block).  Each batch function generates
+  its rows in one call and reduces them where they are generated, returning
   a tuple of per-path arrays (leading dimension = rows), so only those
   vectors travel back from a worker.  The parent concatenates them in path
   order before any cross-path reduction, so reports are bit-identical across
@@ -66,9 +69,16 @@ __all__ = [
     "LEMMA_ACCEPTANCE_SPECS",
 ]
 
-def _batch_rows(n_cols: int) -> int:
-    """Paths per batch, sized against the grid so working memory stays bounded."""
-    return max(64, min(8192, 8_000_000 // max(n_cols, 1)))
+#: Values one batch holds at a time (8 MiB of float64): the smallest block whose arrays all get
+#: numpy's huge pages (4 MiB and up); below that every batch page-faults afresh.
+_BATCH_VALUES = 1 << 20
+
+
+def _batch_rows(row_values: int) -> int:
+    """Paths per batch, when one path holds ``row_values`` values at a time:
+    a full row, or a walker's draw block and what its reduction builds on it.
+    Every batch of the package is sized by this one rule."""
+    return max(1, min(8192, _BATCH_VALUES // row_values))
 
 
 def _ranges(n_paths: int, rows: int) -> list[tuple[int, int]]:
@@ -96,15 +106,10 @@ def _stream_batches(fn: Callable, arglist: list, workers: int):
             yield pending.popleft().result()
 
 
-def _concat(parts) -> tuple[np.ndarray, ...]:
-    """Concatenate tuples of per-path arrays, array by array, in order."""
-    return tuple(np.concatenate(v) for v in zip(*parts))
-
-
 def _concat_batches(fn: Callable, arglist: list, workers: int) -> tuple[np.ndarray, ...]:
     """Run batch functions that return tuples of per-path arrays, and
     concatenate each array across batches in path order."""
-    return _concat(_stream_batches(fn, arglist, workers))
+    return tuple(np.concatenate(v) for v in zip(*_stream_batches(fn, arglist, workers)))
 
 
 # ---------------------------------------------------------------------------
@@ -270,29 +275,10 @@ def _martingale_spec(spec: GeneratorSpec) -> GeneratorSpec:
     )
 
 
-#: Values per row tile of :func:`_row_tiles` (8 MiB of float64): the smallest tile whose arrays
-#: all get numpy's huge pages (4 MiB and up); below that every tile page-faults afresh.
-_TILE_VALUES = 1 << 20
-
-
-def _row_tiles(cfg: dict, seed: int, first: int, rows: int):
-    """A batch's rows, generated in path order as row tiles of about
-    ``_TILE_VALUES`` values, so that a batch function reducing one tile at a
-    time keeps its working set bounded whatever the batch size.  A reduction
-    that works row by row gives the same arrays for any tile size.  Callers
-    reduce the tiles in a list of their own rather than lazily inside
-    :func:`_concat`, so a per-function profile charges the reduction to the
-    batch function."""
-    spec = GeneratorSpec.from_config(cfg)
-    tile = max(1, _TILE_VALUES // len(spec.grid))
-    for off in range(0, rows, tile):
-        yield generate_rows(spec, seed, first + off, min(tile, rows - off))
-
-
 def _martingale_batch(args) -> tuple[np.ndarray, ...]:
     """Per-path class-(D) statistics of one batch."""
     cfg, seed, first, rows = args
-    return _concat([class_d_path_stats(M) for M in _row_tiles(cfg, seed, first, rows)])
+    return class_d_path_stats(generate_rows(GeneratorSpec.from_config(cfg), seed, first, rows))
 
 
 def lemma_balance_experiment(
@@ -459,18 +445,15 @@ def _expmart_revisit_batch(args):
     """Exp-martingale variant: full-grid rows, crossing of the level after t,
     residual hit probability min(M_H / a, 1) at the horizon."""
     (cfg, seed, first, rows, level, t_idx) = args
-
-    def reduce(M):
-        state_t = M[:, t_idx].copy()
-        rel = M[:, t_idx:] - level
-        crossed = (rel[:, :-1] * rel[:, 1:] <= 0).any(axis=1)
-        resid = np.minimum(M[:, -1] / level, 1.0)
-        score = np.where(crossed, 1.0, resid)
-        correction = np.where(crossed, 0.0, resid)
-        ambiguous = (~crossed) & (resid > 0.5)
-        return state_t, score, ambiguous, correction
-
-    return _concat([reduce(M) for M in _row_tiles(cfg, seed, first, rows)])
+    M = generate_rows(GeneratorSpec.from_config(cfg), seed, first, rows)
+    state_t = M[:, t_idx].copy()
+    rel = M[:, t_idx:] - level
+    crossed = (rel[:, :-1] * rel[:, 1:] <= 0).any(axis=1)
+    resid = np.minimum(M[:, -1] / level, 1.0)
+    score = np.where(crossed, 1.0, resid)
+    correction = np.where(crossed, 0.0, resid)
+    ambiguous = (~crossed) & (resid > 0.5)
+    return state_t, score, ambiguous, correction
 
 
 def azema_conditional_experiment(
@@ -500,9 +483,10 @@ def azema_conditional_experiment(
     t_idx = grid.index_at(t)
     if t_idx < 1:
         raise ValueError("t is below grid resolution")
-    rows = _batch_rows(len(grid))
     if spec.family == "bessel3":
         x0 = spec.params["x0"]
+        # one path holds its 3-component draw block and that block's square in ``scan``
+        rows = _batch_rows(2 * 3 * _REVISIT_CHUNK)
         args = [
             (master_seed, first, r, x0, level, grid.dt, grid.n_steps, t_idx, _REVISIT_CHUNK, _ESCAPE_MULT)
             for first, r in _ranges(n_paths, rows)
@@ -513,6 +497,7 @@ def azema_conditional_experiment(
         if level > 1.0:
             raise ValueError("exp_martingale last-visit level must be <= M_0 = 1")
         cfg = spec.to_config()
+        rows = _batch_rows(len(grid))
         args = [(cfg, master_seed, first, r, level, t_idx) for first, r in _ranges(n_paths, rows)]
         batch = _expmart_revisit_batch
         formula_at = lambda z, a: oracles.exp_martingale_level_hit_probability(z, a)
@@ -595,28 +580,25 @@ class TwoInfinityReport:
 def _two_infinity_batch(args):
     """Per path: |M - 2I| at each horizon index, and the x-range violation."""
     (cfg, seed, first, rows, level, h_indices) = args
-
-    def reduce(R):
-        # In place on the tile, which no one else holds: S = 1 - level/R, then
-        # E = exp(-A) with A half the clamped Tanaka local time, then
-        # M = (1 + X) E with X = max(S, 0) in the S buffer.
-        S = np.subtract(1.0, np.divide(level, R, out=R), out=R)
-        E = tanaka_raw(S)
-        np.maximum.accumulate(E, axis=-1, out=E)
-        E *= 0.5
-        np.negative(E, out=E)
-        np.exp(E, out=E)
-        # max(X - 1, initial=0) == max(X, initial=1) - 1: rounding is monotone
-        violation = np.maximum(np.max(S, axis=1, initial=1.0) - 1.0, -S[:, 0])
-        M = np.maximum(S, 0.0, out=S)
-        M += 1.0
-        M *= E
-        I = running_min(M)
-        gaps = M[:, h_indices]
-        gaps -= 2.0 * I[:, h_indices]
-        return np.abs(gaps, out=gaps), violation
-
-    return _concat([reduce(M) for M in _row_tiles(cfg, seed, first, rows)])
+    R = generate_rows(GeneratorSpec.from_config(cfg), seed, first, rows)
+    # In place on the batch's rows, which no one else holds: S = 1 - level/R,
+    # then E = exp(-A) with A half the clamped Tanaka local time, then
+    # M = (1 + X) E with X = max(S, 0) in the S buffer.
+    S = np.subtract(1.0, np.divide(level, R, out=R), out=R)
+    E = tanaka_raw(S)
+    np.maximum.accumulate(E, axis=-1, out=E)
+    E *= 0.5
+    np.negative(E, out=E)
+    np.exp(E, out=E)
+    # max(X - 1, initial=0) == max(X, initial=1) - 1: rounding is monotone
+    violation = np.maximum(np.max(S, axis=1, initial=1.0) - 1.0, -S[:, 0])
+    M = np.maximum(S, 0.0, out=S)
+    M += 1.0
+    M *= E
+    I = running_min(M)
+    gaps = M[:, h_indices]
+    gaps -= 2.0 * I[:, h_indices]
+    return np.abs(gaps, out=gaps), violation
 
 
 def two_infinity_check(
@@ -702,21 +684,25 @@ def _walk_brownian_batch(args):
 
 
 def _walk_steps(horizon: float, dt: float) -> int:
-    """Grid steps of a walker run over ``[0, horizon]``: at least one."""
+    """Grid steps of a walker run over ``[0, horizon]``: at least one, and
+    ``dt`` must divide ``horizon`` (to 1e-9 relative), so that the run ends
+    at the horizon its report names."""
     if not (0 < dt < math.inf and 0 < horizon < math.inf):
         raise ValueError(f"need finite dt > 0 and horizon > 0, got dt={dt}, horizon={horizon}")
     n_steps = round(horizon / dt)
     if n_steps < 1:
         raise ValueError(f"horizon {horizon} rounds to zero steps of dt={dt}")
+    if abs(n_steps * dt - horizon) > 1e-9 * horizon:
+        raise ValueError(f"--dt {dt} does not divide --horizon {horizon}: "
+                         f"{n_steps} steps would end at {n_steps * dt!r}")
     return n_steps
 
 
 def _walk(n_paths, master_seed, dt, n_steps, workers, **trig) -> tuple:
-    rows = min(4096, max(256, n_paths))
     args = [
         (master_seed, first, r, dt, n_steps, _WALK_CHUNK,
          trig.get("upper"), trig.get("lower"), trig.get("line_b"), trig.get("line_level", 1.0))
-        for first, r in _ranges(n_paths, rows)
+        for first, r in _ranges(n_paths, _batch_rows(_WALK_BLOCK))
     ]
     return _concat_batches(_walk_brownian_batch, args, workers)
 
@@ -912,11 +898,14 @@ def tail_experiment(
     if kind == "T_a_heavy_tail":
         if not 0 < a < math.inf:
             raise ValueError(f"a must be positive and finite, got {a}")
+        usable = [t for t in times if t <= horizon]
+        if not usable:
+            raise ValueError(f"--horizon {horizon} lies below every survival time {list(times)}; "
+                             f"raise it to at least {min(times)}")
         stop_step, _, _, censored = _walk(
             n_paths, master_seed, dt, n_steps, workers, upper=a
         )
         t_hit = np.where(censored, np.inf, stop_step * dt)
-        usable = [t for t in times if t <= horizon]
         ests = [McEstimate.from_samples((t_hit > t).astype(float)) for t in usable]
         refs = [oracles.level_passage_survival(a, t) for t in usable]
         fit_times = [t for t in usable if t >= 4.0]

@@ -123,9 +123,11 @@ def generate_rows(spec: GeneratorSpec, master_seed: int, first_index: int, rows:
 
     The rows are walked by :func:`~.experiments._keyed_chunks` with one carry
     chunk over the whole grid, so each row equals one cumulative sum of its
-    streams bit for bit, in passes of at most ``_batch_rows`` rows.  A stopped
-    family draws in ``_WALK_BLOCK`` blocks, stops drawing a row after the block
-    that holds its stop, and fills the frozen tail from the stop column."""
+    streams bit for bit, in passes of at most one full-row batch
+    (``_batch_rows(len(grid))`` rows), so an experiment's batch is one pass.
+    A stopped family draws in ``_WALK_BLOCK`` blocks, stops drawing a row
+    after the block that holds its stop, and fills the frozen tail from the
+    stop column."""
     from .experiments import _WALK_BLOCK, _batch_rows, _first_stop, _keyed_chunks
 
     grid, p = spec.grid, spec.params

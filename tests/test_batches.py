@@ -1,6 +1,8 @@
 """Property tests of the batch contract: per-path results do not depend on
-how an ensemble is split into batches, tiles, walker chunks, draw blocks,
-row passes or workers."""
+how an ensemble is split into batches, walker chunks, draw blocks, row passes
+or workers."""
+
+from functools import lru_cache
 
 import numpy as np
 from hypothesis import given, settings
@@ -13,6 +15,7 @@ from sigmapaths.calculus import tanaka_raw
 from sigmapaths.decompose import class_d_from_batches, class_d_path_stats
 from sigmapaths.generators import GeneratorSpec, generate_rows
 from sigmapaths.grids import make_grid
+from sigmapaths.reports import report_json_bytes
 
 from reference import bessel3_rows, brownian_rows, reference_rows, stop_at_mask_rows
 
@@ -37,22 +40,36 @@ def test_class_d_from_batches_ignores_row_splits(cuts):
     assert class_d_from_batches(pieces, grid).as_dict() == whole
 
 
-def _with_tile_values(tile_values, fn, args):
-    saved = experiments._TILE_VALUES
-    experiments._TILE_VALUES = tile_values
+@lru_cache(maxsize=None)
+def _reports_at_batch_values(batch_values):
+    """Non-meta report bytes of every experiment at a small size, run with
+    ``experiments._BATCH_VALUES = batch_values``."""
+    bessel = GeneratorSpec("bessel3", {"x0": 1.0}, make_grid(8.0, 128))
+    expmart = GeneratorSpec("exp_martingale", {}, make_grid(4.0, 128))
+    walk = {"horizon": 4.0, "dt": 0.01}
+    runs = {
+        "lemma-balance": lambda: experiments.lemma_balance_experiment(_SPECS["exp_martingale stopped"], 20, 7),
+        "azema-law bessel3": lambda: experiments.azema_conditional_experiment(bessel, 1.0, 1.0, 2, 20, 7),
+        "azema-law exp_martingale": lambda: experiments.azema_conditional_experiment(expmart, 0.5, 1.0, 2, 20, 7),
+        "two-infinity": lambda: experiments.two_infinity_check(bessel, [4.0, 8.0], 20, 7),
+        "tail T_a": lambda: experiments.tail_experiment("T_a_heavy_tail", 20, 7, **walk),
+        "tail sigma_b": lambda: experiments.tail_experiment("sigma_b_expectation", 20, 7, **walk),
+        "saturation nonsaturated": lambda: experiments.saturation_probe("nonsaturated_zero_set", 20, 7, **walk),
+        "saturation saturated": lambda: experiments.saturation_probe("saturated_level_set", 20, 7, **walk),
+    }
+    saved = experiments._BATCH_VALUES
+    experiments._BATCH_VALUES = batch_values
     try:
-        return fn(args)
+        return {name: report_json_bytes(run().as_report(), with_meta=False) for name, run in runs.items()}
     finally:
-        experiments._TILE_VALUES = saved
+        experiments._BATCH_VALUES = saved
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.sampled_from(sorted(_SPECS)), st.integers(0, 50), st.integers(1, 30), st.integers(1, 3000))
-def test_tiled_martingale_batch_matches_one_block(name, first, rows, tile_values):
-    spec = _SPECS[name]
-    tiled = _with_tile_values(tile_values, experiments._martingale_batch, (spec.to_config(), 23, first, rows))
-    assert isinstance(tiled, tuple)
-    assert _bitwise_equal(tiled, class_d_path_stats(generate_rows(spec, 23, first, rows)))
+@settings(max_examples=12, deadline=None)
+@given(st.integers(1, 4000))
+def test_reports_ignore_batch_values(batch_values):
+    # 1 to 4000 values: 1-row batches on every walker and up to 31-row batches of the full rows
+    assert _reports_at_batch_values(batch_values) == _reports_at_batch_values(1 << 40)
 
 
 def _batch_args(rows):
@@ -80,15 +97,6 @@ def test_every_batch_function_returns_per_path_tuple(rows):
         assert isinstance(out, tuple), name
         for v in out:
             assert isinstance(v, np.ndarray) and v.shape[0] == rows, (name, type(v), np.shape(v))
-
-
-@settings(max_examples=30, deadline=None)
-@given(st.sampled_from(["_expmart_revisit_batch", "_two_infinity_batch"]), st.integers(1, 12),
-       st.integers(1, 3000))
-def test_tiled_batches_ignore_tile_size(name, rows, tile_values):
-    fn, args = getattr(experiments, name), _batch_args(rows)[name]
-    one_block = _with_tile_values(1 << 40, fn, args)
-    assert _bitwise_equal(_with_tile_values(tile_values, fn, args), one_block)
 
 
 _WALK_GRID = make_grid(3.0, 300)

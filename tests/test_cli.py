@@ -318,6 +318,12 @@ def test_run_config_rejects_seed_outside_domain():
     (["experiment", "azema-law", "--paths", "64", "--level", "inf"], "level"),
     (["experiment", "lemma-balance", "--paths", "10", "--stop-level", "inf"], "stop_level"),
     (["experiment", "tail", "--paths", "10", "--a", "nan"], "a must be positive and finite"),
+    (["experiment", "tail", "--paths", "10", "--horizon", "1", "--dt", "0.7"], "--dt"),
+    (["experiment", "saturation", "--paths", "10", "--horizon", "1", "--dt", "0.3"], "--dt"),
+    (["experiment", "tail", "--paths", "10", "--kind", "T_a_heavy_tail", "--horizon", "0.5"], "--horizon"),
+    (["simulate", "--family", "brownian", "--paths", "2", "--n-steps", "16", "--formats", "svg"], "--formats"),
+    (["decompose", "--family", "exp_martingale", "--paths", "4", "--n-steps", "16", "--formats", "json,svg"],
+     "--formats"),
 ], ids=["workers-0", "workers-negative", "simulate-no-paths", "tail-dt-0", "tail-horizon-negative",
         "saturation-zero-steps", "lemma-stop-level-negative", "decompose-stop-line-drift-negative",
         "tail-no-paths", "two-infinity-no-paths", "azema-paths-negative", "decompose-no-paths",
@@ -326,7 +332,9 @@ def test_run_config_rejects_seed_outside_domain():
         "formats-empty", "formats-comma", "horizon-inf", "two-infinity-horizon-below-4",
         "azema-every-bin-dropped", "two-infinity-horizon-index-0", "two-infinity-horizons-aliased",
         "simulate-x0-inf", "two-infinity-level-inf", "two-infinity-x0-inf", "tail-a-inf", "tail-b-inf",
-        "azema-level-inf", "lemma-stop-level-inf", "tail-a-nan"])
+        "azema-level-inf", "lemma-stop-level-inf", "tail-a-nan", "tail-dt-not-dividing-horizon",
+        "saturation-dt-not-dividing-horizon", "tail-horizon-below-every-time", "simulate-svg",
+        "decompose-svg"])
 def test_out_of_domain_input_exits_2(runner, tmp_path, argv, option):
     out = tmp_path / "o"
     r = runner.invoke(main, [*argv, "--out", str(out)])

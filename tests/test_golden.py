@@ -2,11 +2,10 @@
 
 Each entry pins, at a reduced size, the sha256 of a report without its
 ``meta`` block in the package's canonical encoding, or of the raw bytes of a
-``simulate`` CSV.  Sizes are chosen so that every experiment splits into at
-least two batches, the full-matrix ones into several row tiles, and the
-first-passage walker across several of its 4000-step carry chunks.  A
-change that alters a digest on purpose updates the table and says why in
-CHANGES.md.
+``simulate`` CSV.  Sizes are chosen so that the experiments on long grids and
+the walkers split into several batches, and the first-passage walker runs
+across several of its 4000-step carry chunks.  A change that alters a digest
+on purpose updates the table and says why in CHANGES.md.
 """
 
 import hashlib
@@ -20,8 +19,9 @@ from sigmapaths.reports import report_json_bytes, strip_meta
 
 _SEED = ["--seed", "506369"]
 _SPEC = ["--family", "exp_martingale", "--stop-level", "1", "--horizon", "4", "--n-steps", "512"]
-_LONG = ["--horizon", "16", "--n-steps", "16384", "--paths", "600"]  # 2 batches of 63-row tiles
-_WALK4 = ["--horizon", "4", "--dt", "0.01", "--paths", "4352"]       # 2 walker batches
+# 10 full-row batches of 63 rows, or 2 Bessel walker batches of 341 rows
+_LONG = ["--horizon", "16", "--n-steps", "16384", "--paths", "600"]
+_WALK4 = ["--horizon", "4", "--dt", "0.01", "--paths", "4352"]       # 5 walker batches of 1048 rows
 _WALK16 = ["--horizon", "16", "--dt", "0.01", "--paths", "4352"]
 _CARRY4 = ["--horizon", "16", "--dt", "0.001", "--paths", "4352"]    # 4 carry chunks of 4000 steps
 _SIM = ["simulate", "--horizon", "4", "--n-steps", "64", "--paths", "3"]
