@@ -72,6 +72,29 @@ def test_reports_ignore_batch_values(batch_values):
     assert _reports_at_batch_values(batch_values) == _reports_at_batch_values(1 << 40)
 
 
+def _in_batches(fn, args, batch_values):
+    """Run the batch function ``fn`` on ``args = (cfg, seed, first, rows, ...)``
+    split into batches of ``_batch_rows(len(grid))`` rows under
+    ``experiments._BATCH_VALUES = batch_values``, concatenated in path order."""
+    cfg, seed, first, rows, rest = args[0], args[1], args[2], args[3], args[4:]
+    saved = experiments._BATCH_VALUES
+    experiments._BATCH_VALUES = batch_values
+    try:
+        size = experiments._batch_rows(len(GeneratorSpec.from_config(cfg).grid))
+    finally:
+        experiments._BATCH_VALUES = saved
+    parts = [fn((cfg, seed, first + f, r) + rest) for f, r in experiments._ranges(rows, size)]
+    return tuple(np.concatenate(v) for v in zip(*parts))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(_SPECS)), st.integers(0, 50), st.integers(1, 30), st.integers(1, 3000))
+def test_tiled_martingale_batch_matches_one_block(name, first, rows, batch_values):
+    spec = _SPECS[name]
+    batched = _in_batches(experiments._martingale_batch, (spec.to_config(), 23, first, rows), batch_values)
+    assert _bitwise_equal(batched, class_d_path_stats(generate_rows(spec, 23, first, rows)))
+
+
 def _batch_args(rows):
     """Small argument tuples for every batch function of ``experiments``."""
     bessel = GeneratorSpec("bessel3", {"x0": 1.0}, make_grid(8.0, 256)).to_config()
@@ -97,6 +120,14 @@ def test_every_batch_function_returns_per_path_tuple(rows):
         assert isinstance(out, tuple), name
         for v in out:
             assert isinstance(v, np.ndarray) and v.shape[0] == rows, (name, type(v), np.shape(v))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(["_expmart_revisit_batch", "_two_infinity_batch"]), st.integers(1, 12),
+       st.integers(1, 3000))
+def test_tiled_batches_ignore_tile_size(name, rows, batch_values):
+    fn, args = getattr(experiments, name), _batch_args(rows)[name]
+    assert _bitwise_equal(_in_batches(fn, args, batch_values), fn(args))
 
 
 _WALK_GRID = make_grid(3.0, 300)
