@@ -23,11 +23,11 @@ from dataclasses import dataclass, field
 from pathlib import Path as FsPath
 
 import click
-import numpy as np
 from click.core import ParameterSource
 
 from . import reports
 from .calculus import running_min
+from .decompose import sigma_compose
 from .experiments import EXPERIMENTS, _martingale_spec, lemma_balance_experiment
 from .generators import FAMILIES, GeneratorSpec, generate_rows
 from .grids import Path, make_grid, write_paths_csv
@@ -288,17 +288,12 @@ def decompose(family, horizon, n_steps, paths, seed, out, formats, workers, **op
         written.append(p.name)
     if "csv" in fmt:
         M = generate_rows(mspec, seed, 0, 1)[0]
-        I = running_min(M)
-        rows_csv = [
-            {
-                "t": float(t), "M": float(m), "I": float(i),
-                "X": float(m / i - 1.0), "A": float(-np.log(i)),
-                "N": float(m / i - 1.0 + np.log(i)),
-            }
-            for t, m, i in zip(mspec.grid.times, M, I)
-        ]
+        triple = sigma_compose(Path(mspec.grid, M))
+        columns = {"t": mspec.grid.times, "M": M, "I": running_min(M), "X": triple.submartingale.values,
+                   "A": triple.increasing_part.values, "N": triple.martingale_part.values}
+        rows_csv = [dict(zip(columns, map(float, row))) for row in zip(*columns.values())]
         p = out_dir / "decomposition_path0.csv"
-        _write_guard(reports.write_csv_table, p, ["t", "M", "I", "X", "A", "N"], rows_csv)
+        _write_guard(reports.write_csv_table, p, list(columns), rows_csv)
         written.append(p.name)
     click.echo(
         f"decompose: {family} x{paths} at T={horizon}: "

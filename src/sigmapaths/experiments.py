@@ -24,16 +24,16 @@ Estimation strategy notes, shared by several experiments:
   mean tail-correction mass.
 
 * Every path is drawn by one keyed chunk engine, :func:`_keyed_chunks`.  It
-  carries each path's position across fixed carry chunks (their period is
-  part of a report's identity), draws each path's streams in blocks that
-  never straddle a carry boundary (their size changes no report byte), and
-  stops drawing a path once its caller retires it.  The first-passage and
-  the Bessel last-visit batches reduce over it chunk by chunk;
-  :func:`~.generators.generate_rows` walks it with one carry chunk over the
-  whole grid for the full-row batches.  Stops are decided at grid
-  resolution by one rule, :func:`_first_stop`, and a stopped path draws no
-  block past its stop; that is what makes the 10^5-path tail studies
-  affordable.
+  draws each path's streams in blocks and carries one running sum per
+  stream across them, so a position is one cumulative sum and the block
+  size changes no report byte; it stops drawing a path once its caller
+  retires it.  Only the Bessel last-visit walker restarts its sum at every
+  block, so its block of ``_REVISIT_BLOCK`` steps is part of that report's
+  identity.  The first-passage and the Bessel last-visit batches reduce over
+  it block by block; :func:`~.generators.generate_rows` walks it for the
+  full-row batches.  Stops are decided at grid resolution by one rule,
+  :func:`_first_stop`, and a stopped path draws no block past its stop; that
+  is what makes the 10^5-path tail studies affordable.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ from numpy.random import Generator, Philox
 from . import oracles
 from .calculus import running_min, tanaka_raw
 from .decompose import ClassDReport, class_d_from_path_stats, class_d_path_stats
-from .generators import GeneratorSpec, generate_rows
+from .generators import GeneratorSpec, _bessel_norm, generate_rows
 from .grids import McEstimate, make_grid
 from .streams import RNG_INFO, StreamKey
 
@@ -115,32 +115,29 @@ def _concat_batches(fn: Callable, arglist: list, workers: int) -> tuple[np.ndarr
 # ---------------------------------------------------------------------------
 # keyed chunk engine (every path is drawn by it) and the one stop rule
 
-#: Carry periods, in grid steps, of the first-passage and the last-visit walkers.
-#: A walk restarts its running sum at every multiple of its period, and
-#: floating-point addition is not associative, so a period is part of a
-#: report's identity: changing one changes the report bytes.
-_WALK_CHUNK = 4000
-_REVISIT_CHUNK = 512
 #: Steps per draw block of the first-passage walker and of the stopped families
 #: of ``generate_rows``.  A block does not change a report byte; a shorter one
 #: draws fewer normals past a path's stop.
 _WALK_BLOCK = 1000
+#: Steps per block of the last-visit walker, which restarts its running sum at
+#: every block: floating-point addition is not associative, so this period is
+#: part of the azema-law report's identity.
+_REVISIT_BLOCK = 512
 #: The last-visit walker retires a path beyond this multiple of the level.
 _ESCAPE_MULT = 8.0
 
 
-def _keyed_chunks(seed, first, rows, start, dt, n_steps, chunk, block, retired):
+def _keyed_chunks(seed, first, rows, start, dt, n_steps, block, retired, restart=False):
     """Walk ``rows`` paths of ``len(start)`` Brownian components from
-    ``start``, at most ``block`` grid steps at a time.
+    ``start``, ``block`` grid steps at a time.
 
     Component ``c`` of row ``i`` draws from ``StreamKey(seed, first + i, c)``,
     a counter-based stream, so the blocks see the same increments as one
-    draw.  The running sum restarts at every multiple of the carry period
-    ``chunk``: a position is the position at the last carry boundary plus the
-    sum of the increments since.  A block never straddles a carry boundary,
-    and inside a carry chunk the sum of the earlier blocks is folded into the
-    block's first increment before its cumsum.  numpy's accumulate is
-    sequential, so the positions are the same bits for every ``block``.
+    draw.  Each block folds the sum of the earlier increments into its first
+    increment before its cumsum, and numpy's accumulate is sequential, so a
+    position is ``start`` plus one cumulative sum of its stream, the same
+    bits for every ``block``.  With ``restart``, each block's sum starts
+    again from the last position instead.
 
     Each block yields ``(step, alive, W)``: the grid index before the block,
     the rows still walking, and their positions at the block's grid indices,
@@ -153,32 +150,29 @@ def _keyed_chunks(seed, first, rows, start, dt, n_steps, chunk, block, retired):
     k = len(start)
     gens = [[Generator(Philox(key=StreamKey(seed, first + i, c).philox_key())) for c in range(k)]
             for i in range(rows)]
-    pos = np.tile(np.asarray(start, dtype=float), (rows, 1))  # at the last carry boundary
-    raw = np.zeros((rows, k))  # Brownian sum since the last carry boundary
-    buf = np.empty(rows * k * min(block, chunk, n_steps))
+    pos = np.tile(np.asarray(start, dtype=float), (rows, 1))  # added after each cumsum
+    raw = np.zeros((rows, k))  # Brownian sum so far; stays 0 with ``restart``
+    buf = np.empty(rows * k * min(block, n_steps))
     sqrt_dt = math.sqrt(dt)
     alive = np.arange(rows)
-    step = 0
-    while step < n_steps:
+    for step in range(0, n_steps, block):
         alive = alive[~retired[alive]]
         if not alive.size:
             return
-        end = min(step + block, (step // chunk + 1) * chunk, n_steps)
-        cs = end - step
+        cs = min(block, n_steps - step)
         W = buf[: alive.size * k * cs].reshape(alive.size, k, cs)  # out= needs each stream's block contiguous
         for r, i in enumerate(alive):
             for c in range(k):
                 gens[i][c].standard_normal(cs, out=W[r, c])
         W *= sqrt_dt
-        if step % chunk:
-            W[:, :, 0] += raw[alive]
+        W[:, :, 0] += raw[alive]
         np.cumsum(W, axis=2, out=W)
-        raw[alive] = W[:, :, -1]
+        if not restart:
+            raw[alive] = W[:, :, -1]
         W += pos[alive][:, :, None]
-        yield step, alive, W.transpose(0, 2, 1)
-        if end % chunk == 0:
+        if restart:
             pos[alive] = W[:, :, -1]
-        step = end
+        yield step, alive, W.transpose(0, 2, 1)
 
 
 def _first_stop(P, times, upper=None, lower=None, line_b=None, line_level=1.0):
@@ -401,13 +395,14 @@ def _state_bin_edges(state_t: np.ndarray, bins: int | Sequence[float]) -> np.nda
 def _bessel_revisit_batch(args):
     """One batch of the Bessel last-visit experiment.
 
-    Simulates the three components chunk by chunk; after time ``t`` a path is
-    retired as soon as it crosses the level (survival score 1) or escapes
-    beyond ``escape_mult * level`` (score = exact residual hit probability
-    y/R).  Paths reaching the horizon score ``min(y/R_H, 1)``.  Returns
-    (state at t, survival scores, ambiguous flags, correction mass).
+    Simulates the three components in ``_REVISIT_BLOCK``-step blocks, each
+    of which restarts its running sum from the last position; after time
+    ``t`` a path is retired as soon as it crosses the level (survival score
+    1) or escapes beyond ``_ESCAPE_MULT * level`` (score = exact residual hit
+    probability y/R).  Paths reaching the horizon score ``min(y/R_H, 1)``.
+    Returns (state at t, survival scores, ambiguous flags, correction mass).
     """
-    (seed, first, rows, x0, level, dt, n_steps, t_idx, chunk, escape_mult) = args
+    (seed, first, rows, x0, level, dt, n_steps, t_idx) = args
     state_t = np.empty(rows)
     score = np.empty(rows)
     correction = np.zeros(rows)
@@ -415,16 +410,16 @@ def _bessel_revisit_batch(args):
     prev_state = np.full(rows, x0)  # R at the last grid index walked so far
 
     def scan(step, alive, W):
-        state = np.sqrt(np.sum(W * W, axis=2))
+        state = _bessel_norm(W, np.empty(W.shape[:2]))
         end = step + state.shape[1]
         if step < t_idx <= end:
             state_t[alive] = state[:, t_idx - step - 1]
         if end > t_idx:
-            lo = max(t_idx - step, 0)  # first chunk column that lies past t
+            lo = max(t_idx - step, 0)  # first block column that lies past t
             prev = prev_state[alive] if lo == 0 else state[:, lo - 1]
             rel = state[:, lo:] - level
             crossed = (rel[:, :-1] * rel[:, 1:] <= 0).any(axis=1) | ((prev - level) * rel[:, 0] <= 0)
-            escaped = ~crossed & (state[:, -1] >= escape_mult * level)
+            escaped = ~crossed & (state[:, -1] >= _ESCAPE_MULT * level)
             resid = level / state[escaped, -1]
             score[alive[crossed]] = 1.0
             score[alive[escaped]] = resid
@@ -432,8 +427,9 @@ def _bessel_revisit_batch(args):
             retired[alive[crossed | escaped]] = True
         prev_state[alive] = state[:, -1]
 
-    for chunk_args in _keyed_chunks(seed, first, rows, (x0, 0.0, 0.0), dt, n_steps, chunk, chunk, retired):
-        scan(*chunk_args)
+    for block_args in _keyed_chunks(seed, first, rows, (x0, 0.0, 0.0), dt, n_steps, _REVISIT_BLOCK, retired,
+                                    restart=True):
+        scan(*block_args)
     live = ~retired
     resid = np.minimum(level / prev_state[live], 1.0)
     score[live] = resid
@@ -485,12 +481,9 @@ def azema_conditional_experiment(
         raise ValueError("t is below grid resolution")
     if spec.family == "bessel3":
         x0 = spec.params["x0"]
-        # one path holds its 3-component draw block and that block's square in ``scan``
-        rows = _batch_rows(2 * 3 * _REVISIT_CHUNK)
-        args = [
-            (master_seed, first, r, x0, level, grid.dt, grid.n_steps, t_idx, _REVISIT_CHUNK, _ESCAPE_MULT)
-            for first, r in _ranges(n_paths, rows)
-        ]
+        # one path holds its 3-component draw block, its norm and one square in ``scan``
+        rows = _batch_rows(5 * _REVISIT_BLOCK)
+        args = [(master_seed, first, r, x0, level, grid.dt, grid.n_steps, t_idx) for first, r in _ranges(n_paths, rows)]
         batch = _bessel_revisit_batch
         formula_at = oracles.scale_hit_probability
     elif spec.family == "exp_martingale":
@@ -650,7 +643,7 @@ def two_infinity_check(
 
 
 # ---------------------------------------------------------------------------
-# chunked Brownian first-passage walker
+# Brownian first-passage walker, block by block
 
 
 def _walk_brownian_batch(args):
@@ -661,7 +654,7 @@ def _walk_brownian_batch(args):
     stop step (grid index, -1 when censored), value at the stop (final value
     when censored), prefix minimum up to the stop, and the censored mask.
     """
-    (seed, first, rows, dt, n_steps, chunk, upper, lower, line_b, line_level) = args
+    (seed, first, rows, dt, n_steps, upper, lower, line_b, line_level) = args
     run_min = np.zeros(rows)
     stop_step = np.full(rows, -1, dtype=np.int64)
     stop_value = np.zeros(rows)
@@ -678,7 +671,7 @@ def _walk_brownian_batch(args):
         stop_step[alive[has]] = step + at[has] + 1
         retired[alive[has]] = True
 
-    for block_args in _keyed_chunks(seed, first, rows, (0.0,), dt, n_steps, chunk, _WALK_BLOCK, retired):
+    for block_args in _keyed_chunks(seed, first, rows, (0.0,), dt, n_steps, _WALK_BLOCK, retired):
         scan(*block_args)
     return stop_step, stop_value, run_min, stop_step < 0
 
@@ -700,8 +693,8 @@ def _walk_steps(horizon: float, dt: float) -> int:
 
 def _walk(n_paths, master_seed, dt, n_steps, workers, **trig) -> tuple:
     args = [
-        (master_seed, first, r, dt, n_steps, _WALK_CHUNK,
-         trig.get("upper"), trig.get("lower"), trig.get("line_b"), trig.get("line_level", 1.0))
+        (master_seed, first, r, dt, n_steps, trig.get("upper"), trig.get("lower"), trig.get("line_b"),
+         trig.get("line_level", 1.0))
         for first, r in _ranges(n_paths, _batch_rows(_WALK_BLOCK))
     ]
     return _concat_batches(_walk_brownian_batch, args, workers)

@@ -107,7 +107,7 @@ class GeneratorSpec:
 
 
 # ---------------------------------------------------------------------------
-# rows: the keyed chunk engine of ``experiments`` with one carry chunk per grid
+# rows: the keyed chunk engine of ``experiments``, one running sum per stream
 
 
 def _freeze(values: np.ndarray, stop: np.ndarray) -> np.ndarray:
@@ -118,13 +118,22 @@ def _freeze(values: np.ndarray, stop: np.ndarray) -> np.ndarray:
     return values
 
 
+def _bessel_norm(W: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Euclidean norm of 3-D positions ``W`` (shape ``(..., 3)``) into ``out``,
+    summing the squares in component order; returns ``out``."""
+    np.multiply(W[..., 0], W[..., 0], out=out)
+    out += W[..., 1] * W[..., 1]
+    out += W[..., 2] * W[..., 2]
+    return np.sqrt(out, out=out)
+
+
 def generate_rows(spec: GeneratorSpec, master_seed: int, first_index: int, rows: int) -> np.ndarray:
     """Batch of the family's primary output, one keyed stream set per path.
 
-    The rows are walked by :func:`~.experiments._keyed_chunks` with one carry
-    chunk over the whole grid, so each row equals one cumulative sum of its
-    streams bit for bit, in passes of at most one full-row batch
-    (``_batch_rows(len(grid))`` rows), so an experiment's batch is one pass.
+    The rows are walked by :func:`~.experiments._keyed_chunks`, so each row
+    equals one cumulative sum of its streams bit for bit, in passes of at
+    most one full-row batch (``_batch_rows(len(grid))`` rows), so an
+    experiment's batch is one pass.
     A stopped family draws in ``_WALK_BLOCK`` blocks, stops drawing a row
     after the block that holds its stop, and fills the frozen tail from the
     stop column."""
@@ -144,17 +153,13 @@ def generate_rows(spec: GeneratorSpec, master_seed: int, first_index: int, rows:
     for off in range(0, rows, bound):
         r = min(bound, rows - off)
         retired = np.zeros(r, dtype=bool)
-        for step, alive, W in _keyed_chunks(master_seed, first_index + off, r, start, grid.dt, n, n,
+        for step, alive, W in _keyed_chunks(master_seed, first_index + off, r, start, grid.dt, n,
                                             _WALK_BLOCK if stops else n, retired):
             cols = slice(step + 1, step + 1 + W.shape[1])
             if x0 is None:
                 out[off + alive, cols] = W[:, :, 0]
             else:  # the Bessel families never stop, so every row of the pass is alive
-                R = out[off:off + r, cols]
-                np.multiply(W[:, :, 0], W[:, :, 0], out=R)
-                R += W[:, :, 1] * W[:, :, 1]
-                R += W[:, :, 2] * W[:, :, 2]
-                np.sqrt(R, out=R)
+                _bessel_norm(W, out[off:off + r, cols])
             if stops:
                 has, at = _first_stop(W[:, :, 0], grid.times[cols], upper=level, line_b=line_b)
                 stop[off + alive[has]] = step + 1 + at[has]

@@ -1,6 +1,5 @@
 """Property tests of the batch contract: per-path results do not depend on
-how an ensemble is split into batches, walker chunks, draw blocks, row passes
-or workers."""
+how an ensemble is split into batches, draw blocks, row passes or workers."""
 
 from functools import lru_cache
 
@@ -13,7 +12,7 @@ import reference
 from sigmapaths import experiments
 from sigmapaths.calculus import tanaka_raw
 from sigmapaths.decompose import class_d_from_batches, class_d_path_stats
-from sigmapaths.generators import GeneratorSpec, generate_rows
+from sigmapaths.generators import GeneratorSpec, _bessel_norm, generate_rows
 from sigmapaths.grids import make_grid
 from sigmapaths.reports import report_json_bytes
 
@@ -101,10 +100,10 @@ def _batch_args(rows):
     expmart = GeneratorSpec("exp_martingale", {}, make_grid(4.0, 128)).to_config()
     return {
         "_martingale_batch": (expmart, 5, 3, rows),
-        "_bessel_revisit_batch": (5, 3, rows, 1.0, 1.0, 1.0 / 32, 256, 32, 64, 8.0),
+        "_bessel_revisit_batch": (5, 3, rows, 1.0, 1.0, 1.0 / 32, 256, 32),
         "_expmart_revisit_batch": (expmart, 5, 3, rows, 0.5, 32),
         "_two_infinity_batch": (bessel, 5, 3, rows, 1.0, [128, 256]),
-        "_walk_brownian_batch": (5, 3, rows, 1e-2, 400, 100, 1.0, -2.0, None, 1.0),
+        "_walk_brownian_batch": (5, 3, rows, 1e-2, 400, 1.0, -2.0, None, 1.0),
     }
 
 
@@ -144,11 +143,11 @@ class _CountingGenerator:
         return self.gen.standard_normal(size, out=out)
 
 
-def _walked(start, rows, chunk, block=None, retire_after=None):
-    """Walk ``_WALK_GRID`` with ``_keyed_chunks`` in blocks of ``block`` steps
-    (default ``chunk``).  Returns the positions (NaN where a row no longer
-    walks), the ``(step, steps)`` of each yielded block, and the normals each
-    row drew; row ``i`` is retired after block ``retire_after[i]``."""
+def _walked(start, rows, block, retire_after=None, restart=False):
+    """Walk ``_WALK_GRID`` with ``_keyed_chunks`` in blocks of ``block`` steps.
+    Returns the positions (NaN where a row no longer walks), the
+    ``(step, steps)`` of each yielded block, and the normals each row drew;
+    row ``i`` is retired after block ``retire_after[i]``."""
     g = _WALK_GRID
     out = np.full((rows, g.n_steps, len(start)), np.nan)
     retired = np.zeros(rows, dtype=bool)
@@ -161,7 +160,7 @@ def _walked(start, rows, chunk, block=None, retire_after=None):
     saved, experiments.Generator = experiments.Generator, counting
     try:
         for j, (step, alive, W) in enumerate(experiments._keyed_chunks(
-                31, 4, rows, start, g.dt, g.n_steps, chunk, block or chunk, retired)):
+                31, 4, rows, start, g.dt, g.n_steps, block, retired, restart=restart)):
             assert not retired[alive].any()
             assert W.shape == (alive.size, W.shape[1], len(start))
             out[alive, step:step + W.shape[1]] = W
@@ -174,54 +173,56 @@ def _walked(start, rows, chunk, block=None, retire_after=None):
     return out, blocks, drawn
 
 
-def _block_ends(n_steps, chunk, block):
-    """Grid indices where the blocks end: every ``block`` steps from each
-    multiple of ``chunk``, at each multiple of ``chunk``, and at the end."""
-    return sorted({min(c + b, c + chunk, n_steps)
-                   for c in range(0, n_steps, chunk) for b in range(block, chunk + block, block)})
+def _block_ends(n_steps, block):
+    """Grid indices where the blocks end: every multiple of ``block``, and the end."""
+    return sorted({min(b, n_steps) for b in range(block, n_steps + block, block)})
+
+
+def _norm(W):
+    return _bessel_norm(W, np.empty(W.shape[:2]))
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(1, 6), st.integers(1, 320))
-def test_keyed_chunks_match_one_block_engine(rows, chunk):
+def test_keyed_chunks_match_one_block_engine(rows, block):
     g = _WALK_GRID
-    B = brownian_rows(g, 31, 4, rows)[:, 1:]
+    B = [brownian_rows(g, 31, 4, rows, substream=c)[:, 1:] for c in range(3)]
     R = bessel3_rows(g, 1.5, 31, 4, rows)[:, 1:]
-    W1 = _walked((0.0,), rows, chunk)[0][:, :, 0]
-    W3 = _walked((1.5, 0.0, 0.0), rows, chunk)[0]
-    R3 = np.sqrt(np.sum(W3 * W3, axis=2))
-    assert np.max(np.abs(W1 - B)) <= 1e-12
-    assert np.max(np.abs(R3 - R)) <= 1e-12
-    if chunk >= g.n_steps:
-        assert W1.tobytes() == B.tobytes() and R3.tobytes() == R.tobytes()
+    W1 = _walked((0.0,), rows, block)[0]
+    W3 = _walked((1.5, 0.0, 0.0), rows, block)[0]
+    assert W1[:, :, 0].tobytes() == B[0].tobytes()
+    assert [W3[:, :, c].tobytes() for c in range(3)] == [(B[0] + 1.5).tobytes(), B[1].tobytes(), B[2].tobytes()]
+    assert _norm(W3).tobytes() == R.tobytes()
+    # the last-visit walker's restart at every block keeps the positions to rounding
+    assert np.max(np.abs(_walked((0.0,), rows, block, restart=True)[0][:, :, 0] - B[0])) <= 1e-12
+    assert np.max(np.abs(_norm(_walked((1.5, 0.0, 0.0), rows, block, restart=True)[0]) - R)) <= 1e-12
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.integers(1, 5), st.integers(1, 320), st.data())
-def test_keyed_chunk_blocks_keep_every_position_bit(rows, chunk, data):
-    block = data.draw(st.integers(1, chunk))
+@given(st.integers(1, 5), st.integers(1, 320), st.booleans())
+def test_keyed_chunk_blocks_keep_every_position_bit(rows, block, restart):
     for start in ((0.0,), (1.5, 0.0, 0.0)):
-        W, blocks, drawn = _walked(start, rows, chunk, block)
-        assert W.tobytes() == _walked(start, rows, chunk)[0].tobytes()
-        ends = _block_ends(_WALK_GRID.n_steps, chunk, block)
+        W, blocks, drawn = _walked(start, rows, block, restart=restart)
+        if not restart:
+            assert W.tobytes() == _walked(start, rows, _WALK_GRID.n_steps)[0].tobytes()
+        ends = _block_ends(_WALK_GRID.n_steps, block)
         assert blocks == list(zip([0, *ends[:-1]], np.diff([0, *ends]).tolist()))
-        assert all(step // chunk == (step + cs - 1) // chunk for step, cs in blocks)  # no straddle
         assert (drawn == _WALK_GRID.n_steps).all()
 
 
 @settings(max_examples=30, deadline=None)
-@given(st.integers(1, 64), st.integers(1, 64), st.data())
-def test_keyed_chunks_stop_drawing_retired_rows(chunk, block, data):
+@given(st.integers(1, 64), st.data())
+def test_keyed_chunks_stop_drawing_retired_rows(block, data):
     g = _WALK_GRID
-    ends = _block_ends(g.n_steps, chunk, block)
+    ends = _block_ends(g.n_steps, block)
     retire_after = data.draw(st.lists(st.integers(0, len(ends)), min_size=1, max_size=6))
     rows = len(retire_after)
-    W, _, drawn = _walked((0.0,), rows, chunk, block, retire_after)
+    W, _, drawn = _walked((0.0,), rows, block, retire_after)
     W = W[:, :, 0]
     walked = ~np.isnan(W)
     for i, j in enumerate(retire_after):
         assert walked[i].sum() == drawn[i, 0] == ends[min(j, len(ends) - 1)]
-    assert np.max(np.abs(W - brownian_rows(g, 31, 4, rows)[:, 1:])[walked], initial=0.0) <= 1e-12
+    assert W[walked].tobytes() == brownian_rows(g, 31, 4, rows)[:, 1:][walked].tobytes()
 
 
 _TRIGGERS = {"levels": (0.8, -0.5, None), "upper": (0.5, None, None), "line": (None, None, 0.5)}
@@ -237,13 +238,12 @@ def _walk_in_blocks(block, args):
 
 
 @settings(max_examples=30, deadline=None)
-@given(st.integers(1, 8), st.integers(0, 10**6), st.sampled_from(sorted(_TRIGGERS)), st.integers(300, 400),
-       st.integers(1, 400))
-def test_one_chunk_walk_equals_stop_at_mask_rows(rows, seed, trigger, chunk, block):
+@given(st.integers(1, 8), st.integers(0, 10**6), st.sampled_from(sorted(_TRIGGERS)), st.integers(1, 400))
+def test_one_chunk_walk_equals_stop_at_mask_rows(rows, seed, trigger, block):
     g = _WALK_GRID
     upper, lower, line_b = _TRIGGERS[trigger]
     stop_step, stop_value, run_min, censored = _walk_in_blocks(
-        block, (seed, 2, rows, g.dt, g.n_steps, chunk, upper, lower, line_b, 1.0))
+        block, (seed, 2, rows, g.dt, g.n_steps, upper, lower, line_b, 1.0))
     B = brownian_rows(g, seed, 2, rows)
     mask = np.zeros(B.shape, dtype=bool)
     if upper is not None:
@@ -260,14 +260,12 @@ def test_one_chunk_walk_equals_stop_at_mask_rows(rows, seed, trigger, chunk, blo
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.integers(1, 8), st.integers(0, 10**6), st.sampled_from(sorted(_TRIGGERS)), st.integers(1, 320),
-       st.data())
-def test_walk_blocks_match_one_block_per_chunk(rows, seed, trigger, chunk, data):
-    block = data.draw(st.integers(1, chunk))
+@given(st.integers(1, 8), st.integers(0, 10**6), st.sampled_from(sorted(_TRIGGERS)), st.integers(1, 320))
+def test_walk_blocks_match_one_block_per_chunk(rows, seed, trigger, block):
     g = _WALK_GRID
     upper, lower, line_b = _TRIGGERS[trigger]
-    args = (seed, 2, rows, g.dt, g.n_steps, chunk, upper, lower, line_b, 1.0)
-    assert _bitwise_equal(_walk_in_blocks(block, args), _walk_in_blocks(chunk, args))
+    args = (seed, 2, rows, g.dt, g.n_steps, upper, lower, line_b, 1.0)
+    assert _bitwise_equal(_walk_in_blocks(block, args), _walk_in_blocks(g.n_steps, args))
 
 
 _GEN_GRID = make_grid(4.0, 160)

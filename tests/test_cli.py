@@ -10,9 +10,12 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from sigmapaths.calculus import running_min
 from sigmapaths.cli import main
-from sigmapaths.experiments import EXPERIMENTS
-from sigmapaths.grids import read_paths_csv
+from sigmapaths.decompose import sigma_compose
+from sigmapaths.experiments import EXPERIMENTS, _martingale_spec
+from sigmapaths.generators import GeneratorSpec, generate_rows
+from sigmapaths.grids import Path as GridPath, read_paths_csv
 from sigmapaths.reports import reports_equal_ignoring_meta
 
 
@@ -185,6 +188,27 @@ def test_decompose_writes_classd_report(runner, tmp_path):
     table = (out / "decomposition_path0.csv").read_text().splitlines()
     assert table[0] == "t,M,I,X,A,N"
     assert len(table) == 130
+
+
+def test_decompose_csv_columns_are_sigma_compose(runner, tmp_path):
+    # seed 3 runs 6 rows before M first sets a new minimum, where -log(I) is -0
+    out = tmp_path / "dec"
+    r = runner.invoke(main, [
+        "decompose", "--family", "exp_martingale", "--stop-level", "1", "--n-steps", "64",
+        "--paths", "4", "--seed", "3", "--workers", "1", "--out", str(out),
+    ])
+    assert r.exit_code == 0, r.output
+    lines = (out / "decomposition_path0.csv").read_text().splitlines()
+    cells = [line.split(",") for line in lines[1:]]
+    assert "-0" not in {c for row in cells for c in row}
+    table = dict(zip(lines[0].split(","), np.array(cells, dtype=float).T))
+    mspec = _martingale_spec(GeneratorSpec.from_config(json.loads((out / "classd_report.json").read_text())["spec"]))
+    M = generate_rows(mspec, 3, 0, 1)[0]
+    triple = sigma_compose(GridPath(mspec.grid, M))
+    expected = {"t": mspec.grid.times, "M": M, "I": running_min(M), "X": triple.submartingale.values,
+                "A": triple.increasing_part.values, "N": triple.martingale_part.values}
+    assert list(table) == list(expected)
+    assert all(table[k].tobytes() == np.asarray(v, dtype=float).tobytes() for k, v in expected.items())
 
 
 def test_decompose_rejects_non_martingale_family(runner, tmp_path):

@@ -3,9 +3,9 @@
 Each entry pins, at a reduced size, the sha256 of a report without its
 ``meta`` block in the package's canonical encoding, or of the raw bytes of a
 ``simulate`` CSV.  Sizes are chosen so that the experiments on long grids and
-the walkers split into several batches, and the first-passage walker runs
-across several of its 4000-step carry chunks.  A change that alters a digest
-on purpose updates the table and says why in CHANGES.md.
+the walkers split into several batches, and the first-passage walker carries
+one running sum across 16 of its 1000-step draw blocks.  A change that alters
+a digest on purpose updates the table and says why in CHANGES.md.
 """
 
 import hashlib
@@ -19,11 +19,11 @@ from sigmapaths.reports import report_json_bytes, strip_meta
 
 _SEED = ["--seed", "506369"]
 _SPEC = ["--family", "exp_martingale", "--stop-level", "1", "--horizon", "4", "--n-steps", "512"]
-# 10 full-row batches of 63 rows, or 2 Bessel walker batches of 341 rows
+# 10 full-row batches of 63 rows, or 2 Bessel walker batches of 409 rows
 _LONG = ["--horizon", "16", "--n-steps", "16384", "--paths", "600"]
 _WALK4 = ["--horizon", "4", "--dt", "0.01", "--paths", "4352"]       # 5 walker batches of 1048 rows
 _WALK16 = ["--horizon", "16", "--dt", "0.01", "--paths", "4352"]
-_CARRY4 = ["--horizon", "16", "--dt", "0.001", "--paths", "4352"]    # 4 carry chunks of 4000 steps
+_BLOCKS16 = ["--horizon", "16", "--dt", "0.001", "--paths", "4352"]  # 16,000 steps: 16 draw blocks of one sum
 _SIM = ["simulate", "--horizon", "4", "--n-steps", "64", "--paths", "3"]
 
 #: name -> (argv before the seed, output file, sha256)
@@ -56,17 +56,17 @@ GOLDEN = {
     "tail sigma_b": (
         ["experiment", "tail", "--kind", "sigma_b_expectation", "--b", "1", *_WALK16], "tail.json",
         "cd3e38ac9ff020bbbc160d71ba9725cecb6bea086fe16c19695b26a235a6b9e6"),
-    "tail T_a, 4 carry chunks": (
-        ["experiment", "tail", "--kind", "T_a_heavy_tail", *_CARRY4], "tail.json",
+    "tail T_a, 16 draw blocks": (
+        ["experiment", "tail", "--kind", "T_a_heavy_tail", *_BLOCKS16], "tail.json",
         "7620a921219cf7bdcef8b3e0db6d9197601efd5205a959630c99fe7a3c30c385"),
-    "tail sigma_b, 4 carry chunks": (
-        ["experiment", "tail", "--kind", "sigma_b_expectation", "--b", "1", *_CARRY4], "tail.json",
+    "tail sigma_b, 16 draw blocks": (
+        ["experiment", "tail", "--kind", "sigma_b_expectation", "--b", "1", *_BLOCKS16], "tail.json",
         "e91703a2bd635482f7514d3c2ed046271232ace189c76477229e4054d93111cb"),
-    "saturation nonsaturated, 4 carry chunks": (
-        ["experiment", "saturation", "--kind", "nonsaturated_zero_set", *_CARRY4], "saturation.json",
+    "saturation nonsaturated, 16 draw blocks": (
+        ["experiment", "saturation", "--kind", "nonsaturated_zero_set", *_BLOCKS16], "saturation.json",
         "37ff99a1459f5a6d3de1a604017fe8602744ba7a17b434aaedabfd5c16f66a0b"),
-    "saturation saturated, 4 carry chunks": (
-        ["experiment", "saturation", "--kind", "saturated_level_set", *_CARRY4], "saturation.json",
+    "saturation saturated, 16 draw blocks": (
+        ["experiment", "saturation", "--kind", "saturated_level_set", *_BLOCKS16], "saturation.json",
         "43278d87e1f1d7702711cea717b0c30cde718430953ff27fc05f40fdfadbd6f8"),
     "simulate brownian": (
         [*_SIM, "--family", "brownian"], "paths.csv",
