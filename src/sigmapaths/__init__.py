@@ -18,7 +18,6 @@ from .decompose import (
     MultDecomp,
     SigmaTriple,
     carried_by_zeros,
-    class_d_from_batches,
     minimality_gap,
     mult_compose,
     mult_decompose,

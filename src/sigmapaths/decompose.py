@@ -47,7 +47,6 @@ __all__ = [
     "sigma_martingale",
     "carried_by_zeros",
     "minimality_gap",
-    "class_d_from_batches",
 ]
 
 #: Acceptance threshold for the zero-carried score.
@@ -402,15 +401,3 @@ def class_d_from_path_stats(parts: Iterable[tuple[np.ndarray, ...]], grid: TimeG
         e_mean_drift=float(np.mean(m_T) - 1.0),
         tail_mass=float(np.mean(m_T > _TAIL_LEVEL)),
     )
-
-
-def class_d_from_batches(batches: Iterable[np.ndarray], grid: TimeGrid) -> ClassDReport:
-    """Integrability diagnostics for an ensemble of positive martingale paths.
-
-    ``batches`` yields ``(rows, n+1)`` arrays of positive M-paths with
-    ``M_0 = 1``.  Per-path statistics are concatenated in batch order, so the
-    result does not depend on how the ensemble was split into batches.  The
-    experiments compute :func:`class_d_path_stats` where the paths are
-    generated and pass the vectors to :func:`class_d_from_path_stats`.
-    """
-    return class_d_from_path_stats((class_d_path_stats(M) for M in batches), grid)

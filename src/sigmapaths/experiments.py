@@ -27,13 +27,14 @@ Estimation strategy notes, shared by several experiments:
   draws each path's streams in blocks and carries one running sum per
   stream across them, so a position is one cumulative sum and the block
   size changes no report byte; it stops drawing a path once its caller
-  retires it.  Only the Bessel last-visit walker restarts its sum at every
-  block, so its block of ``_REVISIT_BLOCK`` steps is part of that report's
-  identity.  The first-passage and the Bessel last-visit batches reduce over
-  it block by block; :func:`~.generators.generate_rows` walks it for the
-  full-row batches.  Stops are decided at grid resolution by one rule,
-  :func:`_first_stop`, and a stopped path draws no block past its stop; that
-  is what makes the 10^5-path tail studies affordable.
+  retires it.  Only the last-visit walker, which serves both azema-law
+  families, restarts its sum at every block, so its block of
+  ``_REVISIT_BLOCK`` steps is part of both azema-law reports' identity.  The
+  first-passage and the last-visit batches reduce over it block by block;
+  :func:`~.generators.generate_rows` walks it for the full-row batches.
+  Stops are decided at grid resolution by one rule, :func:`_first_stop`, and
+  a stopped path draws no block past its stop; that is what makes the
+  10^5-path tail studies affordable.
 """
 
 from __future__ import annotations
@@ -121,7 +122,7 @@ def _concat_batches(fn: Callable, arglist: list, workers: int) -> tuple[np.ndarr
 _WALK_BLOCK = 1000
 #: Steps per block of the last-visit walker, which restarts its running sum at
 #: every block: floating-point addition is not associative, so this period is
-#: part of the azema-law report's identity.
+#: part of the identity of both azema-law reports (bessel3 and exp_martingale).
 _REVISIT_BLOCK = 512
 #: The last-visit walker retires a path beyond this multiple of the level.
 _ESCAPE_MULT = 8.0
@@ -392,26 +393,46 @@ def _state_bin_edges(state_t: np.ndarray, bins: int | Sequence[float]) -> np.nda
     return edges
 
 
-def _bessel_revisit_batch(args):
-    """One batch of the Bessel last-visit experiment.
+def _revisit_start(spec: GeneratorSpec) -> tuple:
+    """Start of the last-visit walker's Brownian components: the 3-D start of
+    a Bessel path, or the one Brownian motion under ``M = exp(B - t/2)``."""
+    return (spec.params["x0"], 0.0, 0.0) if spec.family == "bessel3" else (0.0,)
 
-    Simulates the three components in ``_REVISIT_BLOCK``-step blocks, each
-    of which restarts its running sum from the last position; after time
-    ``t`` a path is retired as soon as it crosses the level (survival score
-    1) or escapes beyond ``_ESCAPE_MULT * level`` (score = exact residual hit
-    probability y/R).  Paths reaching the horizon score ``min(y/R_H, 1)``.
-    Returns (state at t, survival scores, ambiguous flags, correction mass).
+
+def _bessel_revisit_batch(args):
+    """One batch of the last-visit walker, for both azema-law families.
+
+    The state is the Bessel norm ``R`` of three components, or ``M = exp(B -
+    t/2)`` of one, and the exact probability that it visits the level after
+    a stopping time where it stands at ``z`` is ``min(num/den, 1)``, with
+    ``(num, den) = (level, R)`` for Bessel(3) and ``(M, level)`` for the
+    exponential martingale.  The components are walked in
+    ``_REVISIT_BLOCK``-step blocks, each of which restarts its running sum
+    from the last position; after time ``t`` a path is retired as soon as it
+    crosses the level (survival score 1) or ends a block escaped with ``den
+    >= _ESCAPE_MULT * num`` (score = the exact residual ``num/den``).  Paths
+    reaching the horizon score ``min(num/den, 1)`` there.  Returns (state at
+    t, survival scores, ambiguous flags, correction mass).
     """
-    (seed, first, rows, x0, level, dt, n_steps, t_idx) = args
+    (cfg, seed, first, rows, level, t_idx) = args
+    spec = GeneratorSpec.from_config(cfg)
+    grid, bessel, start = spec.grid, spec.family == "bessel3", _revisit_start(spec)
     state_t = np.empty(rows)
     score = np.empty(rows)
     correction = np.zeros(rows)
     retired = np.zeros(rows, dtype=bool)
-    prev_state = np.full(rows, x0)  # R at the last grid index walked so far
+    # the state at the last grid index walked: R_0 = x0, or M_0 = 1
+    prev_state = np.full(rows, spec.params.get("x0", 1.0))
+
+    def hit(z):  # (num, den) of the hit probability min(num/den, 1) from state z
+        return (level, z) if bessel else (z, level)
 
     def scan(step, alive, W):
-        state = _bessel_norm(W, np.empty(W.shape[:2]))
-        end = step + state.shape[1]
+        end = step + W.shape[1]
+        if bessel:
+            state = _bessel_norm(W, np.empty(W.shape[:2]))
+        else:
+            state = np.exp(W[:, :, 0] - grid.times[step + 1:end + 1] / 2.0)
         if step < t_idx <= end:
             state_t[alive] = state[:, t_idx - step - 1]
         if end > t_idx:
@@ -419,37 +440,24 @@ def _bessel_revisit_batch(args):
             prev = prev_state[alive] if lo == 0 else state[:, lo - 1]
             rel = state[:, lo:] - level
             crossed = (rel[:, :-1] * rel[:, 1:] <= 0).any(axis=1) | ((prev - level) * rel[:, 0] <= 0)
-            escaped = ~crossed & (state[:, -1] >= _ESCAPE_MULT * level)
-            resid = level / state[escaped, -1]
+            num, den = hit(state[:, -1])
+            escaped = ~crossed & (den >= _ESCAPE_MULT * num)
+            resid = (num / den)[escaped]
             score[alive[crossed]] = 1.0
             score[alive[escaped]] = resid
             correction[alive[escaped]] = resid
             retired[alive[crossed | escaped]] = True
         prev_state[alive] = state[:, -1]
 
-    for block_args in _keyed_chunks(seed, first, rows, (x0, 0.0, 0.0), dt, n_steps, _REVISIT_BLOCK, retired,
+    for block_args in _keyed_chunks(seed, first, rows, start, grid.dt, grid.n_steps, _REVISIT_BLOCK, retired,
                                     restart=True):
         scan(*block_args)
     live = ~retired
-    resid = np.minimum(level / prev_state[live], 1.0)
+    num, den = hit(prev_state[live])
+    resid = np.minimum(num / den, 1.0)
     score[live] = resid
     correction[live] = resid
     return state_t, score, live & (score > 0.5), correction
-
-
-def _expmart_revisit_batch(args):
-    """Exp-martingale variant: full-grid rows, crossing of the level after t,
-    residual hit probability min(M_H / a, 1) at the horizon."""
-    (cfg, seed, first, rows, level, t_idx) = args
-    M = generate_rows(GeneratorSpec.from_config(cfg), seed, first, rows)
-    state_t = M[:, t_idx].copy()
-    rel = M[:, t_idx:] - level
-    crossed = (rel[:, :-1] * rel[:, 1:] <= 0).any(axis=1)
-    resid = np.minimum(M[:, -1] / level, 1.0)
-    score = np.where(crossed, 1.0, resid)
-    correction = np.where(crossed, 0.0, resid)
-    ambiguous = (~crossed) & (resid > 0.5)
-    return state_t, score, ambiguous, correction
 
 
 def azema_conditional_experiment(
@@ -479,24 +487,24 @@ def azema_conditional_experiment(
     t_idx = grid.index_at(t)
     if t_idx < 1:
         raise ValueError("t is below grid resolution")
+    if t_idx >= grid.n_steps:
+        raise ValueError(f"t={t} rounds onto the horizon, grid index {t_idx} of {grid.n_steps}, where no "
+                         "revisit can be resolved: lower --t or raise --n-steps")
     if spec.family == "bessel3":
-        x0 = spec.params["x0"]
-        # one path holds its 3-component draw block, its norm and one square in ``scan``
-        rows = _batch_rows(5 * _REVISIT_BLOCK)
-        args = [(master_seed, first, r, x0, level, grid.dt, grid.n_steps, t_idx) for first, r in _ranges(n_paths, rows)]
-        batch = _bessel_revisit_batch
         formula_at = oracles.scale_hit_probability
     elif spec.family == "exp_martingale":
         if level > 1.0:
             raise ValueError("exp_martingale last-visit level must be <= M_0 = 1")
-        cfg = spec.to_config()
-        rows = _batch_rows(len(grid))
-        args = [(cfg, master_seed, first, r, level, t_idx) for first, r in _ranges(n_paths, rows)]
-        batch = _expmart_revisit_batch
-        formula_at = lambda z, a: oracles.exp_martingale_level_hit_probability(z, a)
+        if spec.params:
+            raise ValueError(f"a stopped exp_martingale ({sorted(spec.params)}) does not vanish at infinity, "
+                             "so min(state/level, 1) is not its last-visit law")
+        formula_at = oracles.exp_martingale_level_hit_probability
     else:
         raise ValueError("azema experiment supports bessel3 and exp_martingale specs")
-    state_t, score, ambiguous, correction = _concat_batches(batch, args, workers)
+    # one path holds its draw block, its state and one temporary of the state in ``scan``
+    rows = _batch_rows((len(_revisit_start(spec)) + 2) * _REVISIT_BLOCK)
+    args = [(spec.to_config(), master_seed, first, r, level, t_idx) for first, r in _ranges(n_paths, rows)]
+    state_t, score, ambiguous, correction = _concat_batches(_bessel_revisit_batch, args, workers)
 
     edges = _state_bin_edges(state_t, bins)
 

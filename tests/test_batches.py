@@ -11,7 +11,7 @@ from hypothesis.extra import numpy as hnp
 import reference
 from sigmapaths import experiments
 from sigmapaths.calculus import tanaka_raw
-from sigmapaths.decompose import class_d_from_batches, class_d_path_stats
+from sigmapaths.decompose import class_d_from_path_stats, class_d_path_stats
 from sigmapaths.generators import GeneratorSpec, _bessel_norm, generate_rows
 from sigmapaths.grids import make_grid
 from sigmapaths.reports import report_json_bytes
@@ -32,11 +32,11 @@ def _bitwise_equal(a, b):
 
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.integers(1, _ENSEMBLE.shape[0] - 1), unique=True, max_size=8))
-def test_class_d_from_batches_ignores_row_splits(cuts):
+def test_class_d_from_path_stats_ignores_row_splits(cuts):
     grid = _SPECS["exp_martingale stopped"].grid
-    whole = class_d_from_batches([_ENSEMBLE], grid).as_dict()
+    whole = class_d_from_path_stats([class_d_path_stats(_ENSEMBLE)], grid).as_dict()
     pieces = np.split(_ENSEMBLE, sorted(cuts))
-    assert class_d_from_batches(pieces, grid).as_dict() == whole
+    assert class_d_from_path_stats(map(class_d_path_stats, pieces), grid).as_dict() == whole
 
 
 @lru_cache(maxsize=None)
@@ -100,10 +100,23 @@ def _batch_args(rows):
     expmart = GeneratorSpec("exp_martingale", {}, make_grid(4.0, 128)).to_config()
     return {
         "_martingale_batch": (expmart, 5, 3, rows),
-        "_bessel_revisit_batch": (5, 3, rows, 1.0, 1.0, 1.0 / 32, 256, 32),
-        "_expmart_revisit_batch": (expmart, 5, 3, rows, 0.5, 32),
+        "_bessel_revisit_batch": (bessel, 5, 3, rows, 1.0, 32),
         "_two_infinity_batch": (bessel, 5, 3, rows, 1.0, [128, 256]),
         "_walk_brownian_batch": (5, 3, rows, 1e-2, 400, 1.0, -2.0, None, 1.0),
+    }
+
+
+def _split_cases(rows):
+    """Batch functions taking ``(cfg, seed, first, rows, ...)``: the last-visit
+    walker on both of its families over three of its restart blocks, and the
+    two-infinity batch."""
+    long = make_grid(8.0, 1200)
+    return {
+        "last-visit bessel3": (experiments._bessel_revisit_batch,
+                               (GeneratorSpec("bessel3", {"x0": 1.0}, long).to_config(), 5, 3, rows, 1.0, 150)),
+        "last-visit exp_martingale": (experiments._bessel_revisit_batch,
+                                      (GeneratorSpec("exp_martingale", {}, long).to_config(), 5, 3, rows, 0.5, 150)),
+        "two-infinity": (experiments._two_infinity_batch, _batch_args(rows)["_two_infinity_batch"]),
     }
 
 
@@ -122,10 +135,9 @@ def test_every_batch_function_returns_per_path_tuple(rows):
 
 
 @settings(max_examples=30, deadline=None)
-@given(st.sampled_from(["_expmart_revisit_batch", "_two_infinity_batch"]), st.integers(1, 12),
-       st.integers(1, 3000))
+@given(st.sampled_from(sorted(_split_cases(1))), st.integers(1, 12), st.integers(1, 3000))
 def test_tiled_batches_ignore_tile_size(name, rows, batch_values):
-    fn, args = getattr(experiments, name), _batch_args(rows)[name]
+    fn, args = _split_cases(rows)[name]
     assert _bitwise_equal(_in_batches(fn, args, batch_values), fn(args))
 
 

@@ -340,6 +340,7 @@ def test_run_config_rejects_seed_outside_domain():
     (["experiment", "tail", "--paths", "10", "--kind", "sigma_b_expectation", "--b", "inf"],
      "b must be positive and finite"),
     (["experiment", "azema-law", "--paths", "64", "--level", "inf"], "level"),
+    (["experiment", "azema-law", "--paths", "64", "--t", "3.99", "--horizon", "4", "--n-steps", "16"], "--t"),
     (["experiment", "lemma-balance", "--paths", "10", "--stop-level", "inf"], "stop_level"),
     (["experiment", "tail", "--paths", "10", "--a", "nan"], "a must be positive and finite"),
     (["experiment", "tail", "--paths", "10", "--horizon", "1", "--dt", "0.7"], "--dt"),
@@ -356,9 +357,9 @@ def test_run_config_rejects_seed_outside_domain():
         "formats-empty", "formats-comma", "horizon-inf", "two-infinity-horizon-below-4",
         "azema-every-bin-dropped", "two-infinity-horizon-index-0", "two-infinity-horizons-aliased",
         "simulate-x0-inf", "two-infinity-level-inf", "two-infinity-x0-inf", "tail-a-inf", "tail-b-inf",
-        "azema-level-inf", "lemma-stop-level-inf", "tail-a-nan", "tail-dt-not-dividing-horizon",
-        "saturation-dt-not-dividing-horizon", "tail-horizon-below-every-time", "simulate-svg",
-        "decompose-svg"])
+        "azema-level-inf", "azema-t-rounds-onto-horizon", "lemma-stop-level-inf", "tail-a-nan",
+        "tail-dt-not-dividing-horizon", "saturation-dt-not-dividing-horizon", "tail-horizon-below-every-time",
+        "simulate-svg", "decompose-svg"])
 def test_out_of_domain_input_exits_2(runner, tmp_path, argv, option):
     out = tmp_path / "o"
     r = runner.invoke(main, [*argv, "--out", str(out)])

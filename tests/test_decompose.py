@@ -8,7 +8,8 @@ from sigmapaths.calculus import local_time_tanaka, running_min, tanaka_raw
 from sigmapaths.decompose import (
     CARRIED_SCORE_THRESHOLD,
     carried_by_zeros,
-    class_d_from_batches,
+    class_d_from_path_stats,
+    class_d_path_stats,
     default_zero_threshold,
     minimality_gap,
     mult_compose,
@@ -356,10 +357,14 @@ def test_zero_set_equality_and_c_consistency():
 # -- class-(D) diagnostics ------------------------------------------------------
 
 
+def _class_d(batches, grid):
+    return class_d_from_path_stats(map(class_d_path_stats, batches), grid)
+
+
 def test_class_d_constant_ensemble_exact():
     g = make_grid(1.0, 16)
     M = np.ones((8, 17))
-    rep = class_d_from_batches([M], g)
+    rep = _class_d([M], g)
     assert rep.e_mc.mean == 1.0 and rep.e_mc.stderr == 0.0
     assert rep.e_int.mean == 1.0
     assert rep.e_log_inv_i.mean == 0.0
@@ -371,7 +376,7 @@ def test_class_d_degenerate_exponential_closed_forms():
     for n in (64, 256):
         g = make_grid(1.0, n)
         M = np.exp(-g.times)[None, :].repeat(4, axis=0)
-        rep = class_d_from_batches([M], g)
+        rep = _class_d([M], g)
         assert rep.e_log_inv_i.mean == pytest.approx(1.0, abs=1e-9)
         # exact discrete quadratic variation of the deterministic path; O(dt)
         assert rep.e_qv_u.mean == pytest.approx(n * (np.exp(-g.dt) - 1.0) ** 2, rel=1e-9)
@@ -382,9 +387,9 @@ def test_class_d_degenerate_exponential_closed_forms():
 def test_class_d_requires_paths():
     g = make_grid(1.0, 4)
     with pytest.raises(ValueError, match="empty"):
-        class_d_from_batches([], g)
+        _class_d([], g)
     with pytest.raises(ValueError, match="M_0"):
-        class_d_from_batches([np.full((3, 5), 2.0)], g)
+        _class_d([np.full((3, 5), 2.0)], g)
 
 
 def test_class_d_pathwise_identities_converge_under_refinement():
@@ -398,7 +403,7 @@ def test_class_d_pathwise_identities_converge_under_refinement():
             inc = gaussian_increments(g, StreamKey(893, i, 0))
             batch[i] = np.exp(np.concatenate([[0.0], np.cumsum(inc)]) - g.times / 2.0)
         batch[:, 0] = 1.0
-        rep = class_d_from_batches([batch], g)
+        rep = _class_d([batch], g)
         errs[n] = (rep.pathwise_log_identity_median_err, rep.pathwise_inf_identity_median_err)
     assert errs[2048][0] < errs[512][0]
     assert errs[2048][1] < errs[512][1]
@@ -406,6 +411,6 @@ def test_class_d_pathwise_identities_converge_under_refinement():
 
 def test_class_d_from_ensemble_wrapper():
     g = make_grid(1.0, 32)
-    rep = class_d_from_batches([generate_rows(GeneratorSpec("exp_martingale", {}, g), 3, 0, 16)], g)
+    rep = _class_d([generate_rows(GeneratorSpec("exp_martingale", {}, g), 3, 0, 16)], g)
     assert rep.n_paths == 16
     assert rep.e_mc.n_samples == rep.e_int.n_samples == rep.e_qv_u.n_samples

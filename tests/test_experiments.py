@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from sigmapaths import oracles
-from sigmapaths.decompose import class_d_from_batches
+from sigmapaths.decompose import class_d_from_path_stats, class_d_path_stats
 from sigmapaths.experiments import (
     EXPERIMENTS,
     LEMMA_ACCEPTANCE_SPECS,
@@ -30,7 +30,7 @@ def _grid(h, n):
 def test_lemma_balance_constant_surrogate_exact():
     # a constant positive "martingale" keeps C at 1: both sides are exactly 1
     g = _grid(1, 16)
-    rep = class_d_from_batches([np.ones((64, 17))], g)
+    rep = class_d_from_path_stats([class_d_path_stats(np.ones((64, 17)))], g)
     assert rep.e_mc.mean == 1.0
     assert rep.e_int.mean == 1.0
 
@@ -108,6 +108,18 @@ def test_azema_exp_martingale_variant():
             assert abs(est.mean - f) <= max(0.08, 4.0 * est.stderr), (lo, hi)
 
 
+def test_azema_exp_martingale_escape_residual_is_exact():
+    # paths below the level at t mostly retire by escape (M <= level/8) and
+    # are scored by the residual M/level; with no absolute floor, scoring
+    # escaped paths 0 puts a bin 5.4 se off at this size
+    spec = GeneratorSpec("exp_martingale", {}, _grid(24, 8192))
+    tab = azema_conditional_experiment(spec, level=0.5, t=1.0, bins=[0.05, 0.15, 0.25, 0.35, 0.45],
+                                       n_paths=20000, master_seed=31)
+    assert len(tab.empirical) == 4
+    for c, est, f in zip(tab.bin_centers, tab.empirical, tab.formula):
+        assert abs(est.mean - f) <= 4.0 * est.stderr, (c, est.mean, f, est.stderr)
+
+
 def test_azema_table_monotone_above_level():
     spec = GeneratorSpec("bessel3", {"x0": 1.0}, _grid(16, 8192))
     tab = azema_conditional_experiment(spec, 1.0, 1.0, 12, 8000, 43)
@@ -140,6 +152,14 @@ def test_azema_rejects_bad_setup():
     brown = GeneratorSpec("brownian", {}, _grid(8, 256))
     with pytest.raises(ValueError, match="supports"):
         azema_conditional_experiment(brown, 1.0, 1.0, 4, 100, 1)
+    # t = 7.99 rounds to the last grid index, where no revisit can be resolved
+    with pytest.raises(ValueError, match="rounds onto the horizon"):
+        azema_conditional_experiment(spec, 1.0, 7.99, 4, 100, 1)
+    # a stopped M does not vanish at infinity: min(z/a, 1) is not its law
+    for params in ({"stop_level": 0.8}, {"stop_line_drift": 0.5}):
+        stopped = GeneratorSpec("exp_martingale", params, _grid(8, 256))
+        with pytest.raises(ValueError, match="does not vanish"):
+            azema_conditional_experiment(stopped, 0.5, 1.0, 4, 100, 1)
 
 
 # -- two infinity ------------------------------------------------------------------

@@ -21,6 +21,8 @@ _SEED = ["--seed", "506369"]
 _SPEC = ["--family", "exp_martingale", "--stop-level", "1", "--horizon", "4", "--n-steps", "512"]
 # 10 full-row batches of 63 rows, or 2 Bessel walker batches of 409 rows
 _LONG = ["--horizon", "16", "--n-steps", "16384", "--paths", "600"]
+# 2 exp_martingale walker batches of 682 rows (one component per path)
+_LONG_EXP = ["--horizon", "16", "--n-steps", "16384", "--paths", "1200"]
 _WALK4 = ["--horizon", "4", "--dt", "0.01", "--paths", "4352"]       # 5 walker batches of 1048 rows
 _WALK16 = ["--horizon", "16", "--dt", "0.01", "--paths", "4352"]
 _BLOCKS16 = ["--horizon", "16", "--dt", "0.001", "--paths", "4352"]  # 16,000 steps: 16 draw blocks of one sum
@@ -39,8 +41,8 @@ GOLDEN = {
         "f55891d6a6763e00236b10cd87593ac945f72b00dd13571316863a7ad6e6c6c4"),
     "azema-law exp_martingale": (
         ["experiment", "azema-law", "--family", "exp_martingale", "--level", "0.5", "--t", "1",
-         "--bins", "5", *_LONG], "azema_law.json",
-        "7bff699801449c8d8f43bec9385fb6ac55d97b306b8e832278b53b7703d42be0"),
+         "--bins", "5", *_LONG_EXP], "azema_law.json",
+        "ac89edaa1ade2c140b15af727dde877de3287dbf5a6a37486a852acfc0407e8d"),
     "two-infinity": (
         ["experiment", "two-infinity", *_LONG], "two_infinity.json",
         "8a83f755bc88b43d38d2da0c0d673c547c4f8222dd5551b80050616fdd1a70f3"),
