@@ -2,7 +2,9 @@
 
 Each entry pins, at a reduced size, the sha256 of a report without its
 ``meta`` block in the package's canonical encoding, or of the raw bytes of a
-``simulate`` CSV.  Sizes are chosen so that the experiments on long grids and
+``simulate`` CSV.  Each experiment entry also pins the sha256 of every CSV
+table and SVG chart it writes with ``--formats json,csv,svg``, and of its
+stdout summary line with the ``--out`` path replaced by ``<out>``.  Sizes are chosen so that the experiments on long grids and
 the walkers split into several batches, and the first-passage walker carries
 one running sum across 16 of its 1000-step draw blocks.  A change that alters
 a digest on purpose updates the table and says why in CHANGES.md.
@@ -91,6 +93,66 @@ GOLDEN = {
 }
 
 
+#: experiment entry -> {file or "stdout": sha256} of its run with ``--formats json,csv,svg``
+ARTIFACTS = {
+    "lemma-balance": {
+        "lemma_balance_estimates.csv": "45c21a101a1d062626e98abdbf2253ce3f6d18b9b463b6db0eff1f5f7c6b80b1",
+        "stdout": "21b5721caa2cb84000137e6bd9d9a9a91fbc3108f23ba83ba4778dffef77b0e1",
+    },
+    "azema-law bessel3": {
+        "azema_law_bins.csv": "0256d63ec8ac7a1a1af0df7c36596e3992dc1443f59c787df2ae0224b97a2778",
+        "azema_law_bins.svg": "4d4883973695e17dcb8ad1eaa12f874bdaafc315aa3b3f69e692f6819f753310",
+        "stdout": "1cb752edcbe5287f5e6c281c559f3cd5cf0a2537161c2d5689f4a9880f6d0a8f",
+    },
+    "azema-law exp_martingale": {
+        "azema_law_bins.csv": "6c4bfaa822fde9632ade5e90cc04562023351d18de5945fa2b760a748d2fb60f",
+        "azema_law_bins.svg": "53fddc6597b1e76490619b8b892fa4b65b8e98f6ec92cf3c34d2809e785a5791",
+        "stdout": "aad05b3d184261e4dfba106ea6068903ef1ce1903e25d8e931200d6a6b06594b",
+    },
+    "two-infinity": {
+        "two_infinity_gaps.csv": "0731c6d614525c5f63ea8c85283c6c8cf6ef06be7552164ae34a983a90648a79",
+        "two_infinity_gaps.svg": "57c375b588464073c62af12e371cc4ad2509c9d1d36b0d5d266a873081bce95b",
+        "stdout": "40c07e7f0a17799c2593784ce8044c6af2464ea607112c2bcb76dd950daf8cbb",
+    },
+    "saturation nonsaturated": {
+        "saturation_levels.csv": "7062e0035078d33565f7df50c8de800dde47d63717a551037ad10bcf0601f7a0",
+        "saturation_levels.svg": "1d0e76fcc2aef225d0046bf97783ab75919a81cf9f513b32744fcd1cfe3bbeff",
+        "stdout": "e6fc3f50dba1ff6ce39b7faaa4e9a607cd7de0733505d316c4b139ab40202cd4",
+    },
+    "saturation saturated": {
+        "stdout": "048a17387dcbc2832a8c626a3ee68130eb3c580c2b6efa6a2c31554f0a0dbbb3",
+    },
+    "tail T_a": {
+        "tail_levels.csv": "aa7f6e77678828b74101a2948020ab277c6d407887eee9ed1094b7d6409cea05",
+        "tail_levels.svg": "5977fdd81fdf74c660ca0fcc29b4eaf30b32930a0124156d75b0441650af3536",
+        "stdout": "90f9bf413efcd39d0b3947bcec39e5697301e19715456cf5d70bfd8f596496f0",
+    },
+    "tail sigma_b": {
+        "tail_levels.csv": "677afab380b4261b766cc5ecef743aee82243c46d642975779cd892b2011c137",
+        "tail_levels.svg": "10de2a6cd555efab69aae593aaf7ac5c350f43632f2834dbb44ecf03fe4de03c",
+        "stdout": "4730c1d6a661237ac86746c21b71e90dbe8a865cac687b45d289ff0c3aab6510",
+    },
+    "tail T_a, 16 draw blocks": {
+        "tail_levels.csv": "4ceee32eeaf12d5ee4e0aa13b3aa3d68ac0b1d7163ee88375792c72eab3e4fe1",
+        "tail_levels.svg": "03616fd4a58c8c5f3f5df48bc2935fa8f1854b9e17b555b522e6c3c28acee21f",
+        "stdout": "379762959fd1a5f544165fd809c774998f7d387e5f304d24f01f1cabf950505e",
+    },
+    "tail sigma_b, 16 draw blocks": {
+        "tail_levels.csv": "f9f5218e8e07e78e27d1774b3687215ac7cde424dc593e6d9cd448e98f204ba8",
+        "tail_levels.svg": "1e6341dc26e849ffa44f7170d2e817be11830916bfa405e9f3f88977a7a40b31",
+        "stdout": "8c6c3d168fa37235799c5f7cd91d5317a5fbe105e4e3022c13122f2464de1d82",
+    },
+    "saturation nonsaturated, 16 draw blocks": {
+        "saturation_levels.csv": "8434c68208a82ed339098202a9da0c25144d298cd98c1500499ff575b93b0b2b",
+        "saturation_levels.svg": "676417a9ff4f44ae93215ede48af1fd3488bfc2426b9b3acb2291447ddff78b5",
+        "stdout": "4b8f6df888b913dd39edebb6a359b7d1bb3535be303250129d38b57bd1dcb841",
+    },
+    "saturation saturated, 16 draw blocks": {
+        "stdout": "048a17387dcbc2832a8c626a3ee68130eb3c580c2b6efa6a2c31554f0a0dbbb3",
+    },
+}
+
+
 def _run(tmp_path, name, workers):
     argv, output, _ = GOLDEN[name]
     out = tmp_path / f"{name.replace(' ', '_')}-w{workers}"
@@ -114,3 +176,21 @@ def test_golden_digests(tmp_path, workers):
         name: sha for name, (_, _, sha) in GOLDEN.items()}
     docs = {name: json.loads(raws[name]) for name in ("decompose", "lemma-balance")}
     assert docs["decompose"]["results"] == docs["lemma-balance"]["results"]["classd"]
+
+
+def _artifacts(tmp_path, name, workers):
+    argv, _, _ = GOLDEN[name]
+    out = tmp_path / f"{name.replace(' ', '_')}-w{workers}"
+    r = CliRunner().invoke(main, [*argv, *_SEED, "--workers", str(workers),
+                                  "--formats", "json,csv,svg", "--out", str(out)])
+    assert r.exit_code == 0, r.output
+    pins = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted(out.iterdir()) if p.suffix != ".json"}
+    pins["stdout"] = hashlib.sha256(r.stdout.replace(str(out), "<out>").encode("utf-8")).hexdigest()
+    return pins
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_golden_tables_charts_and_summary_lines(tmp_path, workers):
+    names = [name for name, (argv, _, _) in GOLDEN.items() if argv[0] == "experiment"]
+    assert {name: _artifacts(tmp_path, name, workers) for name in names} == ARTIFACTS
