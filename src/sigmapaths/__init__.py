@@ -41,6 +41,6 @@ from .grids import (
     read_paths_csv,
     write_paths_csv,
 )
-from .streams import StreamKey, gaussian_increments
+from .streams import StreamKey
 
 __version__ = "0.1.0"

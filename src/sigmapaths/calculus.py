@@ -225,7 +225,7 @@ def sigma_example_triple(K: Path, kind: str):
 
     ``X = N + A`` holds exactly by construction in all three cases.
     """
-    from .decompose import SigmaTriple  # deferred: decompose imports this module
+    from .decompose import SigmaTriple, default_zero_threshold  # deferred: decompose imports this module
 
     if K.values[0] != 0.0:
         raise ValueError("sigma_example_triple requires K_0 = 0")
@@ -243,10 +243,9 @@ def sigma_example_triple(K: Path, kind: str):
     else:
         raise ValueError(f"kind must be 'abs', 'pos_part' or 'drawdown', got {kind!r}")
     N = X - A
-    eps = 2.0 * float(np.sqrt(K.grid.dt))
     return SigmaTriple(
         submartingale=K.with_values(X, label=f"{kind}({K.label})"),
         martingale_part=K.with_values(N, label=f"N[{kind}]"),
         increasing_part=K.with_values(A, label=f"A[{kind}]"),
-        zero_threshold=eps,
+        zero_threshold=default_zero_threshold(K.grid),
     )

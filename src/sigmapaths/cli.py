@@ -3,7 +3,9 @@
 Commands: ``simulate`` (write path ensembles as CSV), ``decompose`` (run the
 multiplicative decomposition diagnostics over an ensemble), ``verify`` (exact
 property suites), and ``experiment`` (the Monte Carlo studies; subcommands
-are generated from the experiment registry).
+are generated from the experiment registry).  An experiment's report object
+gives its own stdout summary line, and ``reports.write_report`` writes its
+JSON, tables and chart.
 
 Exit codes: 0 success; 2 invalid configuration or usage; 3 an acceptance
 threshold failed while the computation itself succeeded; 4 unwritable
@@ -293,7 +295,7 @@ def decompose(family, horizon, n_steps, paths, seed, out, formats, workers, **op
                    "A": triple.increasing_part.values, "N": triple.martingale_part.values}
         rows_csv = [dict(zip(columns, map(float, row))) for row in zip(*columns.values())]
         p = out_dir / "decomposition_path0.csv"
-        _write_guard(reports.write_csv_table, p, list(columns), rows_csv)
+        _write_guard(reports.write_csv_table, p, rows_csv)
         written.append(p.name)
     click.echo(
         f"decompose: {family} x{paths} at T={horizon}: "
@@ -322,36 +324,6 @@ def experiment():
     """Run a named Monte Carlo experiment (names come from the registry)."""
 
 
-def _summary_line(name: str, report) -> str:
-    envelope = report.as_report()
-    res = envelope["results"]
-    if name == "lemma-balance":
-        return (f"lemma-balance: |diff|={res['abs_diff']:.5f} "
-                f"({res['diff_over_stderr']:.2f} combined stderr, agree={res['ci_agreement']})")
-    if name == "azema-law":
-        return (f"azema-law: max|emp-formula|={res['max_abs_deviation']:.4f} "
-                f"censoring={envelope['censoring_rate']:.4f}")
-    if name == "two-infinity":
-        gaps = ", ".join(f"T={r['horizon']:g}: {r['median_gap']:.4f}" for r in res["per_horizon"])
-        return f"two-infinity: median gaps {gaps}"
-    if name == "saturation":
-        if res["levels"]:
-            lv = ", ".join(
-                f"a={r['level']:g}: {r['empirical_survival']['mean']:.4f} (ref {r['reference']:.4f})"
-                for r in res["levels"]
-            )
-            return f"saturation[{res['kind']}]: {lv}"
-        return f"saturation[{res['kind']}]: membership_rate={res['membership_rate']:.4f}"
-    if name == "tail":
-        ex = res["extras"]
-        if res["kind"] == "T_a_heavy_tail":
-            return f"tail[T_a]: loglog slope {ex['loglog_slope']:.3f} (ref {ex['loglog_slope_reference']:.3f})"
-        w = ex["wealth_estimate"]
-        return (f"tail[sigma_b]: E[exp(B-t/2)]={w['mean']:.4f}+-{w['stderr']:.4f} "
-                f"side_of_one={ex['side_of_one']}")
-    return name
-
-
 def _make_experiment_command(defn):
     @click.option("--paths", type=click.IntRange(min=1), default=10000, show_default=True)
     @_common_options
@@ -363,9 +335,8 @@ def _make_experiment_command(defn):
             report = defn.runner(seed=seed, n_paths=paths, workers=workers, **params)
         except ValueError as exc:
             raise click.UsageError(str(exc))
-        written = _write_guard(reports.write_report, out, defn.name.replace("-", "_"),
-                               report.as_report(), fmt)
-        click.echo(_summary_line(defn.name, report) + f" -> {out} ({', '.join(written)})")
+        written = _write_guard(reports.write_report, out, defn.name.replace("-", "_"), report, fmt)
+        click.echo(f"{report.summary()} -> {out} ({', '.join(written)})")
 
     for pname, default in reversed(list(defn.params.items())):
         ptype = {int: int, float: float}.get(type(default), str)

@@ -52,6 +52,7 @@ from .calculus import running_min, tanaka_raw
 from .decompose import ClassDReport, class_d_from_path_stats, class_d_path_stats
 from .generators import GeneratorSpec, _bessel_norm, generate_rows
 from .grids import McEstimate, make_grid
+from .reports import Chart
 from .streams import RNG_INFO, StreamKey
 
 __all__ = [
@@ -62,6 +63,7 @@ __all__ = [
     "tail_experiment",
     "LemmaBalanceReport",
     "ConditionalLawTable",
+    "LawBin",
     "TwoInfinityReport",
     "SaturationReport",
     "TailReport",
@@ -193,7 +195,8 @@ def _first_stop(P, times, upper=None, lower=None, line_b=None, line_level=1.0):
 
 
 # ---------------------------------------------------------------------------
-# report envelope
+# report envelope: each report class gives its JSON envelope (``as_report``),
+# its CSV tables (``tables``), its ``chart`` and its stdout line (``summary``)
 
 
 def _envelope(experiment: str, spec_cfg: dict | None, seed: int, n_paths: int,
@@ -211,6 +214,16 @@ def _envelope(experiment: str, spec_cfg: dict | None, seed: int, n_paths: int,
     }
 
 
+def _survival_rows(at, estimates, reference) -> list[dict]:
+    return [{"at": a, "empirical": e.mean, "stderr": e.stderr, "n": e.n_samples, "reference": r}
+            for a, e, r in zip(at, estimates, reference)]
+
+
+def _survival_chart(experiment: str) -> Chart:
+    return Chart("levels", "at", (("empirical", "empirical"), ("reference", "reference")),
+                 f"{experiment}: survival vs level/time", "level / time", "survival")
+
+
 # ---------------------------------------------------------------------------
 # lemma balance
 
@@ -223,6 +236,8 @@ class LemmaBalanceReport:
     seed: int
     classd: ClassDReport
     degenerate: bool
+
+    chart = None
 
     @property
     def e_mc(self) -> McEstimate:
@@ -241,6 +256,10 @@ class LemmaBalanceReport:
         return math.hypot(self.e_mc.stderr, self.e_int.stderr)
 
     @property
+    def diff_over_stderr(self) -> float:
+        return self.abs_diff / max(self.combined_stderr, np.finfo(float).tiny)
+
+    @property
     def ci_agreement(self) -> bool:
         return self.abs_diff <= 3.0 * self.combined_stderr
 
@@ -249,12 +268,20 @@ class LemmaBalanceReport:
             "classd": self.classd.as_dict(),
             "abs_diff": self.abs_diff,
             "combined_stderr": self.combined_stderr,
-            "diff_over_stderr": self.abs_diff / max(self.combined_stderr, np.finfo(float).tiny),
+            "diff_over_stderr": self.diff_over_stderr,
             "ci_agreement": self.ci_agreement,
             "degenerate_ensemble": self.degenerate,
         }
         return _envelope("lemma-balance", self.spec_cfg, self.seed, self.classd.n_paths,
                          self.classd.horizon, 0.0, results)
+
+    def tables(self) -> dict:
+        names = ("e_mc", "e_int", "e_int_left", "e_log_inv_i", "e_qv_u")
+        return {"estimates": [{"estimate": n, **getattr(self.classd, n).as_dict()} for n in names]}
+
+    def summary(self) -> str:
+        return (f"lemma-balance: |diff|={self.abs_diff:.5f} "
+                f"({self.diff_over_stderr:.2f} combined stderr, agree={self.ci_agreement})")
 
 
 def _martingale_spec(spec: GeneratorSpec) -> GeneratorSpec:
@@ -315,16 +342,25 @@ LEMMA_ACCEPTANCE_SPECS: tuple[tuple[str, dict], ...] = (
 
 
 @dataclass(frozen=True)
+class LawBin:
+    """One kept state bin: its edges and center, the empirical survival of
+    its paths and the formula at its center."""
+
+    lo: float
+    hi: float
+    center: float
+    empirical: McEstimate
+    formula: float
+
+
+@dataclass(frozen=True)
 class ConditionalLawTable:
     """Per-bin empirical vs formula conditional survival P(g > t | state)."""
 
     level: float
     t: float
     horizon: float
-    bin_edges: tuple
-    bin_centers: tuple
-    empirical: tuple          # McEstimate per bin
-    formula: tuple            # float per bin
+    bins: tuple               # LawBin per kept bin
     n_dropped_bins: int
     censoring_rate: float
     tail_correction_mass: float
@@ -333,31 +369,25 @@ class ConditionalLawTable:
     seed: int
     warning: str = ""
 
+    chart = Chart("bins", "center", (("empirical", "empirical"), ("formula", "formula")),
+                  "conditional last-visit survival", "state at t", "P(g > t | state)")
+
     def __post_init__(self):
-        for est in self.empirical:
-            if not -1e-12 <= est.mean <= 1.0 + 1e-12:
+        for b in self.bins:
+            if not -1e-12 <= b.empirical.mean <= 1.0 + 1e-12:
                 raise ValueError("empirical conditional probabilities must lie in [0, 1]")
-        for f in self.formula:
-            if not 0.0 <= f <= 1.0:
+            if not 0.0 <= b.formula <= 1.0:
                 raise ValueError("formula values must lie in [0, 1]")
 
     def max_abs_deviation(self) -> float:
-        return max(abs(e.mean - f) for e, f in zip(self.empirical, self.formula))
+        return max(abs(b.empirical.mean - b.formula) for b in self.bins)
 
     def as_report(self) -> dict:
         results = {
             "level": self.level,
             "t": self.t,
-            "bins": [
-                {
-                    "lo": self.bin_edges[i],
-                    "hi": self.bin_edges[i + 1],
-                    "center": self.bin_centers[i],
-                    "empirical": self.empirical[i].as_dict(),
-                    "formula": self.formula[i],
-                }
-                for i in range(len(self.bin_centers))
-            ],
+            "bins": [{"lo": b.lo, "hi": b.hi, "center": b.center, "empirical": b.empirical.as_dict(),
+                      "formula": b.formula} for b in self.bins],
             "n_dropped_bins": self.n_dropped_bins,
             "tail_correction_mass": self.tail_correction_mass,
             "max_abs_deviation": self.max_abs_deviation(),
@@ -365,6 +395,14 @@ class ConditionalLawTable:
         }
         return _envelope("azema-law", self.spec_cfg, self.seed, self.n_paths,
                          self.horizon, self.censoring_rate, results)
+
+    def tables(self) -> dict:
+        return {"bins": [{"lo": b.lo, "hi": b.hi, "center": b.center, "empirical": b.empirical.mean,
+                          "stderr": b.empirical.stderr, "n": b.empirical.n_samples, "formula": b.formula}
+                         for b in self.bins]}
+
+    def summary(self) -> str:
+        return f"azema-law: max|emp-formula|={self.max_abs_deviation():.4f} censoring={self.censoring_rate:.4f}"
 
 
 def _state_bin_edges(state_t: np.ndarray, bins: int | Sequence[float]) -> np.ndarray:
@@ -508,20 +546,16 @@ def azema_conditional_experiment(
 
     edges = _state_bin_edges(state_t, bins)
 
-    centers, estimates, formulas = [], [], []
-    dropped = 0
+    kept = []
     idx = np.clip(np.searchsorted(edges, state_t, side="right") - 1, 0, len(edges) - 2)
     inside = (state_t >= edges[0]) & (state_t <= edges[-1])
     for b in range(len(edges) - 1):
         sel = inside & (idx == b)
-        if sel.sum() < 2:
-            dropped += 1
-            continue
-        center = 0.5 * (edges[b] + edges[b + 1])
-        centers.append(float(center))
-        estimates.append(McEstimate.from_samples(score[sel]))
-        formulas.append(float(formula_at(center, level)))
-    if not estimates:
+        if sel.sum() >= 2:
+            center = 0.5 * (edges[b] + edges[b + 1])
+            kept.append(LawBin(float(edges[b]), float(edges[b + 1]), float(center),
+                               McEstimate.from_samples(score[sel]), float(formula_at(center, level))))
+    if not kept:
         raise ValueError(f"no state bin holds 2 of the {state_t.size} paths; "
                          "raise --paths or lower --bins")
 
@@ -533,11 +567,8 @@ def azema_conditional_experiment(
         level=level,
         t=t,
         horizon=grid.horizon,
-        bin_edges=tuple(float(e) for e in edges),
-        bin_centers=tuple(centers),
-        empirical=tuple(estimates),
-        formula=tuple(formulas),
-        n_dropped_bins=dropped,
+        bins=tuple(kept),
+        n_dropped_bins=len(edges) - 1 - len(kept),
         censoring_rate=censoring,
         tail_correction_mass=float(np.mean(correction)),
         n_paths=int(state_t.size),
@@ -565,17 +596,25 @@ class TwoInfinityReport:
     spec_cfg: dict
     seed: int
 
+    chart = Chart("gaps", "horizon", (("median |M_T - 2 I_T|", "median_gap"),),
+                  "terminal balance gap vs horizon", "horizon", "median gap")
+
     def as_report(self) -> dict:
         results = {
             "level": self.level,
-            "per_horizon": [
-                {"horizon": h, "median_gap": g} for h, g in zip(self.horizons, self.median_gap)
-            ],
+            "per_horizon": self.tables()["gaps"],
             "nonincreasing": self.nonincreasing,
             "x_range_violation": self.x_range_violation,
         }
         return _envelope("two-infinity", self.spec_cfg, self.seed, self.n_paths,
                          max(self.horizons), 0.0, results)
+
+    def tables(self) -> dict:
+        return {"gaps": [{"horizon": h, "median_gap": g} for h, g in zip(self.horizons, self.median_gap)]}
+
+    def summary(self) -> str:
+        gaps = ", ".join(f"T={h:g}: {g:.4f}" for h, g in zip(self.horizons, self.median_gap))
+        return f"two-infinity: median gaps {gaps}"
 
 
 def _two_infinity_batch(args):
@@ -713,6 +752,8 @@ def _walk(n_paths, master_seed, dt, n_steps, workers, **trig) -> tuple:
 
 #: Most per-path samples a saturation report lists.
 _KEEP_SAMPLES = 10000
+#: Levels a at which the nonsaturated probe estimates P(X_L >= a).
+_SATURATION_LEVELS = (1.0, 2.0, 4.0)
 
 
 @dataclass(frozen=True)
@@ -732,6 +773,8 @@ class SaturationReport:
     horizon: float
     dt: float
     seed: int
+
+    chart = _survival_chart("saturation")
 
     def as_report(self) -> dict:
         results = {
@@ -757,12 +800,21 @@ class SaturationReport:
         cens = self.n_censored / n_total if n_total else 0.0
         return _envelope("saturation", None, self.seed, n_total, self.horizon, cens, results)
 
+    def tables(self) -> dict:
+        return {"levels": _survival_rows(self.levels, self.empirical_survival, self.reference)}
+
+    def summary(self) -> str:
+        if not self.levels:
+            return f"saturation[{self.kind}]: membership_rate={self.membership_rate:.4f}"
+        lv = ", ".join(f"a={a:g}: {e.mean:.4f} (ref {r:.4f})"
+                       for a, e, r in zip(self.levels, self.empirical_survival, self.reference))
+        return f"saturation[{self.kind}]: {lv}"
+
 
 def saturation_probe(
     kind: str,
     n_paths: int,
     master_seed: int,
-    levels: Sequence[float] = (1.0, 2.0, 4.0),
     horizon: float = 64.0,
     dt: float = 4e-4,
     workers: int = 1,
@@ -772,10 +824,10 @@ def saturation_probe(
     kind='nonsaturated_zero_set': L is the last time the path sits at its
     running minimum before T_1; X_L = |B_L| = -I_{T_1} is strictly positive
     with probability 1, and its survival P(X_L >= a) = 1/(1+a) (gambler's
-    ruin).  Simulation stops at the decision time T_1 ^ T_{-max(levels)},
-    which settles every level event exactly and leaves only an exponentially
-    rare horizon censoring; samples from paths that hit the lower barrier are
-    right-censored there and flagged.
+    ruin) is estimated at a = 1, 2, 4.  Simulation stops at the decision time
+    T_1 ^ T_{-4}, which settles every level event exactly and leaves only an
+    exponentially rare horizon censoring; samples from paths that hit the
+    lower barrier are right-censored there and flagged.
 
     kind='saturated_level_set': H = {t <= T_1 : B_t <= 0}; the end of the
     running-minimum set lies in H pathwise (the running minimum never exceeds
@@ -783,20 +835,20 @@ def saturation_probe(
     """
     n_steps = _walk_steps(horizon, dt)
     if kind == "nonsaturated_zero_set":
-        a_max = max(levels)
+        a_max = max(_SATURATION_LEVELS)
         stop_step, stop_value, run_min, censored = _walk(
             n_paths, master_seed, dt, n_steps, workers, upper=1.0, lower=-a_max
         )
         ok = ~censored
         neg_min = -run_min[ok]
         ests, refs = [], []
-        for a in levels:
+        for a in _SATURATION_LEVELS:
             ests.append(McEstimate.from_samples((neg_min >= a).astype(float)))
             refs.append(oracles.gamblers_ruin_down_before_up(a, 1.0))
         capped = stop_value[ok] <= -a_max
         return SaturationReport(
             kind=kind,
-            levels=tuple(float(a) for a in levels),
+            levels=_SATURATION_LEVELS,
             empirical_survival=tuple(ests),
             reference=tuple(refs),
             samples=tuple(float(v) for v in neg_min[:_KEEP_SAMPLES]),
@@ -834,6 +886,9 @@ def saturation_probe(
 # ---------------------------------------------------------------------------
 # tails: heavy T_a and the sigma_b expectation
 
+#: Times t at which the heavy-tail probe estimates P(T_a > t).
+_TAIL_TIMES = (1.0, 4.0, 16.0, 64.0)
+
 
 @dataclass(frozen=True)
 class TailReport:
@@ -850,6 +905,8 @@ class TailReport:
     dt: float
     seed: int
     warning: str = ""
+
+    chart = _survival_chart("tail")
 
     def __post_init__(self):
         means = [e.mean for e in self.empirical_survival]
@@ -869,6 +926,16 @@ class TailReport:
         return _envelope("tail", None, self.seed, self.n_paths, self.horizon,
                          self.censoring_rate, results)
 
+    def tables(self) -> dict:
+        return {"levels": _survival_rows(self.levels, self.empirical_survival, self.reference)}
+
+    def summary(self) -> str:
+        ex = self.extras
+        if self.kind == "T_a_heavy_tail":
+            return f"tail[T_a]: loglog slope {ex['loglog_slope']:.3f} (ref {ex['loglog_slope_reference']:.3f})"
+        w = ex["wealth_estimate"]
+        return f"tail[sigma_b]: E[exp(B-t/2)]={w['mean']:.4f}+-{w['stderr']:.4f} side_of_one={ex['side_of_one']}"
+
 
 def tail_experiment(
     kind: str,
@@ -878,15 +945,15 @@ def tail_experiment(
     b: float = 1.0,
     horizon: float = 64.0,
     dt: float = 1e-3,
-    times: Sequence[float] = (1.0, 4.0, 16.0, 64.0),
     workers: int = 1,
 ) -> TailReport:
     """Passage-time tails.
 
-    kind='T_a_heavy_tail': empirical survival of T_a at the given times and
-    the log-log slope fitted over the times >= 4, against the reflection
-    oracle (slope near -1/2: T_a is heavy tailed with infinite mean even
-    though the stopped exponential martingale is bounded).
+    kind='T_a_heavy_tail': empirical survival of T_a at those of the times
+    1, 4, 16, 64 that do not pass the horizon, and the log-log slope fitted
+    over the times >= 4, against the reflection oracle (slope near -1/2: T_a
+    is heavy tailed with infinite mean even though the stopped exponential
+    martingale is bounded).
 
     kind='sigma_b_expectation': estimates E[exp(B_sigma - sigma/2)] at the
     line hit sigma_b = inf{t : B_t + b t = 1} over uncensored paths.  The
@@ -899,10 +966,10 @@ def tail_experiment(
     if kind == "T_a_heavy_tail":
         if not 0 < a < math.inf:
             raise ValueError(f"a must be positive and finite, got {a}")
-        usable = [t for t in times if t <= horizon]
+        usable = [t for t in _TAIL_TIMES if t <= horizon]
         if not usable:
-            raise ValueError(f"--horizon {horizon} lies below every survival time {list(times)}; "
-                             f"raise it to at least {min(times)}")
+            raise ValueError(f"--horizon {horizon} lies below every survival time {list(_TAIL_TIMES)}; "
+                             f"raise it to at least {min(_TAIL_TIMES)}")
         stop_step, _, _, censored = _walk(
             n_paths, master_seed, dt, n_steps, workers, upper=a
         )

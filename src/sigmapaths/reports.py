@@ -1,5 +1,11 @@
 """Report emission: canonical JSON, CSV tables, and self-contained SVG charts.
 
+:func:`write_report` is the one renderer of experiment reports.  It knows no
+experiment: each report object gives its JSON envelope (``as_report()``),
+its CSV tables (``tables()``: table name -> rows, the header taken from the
+row keys) and its ``chart``, a :class:`Chart` that draws columns of one of
+those tables, or None.
+
 Reports are byte-deterministic: keys are sorted, floats use ``repr``, and the
 only non-reproducible content (wall-clock timestamp, library versions) lives
 in a separate ``meta`` object that comparison helpers strip.  Reports are
@@ -14,6 +20,7 @@ import math
 import platform
 from datetime import datetime, timezone
 from pathlib import Path as FsPath
+from typing import NamedTuple
 
 import numpy as np
 
@@ -23,7 +30,7 @@ __all__ = [
     "strip_meta",
     "reports_equal_ignoring_meta",
     "svg_line_chart",
-    "tables_and_charts",
+    "Chart",
 ]
 
 
@@ -60,11 +67,12 @@ def reports_equal_ignoring_meta(a: bytes | dict, b: bytes | dict) -> bool:
     return json.dumps(strip_meta(da), sort_keys=True) == json.dumps(strip_meta(db), sort_keys=True)
 
 
-def write_csv_table(path: FsPath, fieldnames: list[str], rows: list[dict]) -> None:
+def write_csv_table(path: FsPath, rows: list[dict]) -> None:
+    """A CSV table of ``rows``, with the keys of the first row as its header."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(fieldnames) + "\n")
+        fh.write(",".join(rows[0]) + "\n")
         for row in rows:
-            fh.write(",".join(_csv_cell(row.get(k)) for k in fieldnames) + "\n")
+            fh.write(",".join(_csv_cell(v) for v in row.values()) + "\n")
 
 
 def _csv_cell(v) -> str:
@@ -81,14 +89,21 @@ def _csv_cell(v) -> str:
 # minimal SVG line/scatter chart (no external assets)
 
 
-def svg_line_chart(
-    series: list[tuple[str, list[float], list[float]]],
-    title: str,
-    x_label: str = "",
-    y_label: str = "",
-    width: int = 640,
-    height: int = 400,
-) -> str:
+class Chart(NamedTuple):
+    """A report's chart: each ``(label, y column)`` of ``series`` drawn
+    against column ``x`` of the report table named ``table``."""
+
+    table: str
+    x: str
+    series: tuple
+    title: str
+    x_label: str
+    y_label: str
+
+
+def svg_line_chart(series: list[tuple[str, list[float], list[float]]], title: str, x_label: str,
+                   y_label: str) -> str:
+    width, height = 640, 400
     ml, mr, mt, mb = 60, 20, 34, 44
     pw, ph = width - ml - mr, height - mt - mb
     xs_all = [x for _, xs, _ in series for x in xs]
@@ -131,15 +146,11 @@ def svg_line_chart(
             parts.append(
                 f'<line x1="{ml}" y1="{py(yv):.1f}" x2="{ml + pw}" y2="{py(yv):.1f}" stroke="#ddd"/>'
             )
-    if x_label:
-        parts.append(
-            f'<text x="{ml + pw/2:.1f}" y="{height - 8}" text-anchor="middle">{x_label}</text>'
-        )
-    if y_label:
-        parts.append(
-            f'<text x="16" y="{mt + ph/2:.1f}" text-anchor="middle" '
-            f'transform="rotate(-90 16 {mt + ph/2:.1f})">{y_label}</text>'
-        )
+    parts.append(f'<text x="{ml + pw/2:.1f}" y="{height - 8}" text-anchor="middle">{x_label}</text>')
+    parts.append(
+        f'<text x="16" y="{mt + ph/2:.1f}" text-anchor="middle" '
+        f'transform="rotate(-90 16 {mt + ph/2:.1f})">{y_label}</text>'
+    )
     for k, (label, xs, ys) in enumerate(series):
         color = palette[k % len(palette)]
         pts = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in zip(xs, ys))
@@ -153,108 +164,29 @@ def svg_line_chart(
     return "\n".join(parts) + "\n"
 
 
-# ---------------------------------------------------------------------------
-# per-experiment tables and charts
-
-
-def tables_and_charts(envelope: dict) -> tuple[dict, dict]:
-    """CSV tables and SVG charts derived from a report envelope.
-
-    Returns ``(tables, charts)``: table name -> (fieldnames, rows), chart
-    name -> svg string.
-    """
-    kind = envelope.get("experiment", "")
-    results = envelope.get("results", {})
-    tables: dict = {}
-    charts: dict = {}
-    if kind == "lemma-balance":
-        cd = results["classd"]
-        rows = [
-            {"estimate": name, **cd[name]}
-            for name in ("e_mc", "e_int", "e_int_left", "e_log_inv_i", "e_qv_u")
-        ]
-        tables["estimates"] = (["estimate", "mean", "stderr", "n_samples"], rows)
-    elif kind == "azema-law":
-        rows = [
-            {
-                "lo": b["lo"],
-                "hi": b["hi"],
-                "center": b["center"],
-                "empirical": b["empirical"]["mean"],
-                "stderr": b["empirical"]["stderr"],
-                "n": b["empirical"]["n_samples"],
-                "formula": b["formula"],
-            }
-            for b in results["bins"]
-        ]
-        tables["bins"] = (["lo", "hi", "center", "empirical", "stderr", "n", "formula"], rows)
-        centers = [r["center"] for r in rows]
-        charts["bins"] = svg_line_chart(
-            [
-                ("empirical", centers, [r["empirical"] for r in rows]),
-                ("formula", centers, [r["formula"] for r in rows]),
-            ],
-            title="conditional last-visit survival",
-            x_label="state at t",
-            y_label="P(g > t | state)",
-        )
-    elif kind == "two-infinity":
-        rows = results["per_horizon"]
-        tables["gaps"] = (["horizon", "median_gap"], rows)
-        charts["gaps"] = svg_line_chart(
-            [("median |M_T - 2 I_T|", [r["horizon"] for r in rows], [r["median_gap"] for r in rows])],
-            title="terminal balance gap vs horizon",
-            x_label="horizon",
-            y_label="median gap",
-        )
-    elif kind in ("saturation", "tail"):
-        rows = [
-            {
-                "at": r.get("at", r.get("level")),
-                "empirical": r["empirical_survival"]["mean"],
-                "stderr": r["empirical_survival"]["stderr"],
-                "n": r["empirical_survival"]["n_samples"],
-                "reference": r["reference"],
-            }
-            for r in results["levels"]
-        ]
-        if rows:
-            tables["levels"] = (["at", "empirical", "stderr", "n", "reference"], rows)
-            charts["levels"] = svg_line_chart(
-                [
-                    ("empirical", [r["at"] for r in rows], [r["empirical"] for r in rows]),
-                    ("reference", [r["at"] for r in rows], [r["reference"] for r in rows]),
-                ],
-                title=f"{kind}: survival vs level/time",
-                x_label="level / time",
-                y_label="survival",
-            )
-    return tables, charts
-
-
-def write_report(
-    out_dir,
-    name: str,
-    envelope: dict,
-    formats: set[str],
-) -> list[str]:
-    """Write the JSON/CSV/SVG artifacts for one report; returns filenames."""
+def write_report(out_dir, name: str, report, formats: set[str]) -> list[str]:
+    """Write one experiment report and return the file names: its JSON
+    envelope, each non-empty table of ``report.tables()`` as CSV, and its
+    ``report.chart``, when that names a non-empty table, as SVG."""
     out = FsPath(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    tables = {t: rows for t, rows in report.tables().items() if rows}
     written = []
     if "json" in formats:
         p = out / f"{name}.json"
-        p.write_bytes(report_json_bytes(envelope))
+        p.write_bytes(report_json_bytes(report.as_report()))
         written.append(p.name)
-    tables, charts = tables_and_charts(envelope)
     if "csv" in formats:
-        for tname, (fields, rows) in tables.items():
-            p = out / f"{name}_{tname}.csv"
-            write_csv_table(p, fields, rows)
+        for t, rows in tables.items():
+            p = out / f"{name}_{t}.csv"
+            write_csv_table(p, rows)
             written.append(p.name)
-    if "svg" in formats:
-        for cname, svg in charts.items():
-            p = out / f"{name}_{cname}.svg"
-            p.write_text(svg, encoding="utf-8", newline="\n")
-            written.append(p.name)
+    chart = report.chart
+    if "svg" in formats and chart is not None and chart.table in tables:
+        rows = tables[chart.table]
+        series = [(label, [r[chart.x] for r in rows], [r[y] for r in rows]) for label, y in chart.series]
+        p = out / f"{name}_{chart.table}.svg"
+        p.write_text(svg_line_chart(series, chart.title, chart.x_label, chart.y_label),
+                     encoding="utf-8", newline="\n")
+        written.append(p.name)
     return written

@@ -15,11 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.random import Generator, Philox
 
-from .grids import TimeGrid
-
-__all__ = ["StreamKey", "gaussian_increments", "standard_normal_block", "RNG_INFO", "MAX_SEED"]
+__all__ = ["StreamKey", "RNG_INFO", "MAX_SEED"]
 
 #: Echoed into every report (design decision: fixed once, recorded).
 RNG_INFO = {"bit_generator": "Philox4x64", "gaussian_transform": "ziggurat"}
@@ -54,18 +51,3 @@ class StreamKey:
     def philox_key(self) -> np.ndarray:
         w1 = (self.path_index << 32) | self.substream
         return np.array([self.master_seed, w1], dtype=np.uint64)
-
-
-def standard_normal_block(key: StreamKey, n: int) -> np.ndarray:
-    """The first ``n`` standard normal draws of the stream ``key``."""
-    gen = Generator(Philox(key=key.philox_key()))
-    return gen.standard_normal(n)
-
-
-def gaussian_increments(grid: TimeGrid, key: StreamKey) -> np.ndarray:
-    """Brownian increments for ``grid``: n i.i.d. N(0, dt) draws.
-
-    Fully reproducible: the same key always yields the same block, regardless
-    of process, thread, or call order.
-    """
-    return standard_normal_block(key, grid.n_steps) * np.sqrt(grid.dt)

@@ -9,9 +9,20 @@ package did before they worked in reused buffers.  The tests compare the
 package against both bit for bit."""
 
 import numpy as np
+from numpy.random import Generator, Philox
 
 from sigmapaths.grids import TimeGrid
-from sigmapaths.streams import StreamKey, standard_normal_block
+from sigmapaths.streams import StreamKey
+
+
+def standard_normal_block(key: StreamKey, n: int) -> np.ndarray:
+    """The first ``n`` standard normal draws of the stream ``key``."""
+    return Generator(Philox(key=key.philox_key())).standard_normal(n)
+
+
+def gaussian_increments(grid: TimeGrid, key: StreamKey) -> np.ndarray:
+    """Brownian increments for ``grid``: n i.i.d. N(0, dt) draws of the stream ``key``."""
+    return standard_normal_block(key, grid.n_steps) * np.sqrt(grid.dt)
 
 
 def _normal_rows(master_seed: int, first_index: int, rows: int, substream: int, n: int) -> np.ndarray:

@@ -18,7 +18,9 @@ from sigmapaths.calculus import (
 from sigmapaths.decompose import carried_by_zeros, default_zero_threshold
 from sigmapaths.generators import GeneratorSpec, generate_rows
 from sigmapaths.grids import Path, make_grid
-from sigmapaths.streams import StreamKey, gaussian_increments
+from sigmapaths.streams import StreamKey
+
+from reference import gaussian_increments
 
 
 def _path(values, horizon=1.0):

