@@ -1,7 +1,8 @@
 """Discrete stochastic calculus on grid paths.
 
 Two layers live here.  Array kernels (``running_min``, ``ito_sum``,
-``qv_sum``, ``regulator``, ``tanaka_raw``, ``occupation_sum``) operate along
+``qv_sum``, ``regulator``, ``tanaka_raw``, ``tanaka_carried``,
+``occupation_sum``) operate along
 the last axis of numpy arrays so ensemble code can process thousands of paths
 per call.  The Path-level operations wrap those kernels with grid checks and
 the container types used across the package.
@@ -17,12 +18,18 @@ Conventions, fixed once:
   absorbing summation rounding, not discretization noise.)
 * The occupation-time estimator uses the band ``(-eps, eps)`` with default
   ``eps = sqrt(dt)``.
-* Full-row reductions (``tanaka_raw`` here; the class-(D) statistics of
+* The Tanaka residual has a carried form, ``tanaka_carried``, which takes a
+  path block by block: the sum so far is folded into each block's first
+  increment before one sequential cumsum, so any split of a path gives the
+  bits of one block.  ``tanaka_raw`` is its one-block case, and the
+  two-infinity batch of ``experiments`` streams through it.
+* Reductions (``tanaka_raw`` here; the class-(D) statistics of
   ``decompose`` and the two-infinity batch of ``experiments`` on top of these
   kernels) reuse a few buffers of their own instead of allocating one array
   per numpy step.  Each step keeps its operands and their order, so the
   results are bit-identical to the one-array-per-step form, and no kernel
-  writes into an array its caller passed in.
+  writes into an array its caller passed in other than its ``out``, ``work``
+  and carried state.
 """
 
 from __future__ import annotations
@@ -42,6 +49,7 @@ __all__ = [
     "qv_sum",
     "regulator",
     "tanaka_raw",
+    "tanaka_carried",
     "occupation_sum",
     "running_extremum",
     "ito_integral",
@@ -90,13 +98,35 @@ def regulator(z: np.ndarray) -> np.ndarray:
 
 
 def tanaka_raw(k: np.ndarray) -> np.ndarray:
-    """Tanaka residual ``|K_j| - |K_0| - sum_{i<j} sgn(K_i) dK_i``, sgn(0) = -1."""
-    ito = np.diff(k, axis=-1).astype(float, copy=False)
+    """Tanaka residual ``|K_j| - |K_0| - sum_{i<j} sgn(K_i) dK_i``, sgn(0) = -1:
+    the one-block case of :func:`tanaka_carried`."""
+    k = np.asarray(k)
+    out = np.empty(k.shape)
+    base = np.abs(k[..., 0])
+    np.subtract(base, base, out=out[..., 0])
+    if k.shape[-1] > 1:
+        tanaka_carried(k, base, np.full(base.shape, -0.0), out[..., 1:], np.empty(out[..., 1:].shape))
+    return out
+
+
+def tanaka_carried(k: np.ndarray, base, carry: np.ndarray, out: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """Tanaka residual over one block of a longer path, with carried state.
+
+    ``k[..., 0]`` is the path at the index before the block and ``k[..., 1:]``
+    the block; ``base`` is ``|K_0|`` and ``carry`` the sum of ``sgn(K_i) dK_i``
+    before the block, which moves to the block's end in place (start it at
+    -0.0, the exact additive identity).  The carry is folded into the block's
+    first increment before one sequential cumsum, so a path split into any
+    blocks gets the bits of one block.  Writes the residual into ``out`` (shaped
+    like ``k[..., 1:]``), with the increments in ``work``; returns ``out``."""
+    ito = np.subtract(k[..., 1:], k[..., :-1], out=work)
     np.negative(ito, out=ito, where=~(k[..., :-1] > 0))  # sgn(K_i) dK_i, exactly
-    out = np.abs(k)
-    out -= np.abs(k[..., :1])
-    out = out.astype(float, copy=False)
-    out[..., 1:] -= np.cumsum(ito, axis=-1, out=ito)
+    ito[..., :1] += carry[..., None]
+    np.cumsum(ito, axis=-1, out=ito)
+    carry[...] = ito[..., -1]
+    np.abs(k[..., 1:], out=out)
+    out -= base[..., None]
+    out -= ito
     return out
 
 

@@ -356,16 +356,16 @@ def class_d_path_stats(M: np.ndarray) -> tuple[np.ndarray, ...]:
         raise ValueError("every path must start at M_0 = 1")
     if np.any(M <= 0):
         raise ValueError("every path must stay positive")
-    # Three row buffers of our own (C, dC, u); M is the caller's and is only read.
+    # Two row buffers of our own (C and dC); M is the caller's and is only read.
     C = running_min(M)
     log_inv_i = -np.log(C[:, -1])
     np.divide(1.0, C, out=C)
     dC = np.diff(C, axis=1)
     mc = M[:, -1] * C[:, -1]
-    prod = C[:, 1:]  # C is spent: it holds the integrand products from here on
+    prod = C[:, 1:]  # C is spent: it holds the integrand products, then u
     int_right = 1.0 + np.sum(np.multiply(M[:, 1:], dC, out=prod), axis=1)
     int_left = 1.0 + np.sum(np.multiply(M[:, :-1], dC, out=prod), axis=1)
-    u = np.diff(M, axis=1)
+    u = np.subtract(M[:, 1:], M[:, :-1], out=prod)
     u /= M[:, :-1]
     QV = np.cumsum(np.multiply(u, u, out=dC), axis=1, out=dC)
     drift = np.cumsum(u, axis=1, out=u)

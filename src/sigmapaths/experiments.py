@@ -7,10 +7,10 @@ Estimation strategy notes, shared by several experiments:
   Paths are generated from per-path keyed streams in batches, and a batch is
   the only grouping of paths: one rule, :func:`_batch_rows`, sizes every
   batch so that it holds about ``_BATCH_VALUES`` values at a time (a full
-  row per path, or a walker's draw block).  Each batch function generates
-  its rows in one call and reduces them where they are generated, returning
-  a tuple of per-path arrays (leading dimension = rows), so only those
-  vectors travel back from a worker.  The parent concatenates them in path
+  row per path, or a draw block and what its reduction builds on it).  Each
+  batch function generates its rows in one pass and reduces them where they
+  are generated, returning a tuple of per-path arrays (leading dimension =
+  rows), so only those vectors travel back from a worker.  The parent concatenates them in path
   order before any cross-path reduction, so reports are bit-identical across
   reruns, worker counts and batch splits.
 
@@ -30,7 +30,9 @@ Estimation strategy notes, shared by several experiments:
   retires it.  Only the last-visit walker, which serves both azema-law
   families, restarts its sum at every block, so its block of
   ``_REVISIT_BLOCK`` steps is part of both azema-law reports' identity.  The
-  first-passage and the last-visit batches reduce over it block by block;
+  first-passage, last-visit and two-infinity batches reduce over it block by
+  block, the last with carried per-row state that is exact or one sequential
+  sum, so no two-infinity batch holds a full row;
   :func:`~.generators.generate_rows` walks it for the full-row batches.
   Stops are decided at grid resolution by one rule, :func:`_first_stop`, and
   a stopped path draws no block past its stop; that is what makes the
@@ -48,7 +50,7 @@ import numpy as np
 from numpy.random import Generator, Philox
 
 from . import oracles
-from .calculus import running_min, tanaka_raw
+from .calculus import tanaka_carried
 from .decompose import ClassDReport, class_d_from_path_stats, class_d_path_stats
 from .generators import GeneratorSpec, _bessel_norm, generate_rows
 from .grids import McEstimate, make_grid
@@ -126,6 +128,10 @@ _WALK_BLOCK = 1000
 #: every block: floating-point addition is not associative, so this period is
 #: part of the identity of both azema-law reports (bessel3 and exp_martingale).
 _REVISIT_BLOCK = 512
+#: Steps per block of the two-infinity batch, which draws every step of every
+#: path.  Its rows per batch shrink as the block grows, so the block sets only
+#: the draw calls: 1000 steps cost about 10% of terminal throughput in them.
+_TERMINAL_BLOCK = 4096
 #: The last-visit walker retires a path beyond this multiple of the level.
 _ESCAPE_MULT = 8.0
 
@@ -618,26 +624,58 @@ class TwoInfinityReport:
 
 
 def _two_infinity_batch(args):
-    """Per path: |M - 2I| at each horizon index, and the x-range violation."""
+    """Per path: |M - 2I| at each horizon index, and the x-range violation.
+
+    The Bessel(3) components are walked in ``_TERMINAL_BLOCK``-step blocks,
+    and each block is reduced with carried per-row state: the last ``S = 1 -
+    level/R``, the Tanaka sum and the running max of its residual, the
+    running min of ``M`` and the running max of ``S``.  Each step is exact or
+    one sequential sum, so the block size changes no bit.  ``h_indices`` are
+    ascending grid indices of at least 1."""
     (cfg, seed, first, rows, level, h_indices) = args
-    R = generate_rows(GeneratorSpec.from_config(cfg), seed, first, rows)
-    # In place on the batch's rows, which no one else holds: S = 1 - level/R,
-    # then E = exp(-A) with A half the clamped Tanaka local time, then
-    # M = (1 + X) E with X = max(S, 0) in the S buffer.
-    S = np.subtract(1.0, np.divide(level, R, out=R), out=R)
-    E = tanaka_raw(S)
-    np.maximum.accumulate(E, axis=-1, out=E)
-    E *= 0.5
-    np.negative(E, out=E)
-    np.exp(E, out=E)
-    # max(X - 1, initial=0) == max(X, initial=1) - 1: rounding is monotone
-    violation = np.maximum(np.max(S, axis=1, initial=1.0) - 1.0, -S[:, 0])
-    M = np.maximum(S, 0.0, out=S)
-    M += 1.0
-    M *= E
-    I = running_min(M)
-    gaps = M[:, h_indices]
-    gaps -= 2.0 * I[:, h_indices]
+    spec = GeneratorSpec.from_config(cfg)
+    grid, x0 = spec.grid, spec.params["x0"]
+    s_last = 1.0 - level / np.full(rows, x0)  # S_0
+    base = np.abs(s_last)
+    tanaka = np.full(rows, -0.0)  # the exact additive identity
+    local_max = base - base  # the residual at index 0
+    m_min = np.maximum(s_last, 0.0) + 1.0  # M_0 = (1 + X_0) exp(-0)
+    s_max = np.ones(rows)  # max(X - 1, 0) == max(S, 1) - 1: rounding is monotone
+    violation = -s_last
+    gaps = np.empty((rows, len(h_indices)))
+    block = min(_TERMINAL_BLOCK, grid.n_steps)
+    buf = np.empty(3 * rows * block + rows)
+    h = 0
+    for step, _, W in _keyed_chunks(seed, first, rows, (x0, 0.0, 0.0), grid.dt, grid.n_steps, block,
+                                    np.zeros(rows, dtype=bool)):
+        cs = W.shape[1]
+        # S holds the last S of the previous block in column 0; M's buffer holds the Tanaka increments first
+        S = buf[:rows * (cs + 1)].reshape(rows, cs + 1)
+        L = buf[rows * (block + 1):][:rows * cs].reshape(rows, cs)
+        M = buf[rows * (2 * block + 1):][:rows * cs].reshape(rows, cs)
+        S[:, 0] = s_last
+        R = _bessel_norm(W, S[:, 1:])
+        np.subtract(1.0, np.divide(level, R, out=R), out=R)
+        np.maximum(s_max, S.max(axis=1), out=s_max)
+        s_last = S[:, -1].copy()
+        tanaka_carried(S, base, tanaka, L, M)
+        np.maximum(local_max, L[:, 0], out=L[:, 0])
+        np.maximum.accumulate(L, axis=1, out=L)
+        local_max = L[:, -1].copy()
+        L *= -0.5  # E = exp(-A), A half the clamped Tanaka local time; -(x/2) exactly
+        E = np.exp(L, out=L)
+        np.maximum(S[:, 1:], 0.0, out=M)  # M = (1 + X) E, with X = max(S, 0)
+        M += 1.0
+        M *= E
+        lo = 0
+        while h < len(h_indices) and h_indices[h] <= step + cs:
+            col = h_indices[h] - step - 1
+            np.minimum(m_min, M[:, lo:col + 1].min(axis=1), out=m_min)
+            gaps[:, h] = M[:, col] - 2.0 * m_min
+            lo, h = col + 1, h + 1
+        if lo < cs:
+            np.minimum(m_min, M[:, lo:].min(axis=1), out=m_min)
+    np.maximum(s_max - 1.0, violation, out=violation)
     return np.abs(gaps, out=gaps), violation
 
 
@@ -672,7 +710,8 @@ def two_infinity_check(
         raise ValueError(f"horizons {hs} fall on grid indices {h_indices} of {grid.n_steps} steps; "
                          "they need distinct indices of at least 1: raise --n-steps")
     cfg = spec.to_config()
-    rows = _batch_rows(len(grid))
+    # one path holds its 3-component draw block, S, L, M and one temporary of the Bessel norm
+    rows = _batch_rows(7 * min(_TERMINAL_BLOCK, grid.n_steps))
     args = [(cfg, master_seed, first, r, y, h_indices) for first, r in _ranges(n_paths, rows)]
     gaps, violation = _concat_batches(_two_infinity_batch, args, workers)
     medians = [float(np.median(gaps[:, k])) for k in range(len(hs))]
@@ -977,6 +1016,7 @@ def tail_experiment(
         ests = [McEstimate.from_samples((t_hit > t).astype(float)) for t in usable]
         refs = [oracles.level_passage_survival(a, t) for t in usable]
         fit_times = [t for t in usable if t >= 4.0]
+        warning = ""
         if len(fit_times) >= 2:
             xs = np.log(fit_times)
             ys = np.log([max(e.mean, 1e-12) for e, t in zip(ests, usable) if t >= 4.0])
@@ -984,6 +1024,8 @@ def tail_experiment(
             slope_ref = oracles.level_passage_survival_slope(a, fit_times)
         else:
             slope = slope_ref = float("nan")
+            warning = (f"no log-log slope: {len(fit_times)} survival time(s) >= 4 within horizon {horizon:g}, "
+                       "the fit needs 2 (a horizon of at least 16)")
         extras = {
             "loglog_slope": slope,
             "loglog_slope_reference": slope_ref,
@@ -1000,6 +1042,7 @@ def tail_experiment(
             horizon=horizon,
             dt=dt,
             seed=master_seed,
+            warning=warning,
         )
     if kind == "sigma_b_expectation":
         if not 0 < b < math.inf:

@@ -146,7 +146,7 @@ def generate_rows(spec: GeneratorSpec, master_seed: int, first_index: int, rows:
     level = p.get("a", p.get("stop_level"))
     line_b = p.get("b", p.get("stop_line_drift"))
     stops = level is not None or line_b is not None
-    out = np.empty((rows, n + 1))
+    out = np.zeros((rows, n + 1)) if stops else np.empty((rows, n + 1))  # a stopped row leaves its tail unwritten
     out[:, 0] = start[0]
     stop = np.full(rows, n)
     bound = _batch_rows(len(grid))
@@ -164,13 +164,12 @@ def generate_rows(spec: GeneratorSpec, master_seed: int, first_index: int, rows:
                 has, at = _first_stop(W[:, :, 0], grid.times[cols], upper=level, line_b=line_b)
                 stop[off + alive[has]] = step + 1 + at[has]
                 retired[alive[has]] = True
-    if stops:
-        out = _freeze(out, stop)
     if spec.family == "exp_martingale":
-        t = np.minimum(grid.times, grid.times[stop][:, None]) if stops else grid.times
-        out -= t / 2.0
+        out -= grid.times / 2.0
         np.exp(out, out=out)
         out[:, 0] = 1.0
     elif spec.family == "scale_martingale":
         np.divide(x0, out, out=out)
+    if stops:  # exp(B_s - s/2) at the stop s is what the stopped (B, t) gives from there on
+        _freeze(out, stop)
     return out

@@ -1,6 +1,7 @@
 """Property tests of the batch contract: per-path results do not depend on
 how an ensemble is split into batches, draw blocks, row passes or workers."""
 
+import tracemalloc
 from functools import lru_cache
 
 import numpy as np
@@ -10,7 +11,7 @@ from hypothesis.extra import numpy as hnp
 
 import reference
 from sigmapaths import experiments
-from sigmapaths.calculus import tanaka_raw
+from sigmapaths.calculus import tanaka_carried, tanaka_raw
 from sigmapaths.decompose import class_d_from_path_stats, class_d_path_stats
 from sigmapaths.generators import GeneratorSpec, _bessel_norm, generate_rows
 from sigmapaths.grids import make_grid
@@ -394,3 +395,62 @@ def test_two_infinity_batch_matches_reference(rows, seed, level, h_indices):
                                              level, h_indices)
     assert _bitwise_equal(experiments._two_infinity_batch(args), expected)
     assert args[5] == h_indices
+
+
+@settings(max_examples=60, deadline=None)
+@given(_ROWS.filter(lambda k: k.shape[-1] > 1), st.data())
+def test_tanaka_carried_over_blocks_matches_one_block(k, data):
+    last = k.shape[-1] - 1
+    ends = sorted({*data.draw(st.lists(st.integers(1, last), max_size=6)), last})
+    expected = tanaka_raw(k)
+    base = np.abs(k[..., 0])
+    carry = np.full(base.shape, -0.0)
+    out = np.empty(k.shape)
+    out[..., 0] = expected[..., 0]
+    for a, b in zip([0, *ends[:-1]], ends):
+        tanaka_carried(k[..., a:b + 1], base, carry, out[..., a + 1:b + 1], np.empty(out[..., a + 1:b + 1].shape))
+    assert out.tobytes() == expected.tobytes()
+
+
+_TWO_INF_GRID = make_grid(8.0, 96)
+_TWO_INF_HORIZONS = [24, 48, 96]
+
+
+def _two_infinity_in_blocks(x0, level, rows, cuts, block):
+    """``_two_infinity_batch`` on ``_TWO_INF_GRID`` with ``_TERMINAL_BLOCK =
+    block``, split into row batches at ``cuts`` and concatenated in path order."""
+    cfg = GeneratorSpec("bessel3", {"x0": x0}, _TWO_INF_GRID).to_config()
+    saved = experiments._TERMINAL_BLOCK
+    experiments._TERMINAL_BLOCK = block
+    try:
+        parts = [experiments._two_infinity_batch((cfg, 11, 4 + a, b - a, level, _TWO_INF_HORIZONS))
+                 for a, b in zip([0, *cuts], [*cuts, rows])]
+    finally:
+        experiments._TERMINAL_BLOCK = saved
+    return tuple(np.concatenate(v) for v in zip(*parts))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([(1.0, 1.0), (1.0, 0.5), (2.0, 3.0)]),
+       st.one_of(st.sampled_from([1, 24, 48, 96, 500]), st.integers(2, 95)),
+       st.lists(st.integers(1, 8), unique=True, max_size=3).map(sorted))
+def test_two_infinity_batch_ignores_blocks_and_row_splits(x0_level, block, cuts):
+    # S_0 = 1 - level/x0 is 0 (sgn(0) = -1 from the first step), positive or negative; a block of
+    # 24 or 48 ends exactly on a horizon index, and 96 or more is one block
+    x0, level = x0_level
+    rows = 9
+    R = generate_rows(GeneratorSpec("bessel3", {"x0": x0}, _TWO_INF_GRID), 11, 4, rows)
+    expected = reference.two_infinity_reduce(R, level, _TWO_INF_HORIZONS)
+    assert _bitwise_equal(_two_infinity_in_blocks(x0, level, rows, cuts, block), expected)
+
+
+def test_two_infinity_batches_hold_blocks_not_rows():
+    # 130 paths on the default 16384-step grid: a batch that held full rows peaked near 40 MiB
+    spec = GeneratorSpec("bessel3", {"x0": 1.0}, make_grid(64.0, 16384))
+    tracemalloc.start()
+    try:
+        experiments.two_infinity_check(spec, [4.0, 8.0, 16.0, 32.0, 64.0], 130, 3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * experiments._BATCH_VALUES * 8, peak

@@ -252,6 +252,15 @@ def test_tail_t_a_survival_and_slope():
     assert -0.6 <= rep.extras["loglog_slope"] <= -0.4
 
 
+def test_tail_t_a_warns_when_no_slope_can_be_fitted():
+    # below horizon 16 only one survival time (4) is >= 4, so there is no log-log slope
+    short = tail_experiment("T_a_heavy_tail", 200, 5, horizon=4.0, dt=0.01)
+    assert np.isnan(short.extras["loglog_slope"])
+    assert "no log-log slope" in short.warning
+    assert short.as_report()["results"]["warning"] == short.warning
+    assert tail_experiment("T_a_heavy_tail", 200, 5, horizon=16.0, dt=0.01).warning == ""
+
+
 def test_tail_sigma_b_reports_not_asserts():
     rep = tail_experiment("sigma_b_expectation", 4000, 56, b=1.0, horizon=16.0, dt=1e-3)
     w = rep.extras["wealth_estimate"]
