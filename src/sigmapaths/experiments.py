@@ -10,9 +10,9 @@ Estimation strategy notes, shared by several experiments:
   row per path, or a draw block and what its reduction builds on it).  Each
   batch function generates its rows in one pass and reduces them where they
   are generated, returning a tuple of per-path arrays (leading dimension =
-  rows), so only those vectors travel back from a worker.  The parent concatenates them in path
-  order before any cross-path reduction, so reports are bit-identical across
-  reruns, worker counts and batch splits.
+  rows), so only those vectors travel back from a worker.  The parent
+  concatenates them in path order before any cross-path reduction, so
+  reports are bit-identical across reruns, worker counts and batch splits.
 
 * Last-visit times ("honest times") are not stopping times: a finite
   simulation can only bound them.  The experiments resolve the revisit event
@@ -129,8 +129,9 @@ _WALK_BLOCK = 1000
 #: part of the identity of both azema-law reports (bessel3 and exp_martingale).
 _REVISIT_BLOCK = 512
 #: Steps per block of the two-infinity batch, which draws every step of every
-#: path.  Its rows per batch shrink as the block grows, so the block sets only
-#: the draw calls: 1000 steps cost about 10% of terminal throughput in them.
+#: path.  Its batch rows shrink as the block grows, so the block sets only the
+#: draw calls per path: 1000-step blocks cost about 10% of its throughput in
+#: them on a 2-core VM, and 4096 about nothing.
 _TERMINAL_BLOCK = 4096
 #: The last-visit walker retires a path beyond this multiple of the level.
 _ESCAPE_MULT = 8.0
@@ -1024,8 +1025,8 @@ def tail_experiment(
             slope_ref = oracles.level_passage_survival_slope(a, fit_times)
         else:
             slope = slope_ref = float("nan")
-            warning = (f"no log-log slope: {len(fit_times)} survival time(s) >= 4 within horizon {horizon:g}, "
-                       "the fit needs 2 (a horizon of at least 16)")
+            warning = (f"no log-log slope: {len(fit_times)} survival time(s) >= 4 within horizon "
+                       f"{horizon:g}, the fit needs 2 (a horizon of at least 16)")
         extras = {
             "loglog_slope": slope,
             "loglog_slope_reference": slope_ref,

@@ -146,7 +146,8 @@ def generate_rows(spec: GeneratorSpec, master_seed: int, first_index: int, rows:
     level = p.get("a", p.get("stop_level"))
     line_b = p.get("b", p.get("stop_line_drift"))
     stops = level is not None or line_b is not None
-    out = np.zeros((rows, n + 1)) if stops else np.empty((rows, n + 1))  # a stopped row leaves its tail unwritten
+    # a stopped row leaves its tail unwritten, and the exp below must not see garbage there
+    out = np.zeros((rows, n + 1)) if stops else np.empty((rows, n + 1))
     out[:, 0] = start[0]
     stop = np.full(rows, n)
     bound = _batch_rows(len(grid))
