@@ -21,6 +21,11 @@ left-point Ito sums.  The discrete Stieltjes sum for ``int M dC`` evaluates
 occurs -- this is the grid transcription of the optional projection and makes
 the balance identity ``E[M_T C_T] = 1 + E[sum M dC]`` exact in expectation
 for discretely sampled martingales.
+
+The per-path class-(D) statistics come from one carried kernel,
+:func:`class_d_carried`, which takes paths block by block with the bits of
+one block; :func:`class_d_path_stats` is its one-block case, and the balance
+experiments stream their paths through it.
 """
 
 from __future__ import annotations
@@ -348,34 +353,84 @@ def class_d_path_stats(M: np.ndarray) -> tuple[np.ndarray, ...]:
     """Per-path class-(D) statistics of ``(rows, n+1)`` positive M-paths with
     ``M_0 = 1``: the vectors ``(mc, int_right, int_left, log_inv_i, qv_u,
     err_log, err_inf, m_T)``, each of length ``rows``.  Every statistic is a
-    reduction along its own row, so it does not depend on the other rows."""
+    reduction along its own row, so it does not depend on the other rows.
+    The one-block case of :func:`class_d_carried`."""
     M = np.asarray(M, dtype=float)
     if M.ndim != 2:
         raise ValueError("each batch must be a 2-D (paths, points) array")
     if np.any(M[:, 0] != 1.0):
         raise ValueError("every path must start at M_0 = 1")
-    if np.any(M <= 0):
+    carry = class_d_start(len(M))
+    right, left = np.empty((2, len(M), M.shape[1] - 1))
+    class_d_carried(M, carry, right, left, np.empty(2 * M.size - len(M)))
+    return class_d_finish(carry, right, left)
+
+
+def class_d_start(rows: int) -> np.ndarray:
+    """Carried class-(D) state of ``rows`` paths at ``M_0 = 1``, for
+    :func:`class_d_carried`: per path (columns), the running minimum ``I``, the
+    sums of ``u = dM/M`` and of ``u**2`` (started at -0.0, the exact additive
+    identity), the minimum of ``drift = sum u - sum u**2 / 2`` and the maximum
+    of ``|drift - log M|`` (both started at their value 0 at index 0), and the
+    last ``M``."""
+    return np.repeat(np.array([[1.0], [-0.0], [-0.0], [0.0], [0.0], [1.0]]), rows, axis=1)
+
+
+def class_d_carried(M: np.ndarray, carry: np.ndarray, right: np.ndarray, left: np.ndarray,
+                    work: np.ndarray) -> None:
+    """Class-(D) sums over one block of longer positive M-paths, with carried
+    state.
+
+    ``M[:, 0]`` is each path at the grid index before the block and ``M[:,
+    1:]`` the block; ``carry`` (from :func:`class_d_start`) moves to the block's
+    end in place.  Each running sum is folded into the block's first term
+    before one sequential cumsum, and the minima and maxima are exact, so a
+    path split into any blocks gets the bits of one block.  The Stieltjes
+    terms ``M_{j+1} dC_j`` and ``M_j dC_j`` of ``C = 1/I`` go into ``right``
+    and ``left`` (shaped like ``M[:, 1:]``); ``work`` holds at least ``2 *
+    M.size - len(M)`` values.  ``M`` is only read."""
+    if np.any(M[:, 1:] <= 0):
         raise ValueError("every path must stay positive")
-    # Two row buffers of our own (C and dC); M is the caller's and is only read.
-    C = running_min(M)
-    log_inv_i = -np.log(C[:, -1])
+    i_min, sum_u, qv, drift_min, err_log, m_last = carry
+    rows, cs = M.shape[0], M.shape[1] - 1
+    C = work[:rows * (cs + 1)].reshape(rows, cs + 1)
+    D = work[rows * (cs + 1):rows * (2 * cs + 1)].reshape(rows, cs)
+    C[:, 0] = i_min
+    C[:, 1:] = M[:, 1:]
+    np.minimum.accumulate(C, axis=1, out=C)
+    i_min[...] = C[:, -1]
     np.divide(1.0, C, out=C)
-    dC = np.diff(C, axis=1)
-    mc = M[:, -1] * C[:, -1]
-    prod = C[:, 1:]  # C is spent: it holds the integrand products, then u
-    int_right = 1.0 + np.sum(np.multiply(M[:, 1:], dC, out=prod), axis=1)
-    int_left = 1.0 + np.sum(np.multiply(M[:, :-1], dC, out=prod), axis=1)
-    u = np.subtract(M[:, 1:], M[:, :-1], out=prod)
+    dC = np.subtract(C[:, 1:], C[:, :-1], out=D)
+    np.multiply(M[:, 1:], dC, out=right)
+    np.multiply(M[:, :-1], dC, out=left)
+    u = np.subtract(M[:, 1:], M[:, :-1], out=C[:, 1:])  # C is spent: it holds u, then the drift
     u /= M[:, :-1]
-    QV = np.cumsum(np.multiply(u, u, out=dC), axis=1, out=dC)
+    QV = np.multiply(u, u, out=D)
+    QV[:, 0] += qv
+    np.cumsum(QV, axis=1, out=QV)
+    qv[...] = QV[:, -1]
+    u[:, 0] += sum_u
     drift = np.cumsum(u, axis=1, out=u)
-    qv_u = QV[:, -1].copy()
+    sum_u[...] = drift[:, -1]
     QV *= 0.5
     drift -= QV
-    err_inf = np.abs(log_inv_i + np.minimum(np.min(drift, axis=1), 0.0))  # drift_0 = 0
+    np.minimum(drift_min, drift.min(axis=1), out=drift_min)
     drift -= np.log(M[:, 1:], out=QV)
-    err_log = np.max(np.abs(drift, out=drift), axis=1, initial=0.0)  # |drift_0 - log M_0| = 0
-    return mc, int_right, int_left, log_inv_i, qv_u, err_log, err_inf, M[:, -1].copy()
+    np.maximum(err_log, np.abs(drift, out=drift).max(axis=1), out=err_log)
+    m_last[...] = M[:, -1]
+
+
+def class_d_finish(carry: np.ndarray, right: np.ndarray, left: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The :func:`class_d_path_stats` vectors from the carried state at the
+    horizon and the full ``(rows, n)`` rows of Stieltjes terms, each summed
+    once along its row."""
+    i_min, _, qv, drift_min, err_log, m_T = carry
+    log_inv_i = -np.log(i_min)
+    mc = m_T * (1.0 / i_min)
+    int_right = 1.0 + np.sum(right, axis=1)
+    int_left = 1.0 + np.sum(left, axis=1)
+    err_inf = np.abs(log_inv_i + drift_min)  # the drift minimum includes drift_0 = 0
+    return mc, int_right, int_left, log_inv_i, qv.copy(), err_log.copy(), err_inf, m_T.copy()
 
 
 def class_d_from_path_stats(parts: Iterable[tuple[np.ndarray, ...]], grid: TimeGrid) -> ClassDReport:

@@ -6,8 +6,9 @@ Estimation strategy notes, shared by several experiments:
 * Every experiment is a pure function of (spec, parameters, master seed).
   Paths are generated from per-path keyed streams in batches, and a batch is
   the only grouping of paths: one rule, :func:`_batch_rows`, sizes every
-  batch so that it holds about ``_BATCH_VALUES`` values at a time (a full
-  row per path, or a draw block and what its reduction builds on it).  Each
+  batch so that it holds about ``_BATCH_VALUES`` values at a time (per path,
+  a draw block and what its reduction builds on it, and for the class-(D)
+  batch two full rows of Stieltjes terms).  Each
   batch function generates its rows in one pass and reduces them where they
   are generated, returning a tuple of per-path arrays (leading dimension =
   rows), so only those vectors travel back from a worker.  The parent
@@ -29,14 +30,15 @@ Estimation strategy notes, shared by several experiments:
   size changes no report byte; it stops drawing a path once its caller
   retires it.  Only the last-visit walker, which serves both azema-law
   families, restarts its sum at every block, so its block of
-  ``_REVISIT_BLOCK`` steps is part of both azema-law reports' identity.  The
-  first-passage, last-visit and two-infinity batches reduce over it block by
-  block, the last with carried per-row state that is exact or one sequential
-  sum, so no two-infinity batch holds a full row;
-  :func:`~.generators.generate_rows` walks it for the full-row batches.
-  Stops are decided at grid resolution by one rule, :func:`_first_stop`, and
-  a stopped path draws no block past its stop; that is what makes the
-  10^5-path tail studies affordable.
+  ``_REVISIT_BLOCK`` steps is part of both azema-law reports' identity.
+  Every batch reduces over it block by block: the first-passage and
+  last-visit walkers, and the two-infinity and class-(D) batches with
+  carried per-row state that is exact or one sequential sum.  The class-(D)
+  batch walks the family outputs of ``generators._primary_blocks``, and
+  ``generate_rows`` fills its matrices for the API edge from them.  Stops
+  are decided at grid resolution by one rule, :func:`_first_stop`, and a
+  stopped path draws no block past its stop and leaves the reduction there;
+  that is what makes the 10^5-path tail studies affordable.
 """
 
 from __future__ import annotations
@@ -51,11 +53,11 @@ from numpy.random import Generator, Philox
 
 from . import oracles
 from .calculus import tanaka_carried
-from .decompose import ClassDReport, class_d_from_path_stats, class_d_path_stats
-from .generators import GeneratorSpec, _bessel_norm, generate_rows
+from .decompose import ClassDReport, class_d_carried, class_d_finish, class_d_from_path_stats, class_d_start
+from .generators import GeneratorSpec, _bessel_norm, _primary_blocks
 from .grids import McEstimate, make_grid
 from .reports import Chart
-from .streams import RNG_INFO, StreamKey
+from .streams import RNG_INFO, KeySequence, StreamKey
 
 __all__ = [
     "lemma_balance_experiment",
@@ -120,9 +122,10 @@ def _concat_batches(fn: Callable, arglist: list, workers: int) -> tuple[np.ndarr
 # ---------------------------------------------------------------------------
 # keyed chunk engine (every path is drawn by it) and the one stop rule
 
-#: Steps per draw block of the first-passage walker and of the stopped families
-#: of ``generate_rows``.  A block does not change a report byte; a shorter one
-#: draws fewer normals past a path's stop.
+#: Steps per draw block of the first-passage walker and of every family output
+#: (``generators._primary_blocks``): the class-(D) batch and ``generate_rows``.
+#: A block does not change a report byte; a shorter one draws fewer normals
+#: past a path's stop.
 _WALK_BLOCK = 1000
 #: Steps per block of the last-visit walker, which restarts its running sum at
 #: every block: floating-point addition is not associative, so this period is
@@ -158,7 +161,7 @@ def _keyed_chunks(seed, first, rows, start, dt, n_steps, block, retired, restart
     block is drawn.
     """
     k = len(start)
-    gens = [[Generator(Philox(key=StreamKey(seed, first + i, c).philox_key())) for c in range(k)]
+    gens = [[Generator(Philox(KeySequence(StreamKey(seed, first + i, c).philox_key()))) for c in range(k)]
             for i in range(rows)]
     pos = np.tile(np.asarray(start, dtype=float), (rows, 1))  # added after each cumsum
     raw = np.zeros((rows, k))  # Brownian sum so far; stays 0 with ``restart``
@@ -305,9 +308,35 @@ def _martingale_spec(spec: GeneratorSpec) -> GeneratorSpec:
 
 
 def _martingale_batch(args) -> tuple[np.ndarray, ...]:
-    """Per-path class-(D) statistics of one batch."""
+    """Per-path class-(D) statistics of one batch, reduced block by block.
+
+    The M-paths are walked in ``_WALK_BLOCK``-step blocks, and each block
+    goes through :func:`~.decompose.class_d_carried` with carried per-row
+    state, so a stopped row leaves the reduction after the block that holds
+    its stop.  The two Stieltjes sums are pairwise sums of whole rows, so
+    their terms go into two zeroed full-length rows per path, each summed
+    once at the end: after a stop ``dC`` is +0.0, so these rows equal the
+    full-row terms bit for bit."""
     cfg, seed, first, rows = args
-    return class_d_path_stats(generate_rows(GeneratorSpec.from_config(cfg), seed, first, rows))
+    spec = GeneratorSpec.from_config(cfg)
+    n = spec.grid.n_steps
+    block = min(_WALK_BLOCK, n)
+    right, left = np.zeros((2, rows, n))
+    carry = class_d_start(rows)
+    buf = np.empty(rows * (4 * block + 1))
+    for step, alive, M, _ in _primary_blocks(spec, seed, first, rows, block):
+        a, cs = M.shape[0], M.shape[1] - 1
+        cols = slice(step, step + cs)
+        if a == rows:  # every row still walks: the state and the terms are written in place
+            class_d_carried(M, carry, right[:, cols], left[:, cols], buf)
+            continue
+        terms = buf[:2 * a * cs].reshape(2, a, cs)
+        c = carry[:, alive]
+        class_d_carried(M, c, terms[0], terms[1], buf[2 * a * cs:])
+        carry[:, alive] = c
+        right[alive, cols] = terms[0]
+        left[alive, cols] = terms[1]
+    return class_d_finish(carry, right, left)
 
 
 def lemma_balance_experiment(
@@ -323,7 +352,10 @@ def lemma_balance_experiment(
     """
     mspec = _martingale_spec(spec)
     cfg = mspec.to_config()
-    rows = _batch_rows(len(mspec.grid))
+    n, k = mspec.grid.n_steps, 3 if "x0" in mspec.params else 1
+    # one path holds its two rows of Stieltjes terms and, on each block, its k-component draw block, M, the
+    # block's two rows of terms and the kernel's two work rows
+    rows = _batch_rows(2 * n + (k + 5) * min(_WALK_BLOCK, n))
     args = [(cfg, master_seed, first, r) for first, r in _ranges(n_paths, rows)]
     classd = class_d_from_path_stats(_stream_batches(_martingale_batch, args, workers), mspec.grid)
     degenerate = classd.e_mc.stderr == 0.0 and classd.e_int.stderr == 0.0

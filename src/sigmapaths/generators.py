@@ -15,14 +15,20 @@ Families
 * ``scale_martingale``           ``x0 / R_t`` for a Bessel(3) path ``R``: the
                                   scale-function martingale normalized to 1
 
-:func:`generate_rows` returns a ``(rows, n+1)`` matrix, one row per path, and
-draws each row from its own keyed streams (path index ``first_index + i``)
-through the one keyed chunk engine of :mod:`~.experiments`, with the stop
-rule the first-passage walker uses.  A single path is ``rows=1`` and a row
-does not depend on the batch it was drawn in, so ensembles can be built in
-any order, split across any number of workers, and still come out
-bit-identical.  :class:`~.grids.Path` objects are built from rows only at the
-API edge (``simulate``, the ``verify`` suites).
+Every row is drawn from its own keyed streams (path index ``first_index +
+i``) through the one keyed chunk engine of :mod:`~.experiments`, with the
+stop rule the first-passage walker uses.  :func:`_primary_blocks` is the one
+block generator of the family outputs: it yields each block of ``B``, ``R``,
+``exp(B - t/2)`` or ``x0/R``, holds a stopped row at its stop inside the
+block, and stops drawing the row after that block.  The class-(D) batch of
+the balance experiments reduces its blocks as they come;
+:func:`generate_rows` fills a ``(rows, n+1)`` matrix from them, one row per
+path, and fills each stopped row's tail from its stop column.  A single path
+is ``rows=1`` and a row does not depend on the batch it was drawn in, so
+ensembles can be built in any order, split across any number of workers, and
+still come out bit-identical.  :class:`~.grids.Path` objects are built from
+rows only at the API edge (``simulate``, ``decompose``'s CSV, the ``verify``
+suites).
 """
 
 from __future__ import annotations
@@ -107,7 +113,7 @@ class GeneratorSpec:
 
 
 # ---------------------------------------------------------------------------
-# rows: the keyed chunk engine of ``experiments``, one running sum per stream
+# blocks and rows: the keyed chunk engine of ``experiments``, one running sum per stream
 
 
 def _freeze(values: np.ndarray, stop: np.ndarray) -> np.ndarray:
@@ -127,50 +133,75 @@ def _bessel_norm(W: np.ndarray, out: np.ndarray) -> np.ndarray:
     return np.sqrt(out, out=out)
 
 
-def generate_rows(spec: GeneratorSpec, master_seed: int, first_index: int, rows: int) -> np.ndarray:
-    """Batch of the family's primary output, one keyed stream set per path.
+def _primary_blocks(spec: GeneratorSpec, master_seed: int, first_index: int, rows: int, block: int):
+    """Walk ``rows`` paths of the family's primary output (``B``, ``R``,
+    ``exp(B - t/2)`` or ``x0/R``) through :func:`~.experiments._keyed_chunks`,
+    ``block`` grid steps at a time, one keyed stream set per path.
 
-    The rows are walked by :func:`~.experiments._keyed_chunks`, so each row
-    equals one cumulative sum of its streams bit for bit, in passes of at
-    most one full-row batch (``_batch_rows(len(grid))`` rows), so an
-    experiment's batch is one pass.
-    A stopped family draws in ``_WALK_BLOCK`` blocks, stops drawing a row
-    after the block that holds its stop, and fills the frozen tail from the
-    stop column."""
-    from .experiments import _WALK_BLOCK, _batch_rows, _first_stop, _keyed_chunks
+    Each block yields ``(step, alive, P, stopped)``: the grid index before the
+    block, the rows still walking, their values at grid indices ``step`` to
+    ``step + cs`` (shaped ``(len(alive), cs + 1)``, so column 0 repeats the
+    last column of the block before), and which of them stop in the block.  A
+    stopped row is held at its stop column (for ``exp_martingale``, at
+    ``exp(B_s - s/2)``, what the stopped ``(B, t)`` gives from there on) and
+    is not drawn after that block, so its value from there on is ``P[stopped,
+    -1]``.  ``P`` lives in a buffer that the next block overwrites."""
+    from .experiments import _first_stop, _keyed_chunks
 
     grid, p = spec.grid, spec.params
-    n = grid.n_steps
     x0 = p.get("x0")
     start = (0.0,) if x0 is None else (x0, 0.0, 0.0)
     level = p.get("a", p.get("stop_level"))
     line_b = p.get("b", p.get("stop_line_drift"))
     stops = level is not None or line_b is not None
-    # a stopped row leaves its tail unwritten, and the exp below must not see garbage there
-    out = np.zeros((rows, n + 1)) if stops else np.empty((rows, n + 1))
-    out[:, 0] = start[0]
-    stop = np.full(rows, n)
+    # B_0 = 0 and R_0 = x0; both martingales start at 1, exp(0 - 0/2) and x0/x0 exactly
+    last = np.full(rows, 1.0 if spec.family in ("exp_martingale", "scale_martingale") else start[0])
+    retired = np.zeros(rows, dtype=bool)
+    buf = np.empty(rows * (min(block, grid.n_steps) + 1))
+    for step, alive, W in _keyed_chunks(master_seed, first_index, rows, start, grid.dt, grid.n_steps, block,
+                                        retired):
+        cs = W.shape[1]
+        t = grid.times[step + 1:step + 1 + cs]
+        P = buf[:alive.size * (cs + 1)].reshape(alive.size, cs + 1)
+        P[:, 0] = last[alive]
+        V = P[:, 1:]
+        stopped = np.zeros(alive.size, dtype=bool)
+        if x0 is None:
+            B = W[:, :, 0]
+            if stops:
+                stopped, at = _first_stop(B, t, upper=level, line_b=line_b)
+            if spec.family == "exp_martingale":
+                np.exp(np.subtract(B, t / 2.0, out=V), out=V)
+            else:
+                V[...] = B
+            if stops:
+                _freeze(V, at)
+                retired[alive[stopped]] = True
+        else:  # the Bessel families never stop
+            _bessel_norm(W, V)
+            if spec.family == "scale_martingale":
+                np.divide(x0, V, out=V)
+        last[alive] = V[:, -1]
+        yield step, alive, P, stopped
+
+
+def generate_rows(spec: GeneratorSpec, master_seed: int, first_index: int, rows: int) -> np.ndarray:
+    """Batch of the family's primary output, one keyed stream set per path.
+
+    The rows are walked by :func:`_primary_blocks` in ``_WALK_BLOCK`` blocks,
+    so each row equals one cumulative sum of its streams bit for bit, in
+    passes of at most one full-row batch (``_batch_rows(len(grid))`` rows).
+    A stopped row stops drawing after the block that holds its stop, and its
+    tail is filled from the stop column."""
+    from .experiments import _WALK_BLOCK, _batch_rows
+
+    grid = spec.grid
+    out = np.empty((rows, grid.n_steps + 1))
     bound = _batch_rows(len(grid))
     for off in range(0, rows, bound):
-        r = min(bound, rows - off)
-        retired = np.zeros(r, dtype=bool)
-        for step, alive, W in _keyed_chunks(master_seed, first_index + off, r, start, grid.dt, n,
-                                            _WALK_BLOCK if stops else n, retired):
-            cols = slice(step + 1, step + 1 + W.shape[1])
-            if x0 is None:
-                out[off + alive, cols] = W[:, :, 0]
-            else:  # the Bessel families never stop, so every row of the pass is alive
-                _bessel_norm(W, out[off:off + r, cols])
-            if stops:
-                has, at = _first_stop(W[:, :, 0], grid.times[cols], upper=level, line_b=line_b)
-                stop[off + alive[has]] = step + 1 + at[has]
-                retired[alive[has]] = True
-    if spec.family == "exp_martingale":
-        out -= grid.times / 2.0
-        np.exp(out, out=out)
-        out[:, 0] = 1.0
-    elif spec.family == "scale_martingale":
-        np.divide(x0, out, out=out)
-    if stops:  # exp(B_s - s/2) at the stop s is what the stopped (B, t) gives from there on
-        _freeze(out, stop)
+        for step, alive, P, stopped in _primary_blocks(spec, master_seed, first_index + off,
+                                                       min(bound, rows - off), _WALK_BLOCK):
+            end = step + P.shape[1]
+            out[off + alive, step:end] = P
+            out[off + alive[stopped], end:] = P[stopped, -1:]
     return out

@@ -7,7 +7,8 @@ function of the key.  The Gaussian transform is numpy's ziggurat, applied to
 the keyed stream in order, so a stream drawn in several blocks gives the same
 normals as one draw; both choices are fixed and echoed into report metadata
 so runs remain comparable.  The path engine (``experiments._keyed_chunks``)
-builds its generators from these keys.
+builds its generators from these keys, each handed to ``Philox`` as a
+:class:`KeySequence`.
 """
 
 from __future__ import annotations
@@ -15,8 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
-__all__ = ["StreamKey", "RNG_INFO", "MAX_SEED"]
+__all__ = ["StreamKey", "KeySequence", "RNG_INFO", "MAX_SEED"]
 
 #: Echoed into every report (design decision: fixed once, recorded).
 RNG_INFO = {"bit_generator": "Philox4x64", "gaussian_transform": "ziggurat"}
@@ -51,3 +53,17 @@ class StreamKey:
     def philox_key(self) -> np.ndarray:
         w1 = (self.path_index << 32) | self.substream
         return np.array([self.master_seed, w1], dtype=np.uint64)
+
+
+class KeySequence(ISeedSequence):
+    """A Philox key posing as a seed sequence: ``Philox(KeySequence(key))``
+    is ``Philox(key=key)`` in state and draws, without the entropy-seeded
+    ``SeedSequence`` that ``Philox(key=...)`` builds and then ignores."""
+
+    __slots__ = ("key",)
+
+    def __init__(self, key: np.ndarray):
+        self.key = key
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.key

@@ -5,6 +5,7 @@ import tracemalloc
 from functools import lru_cache
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -12,7 +13,8 @@ from hypothesis.extra import numpy as hnp
 import reference
 from sigmapaths import experiments
 from sigmapaths.calculus import tanaka_carried, tanaka_raw
-from sigmapaths.decompose import class_d_from_path_stats, class_d_path_stats
+from sigmapaths.decompose import (class_d_carried, class_d_finish, class_d_from_path_stats, class_d_path_stats,
+                                  class_d_start)
 from sigmapaths.generators import GeneratorSpec, _bessel_norm, generate_rows
 from sigmapaths.grids import make_grid
 from sigmapaths.reports import report_json_bytes
@@ -383,6 +385,80 @@ def test_class_d_path_stats_matches_reference(name, rows, seed):
     before = M.copy()
     assert _bitwise_equal(class_d_path_stats(M), reference.class_d_path_stats(before))
     assert M.tobytes() == before.tobytes()
+
+
+# The streamed class-(D) batch against the full-row reduction of the reference rows.  A stop level of
+# 1e-9 stops about half the rows at step 1; at 0.3 some rows never stop on this grid.
+_STREAM_SPECS = {**_CLASS_D_SPECS, "exp_martingale {'stop_level': 1e-09}": GeneratorSpec(
+    "exp_martingale", {"stop_level": 1e-9}, make_grid(2.0, 96))}
+
+
+def _streamed_martingale_batch(spec, seed, first, rows, cuts, block):
+    """``_martingale_batch`` with ``_WALK_BLOCK = block``, split into row
+    batches at ``cuts`` and concatenated in path order."""
+    saved = experiments._WALK_BLOCK
+    experiments._WALK_BLOCK = block
+    try:
+        parts = [experiments._martingale_batch((spec.to_config(), seed, first + a, b - a))
+                 for a, b in zip([0, *cuts], [*cuts, rows])]
+    finally:
+        experiments._WALK_BLOCK = saved
+    return tuple(np.concatenate(v) for v in zip(*parts))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(_STREAM_SPECS)), st.integers(1, 10), st.integers(0, 10**6), st.data())
+def test_martingale_batch_streams_the_full_row_reduction(name, rows, seed, data):
+    spec = _STREAM_SPECS[name]
+    n = spec.grid.n_steps
+    M, stop = reference_rows(spec, seed, 3, rows)
+    # 1, a block that ends on some row's stop (n for rows that do not stop), one block, or any
+    block = data.draw(st.one_of(st.just(1), st.sampled_from(sorted(set(stop.tolist()))), st.integers(n, 2 * n),
+                                st.integers(2, n - 1)), label="block")
+    cuts = data.draw(st.lists(st.integers(1, rows - 1), unique=True, max_size=3).map(sorted), label="cuts") \
+        if rows > 1 else []
+    streamed = _streamed_martingale_batch(spec, seed, 3, rows, cuts, block)
+    assert _bitwise_equal(streamed, reference.class_d_path_stats(M))
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 24, 91, 95, 96, 200])
+def test_martingale_batch_streams_rows_that_stop_at_step_1_and_rows_that_never_stop(block):
+    spec = _STREAM_SPECS["exp_martingale {'stop_level': 0.3}"]
+    M, stop = reference_rows(spec, 5, 0, 12)
+    assert stop[4] == 1 and stop[11] == spec.grid.n_steps and {2, 3, 24, 91} <= set(stop.tolist())
+    for cuts in ([], [4, 5]):
+        assert _bitwise_equal(_streamed_martingale_batch(spec, 5, 0, 12, cuts, block),
+                              reference.class_d_path_stats(M))
+
+
+_POSITIVE_ROWS = hnp.arrays(np.float64, st.tuples(st.integers(1, 6), st.integers(2, 40)),
+                            elements=st.floats(1e-3, 1e3))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_POSITIVE_ROWS, st.data())
+def test_class_d_carried_over_blocks_matches_one_block(M, data):
+    M[:, 0] = 1.0
+    last = M.shape[1] - 1
+    ends = sorted({*data.draw(st.lists(st.integers(1, last), max_size=6)), last})
+    carry = class_d_start(len(M))
+    right, left = np.empty((2, len(M), last))
+    for a, b in zip([0, *ends[:-1]], ends):
+        class_d_carried(M[:, a:b + 1], carry, right[:, a:b], left[:, a:b], np.empty(2 * M.size))
+    assert _bitwise_equal(class_d_finish(carry, right, left), class_d_path_stats(M))
+
+
+def test_balance_batches_hold_blocks_and_two_rows_of_terms():
+    # 300 paths of the balance spec: a batch that held 255 full rows and the reduction's own two peaked
+    # near 25 MiB
+    spec = GeneratorSpec("exp_martingale", {"stop_level": 1.0}, make_grid(4.0, 4096))
+    tracemalloc.start()
+    try:
+        experiments.lemma_balance_experiment(spec, 300, 3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * experiments._BATCH_VALUES * 8, peak
 
 
 @settings(max_examples=40, deadline=None)

@@ -211,6 +211,15 @@ def test_decompose_csv_columns_are_sigma_compose(runner, tmp_path):
     assert all(table[k].tobytes() == np.asarray(v, dtype=float).tobytes() for k, v in expected.items())
 
 
+@pytest.mark.parametrize("command", [["decompose"], ["experiment", "lemma-balance"]])
+def test_martingale_that_underflows_to_zero_exits_2(runner, tmp_path, command):
+    # exp(B_t - t/2) underflows to 0 well before t = 3000
+    r = runner.invoke(main, [*command, "--family", "exp_martingale", "--horizon", "3000", "--n-steps", "1000",
+                             "--paths", "4", "--out", str(tmp_path / "o")])
+    assert r.exit_code == 2, r.output
+    assert "every path must stay positive" in r.output
+
+
 def test_decompose_rejects_non_martingale_family(runner, tmp_path):
     r = runner.invoke(main, [
         "decompose", "--family", "brownian", "--out", str(tmp_path / "x"),

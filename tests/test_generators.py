@@ -26,7 +26,7 @@ def fixed_normals(monkeypatch):
     """Replace every keyed stream by ``draws[substream]``, the same for every path."""
     def install(*draws):
         # the low 32 bits of the key's second word are the substream
-        monkeypatch.setattr(experiments, "Philox", lambda key: int(key[1]) & 0xFFFFFFFF)
+        monkeypatch.setattr(experiments, "Philox", lambda seq: int(seq.key[1]) & 0xFFFFFFFF)
         monkeypatch.setattr(experiments, "Generator", lambda substream: _FixedStream(draws[substream]))
     return install
 

@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from numpy.random import Generator, Philox
 
 from sigmapaths.grids import make_grid
-from sigmapaths.streams import StreamKey
+from sigmapaths.streams import MAX_SEED, KeySequence, StreamKey
 
 from reference import gaussian_increments
 
@@ -78,3 +81,21 @@ def test_master_seed_domain_is_64_bits():
     g = make_grid(1.0, 64)
     top = gaussian_increments(g, StreamKey(2**64 - 1))
     assert not np.array_equal(top, gaussian_increments(g, StreamKey(0)))
+
+
+def _with_extremes(lo, hi):
+    return st.one_of(st.sampled_from([lo, lo + 1, hi - 1, hi]), st.integers(lo, hi))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_with_extremes(0, MAX_SEED), _with_extremes(0, 2**32 - 1), _with_extremes(0, 2**32 - 1),
+       st.integers(1, 300))
+def test_key_sequence_is_the_philox_key(seed, path_index, substream, n):
+    key = StreamKey(seed, path_index, substream).philox_key()
+    by_key, by_seq = Philox(key=key), Philox(KeySequence(key))
+    assert repr(by_seq.state) == repr(by_key.state)
+    a, b = Generator(by_key), Generator(by_seq)
+    # two draws: the ziggurat's rejections leave the counters where they are, and they must agree
+    for size in (n, 7):
+        assert b.standard_normal(size).tobytes() == a.standard_normal(size).tobytes()
+    assert repr(by_seq.state) == repr(by_key.state)
