@@ -7,6 +7,13 @@ are generated from the experiment registry).  An experiment's report object
 gives its own stdout summary line, and ``reports.write_report`` writes its
 JSON, tables and chart.
 
+Files are written as they are produced, so no command holds its whole output.
+``simulate`` draws its paths in the passes of ``generators.row_passes``
+(one full-row batch each, ``--workers`` is not used) and writes each pass to
+``paths.csv`` before drawing the next; it draws nothing unless ``csv`` is in
+``--formats``.  ``decompose`` writes the table of path 0 row by row.  The
+``simulate`` size cap bounds its output, one CSV line per value.
+
 Exit codes: 0 success; 2 invalid configuration or usage; 3 an acceptance
 threshold failed while the computation itself succeeded; 4 unwritable
 output.  The master seed, in [0, 2^64), comes from ``--seed``, falling
@@ -31,7 +38,7 @@ from . import reports
 from .calculus import running_min
 from .decompose import sigma_compose
 from .experiments import EXPERIMENTS, _martingale_spec, lemma_balance_experiment
-from .generators import FAMILIES, GeneratorSpec, generate_rows
+from .generators import FAMILIES, GeneratorSpec, generate_rows, row_passes
 from .grids import Path, make_grid, write_paths_csv
 from .streams import MAX_SEED
 from .verify import VERIFY_SUITES, run_suites
@@ -232,17 +239,17 @@ def simulate(family, horizon, n_steps, paths, seed, out, formats, workers, **opt
     total = paths * (n_steps + 1)
     if total > _MAX_SIMULATE_VALUES:
         raise click.UsageError(
-            f"simulate materializes paths; {paths} x {n_steps + 1} values exceed "
+            f"simulate writes one CSV line per value; {paths} x {n_steps + 1} values exceed "
             f"the {_MAX_SIMULATE_VALUES} cap -- reduce --paths or --n-steps"
         )
-    rows = generate_rows(spec, seed, 0, paths)
     out_dir = FsPath(out)
     _write_guard(out_dir.mkdir, parents=True, exist_ok=True)
     written = []
     if "csv" in fmt:
         p = out_dir / "paths.csv"
         _write_guard(write_paths_csv, (Path(spec.grid, row, label=f"{family}#{i}")
-                                       for i, row in enumerate(rows)), p)
+                                       for off, rows in row_passes(spec, seed, 0, paths)
+                                       for i, row in enumerate(rows, off)), p)
         written.append(p.name)
     if "json" in fmt:
         doc = {
@@ -293,7 +300,7 @@ def decompose(family, horizon, n_steps, paths, seed, out, formats, workers, **op
         triple = sigma_compose(Path(mspec.grid, M))
         columns = {"t": mspec.grid.times, "M": M, "I": running_min(M), "X": triple.submartingale.values,
                    "A": triple.increasing_part.values, "N": triple.martingale_part.values}
-        rows_csv = [dict(zip(columns, map(float, row))) for row in zip(*columns.values())]
+        rows_csv = (dict(zip(columns, map(float, row))) for row in zip(*columns.values()))
         p = out_dir / "decomposition_path0.csv"
         _write_guard(reports.write_csv_table, p, rows_csv)
         written.append(p.name)

@@ -35,7 +35,7 @@ Estimation strategy notes, shared by several experiments:
   last-visit walkers, and the two-infinity and class-(D) batches with
   carried per-row state that is exact or one sequential sum.  The class-(D)
   batch walks the family outputs of ``generators._primary_blocks``, and
-  ``generate_rows`` fills its matrices for the API edge from them.  Stops
+  ``generators.row_passes`` fills full rows for the API edge from them.  Stops
   are decided at grid resolution by one rule, :func:`_first_stop`, and a
   stopped path draws no block past its stop and leaves the reduction there;
   that is what makes the 10^5-path tail studies affordable.
@@ -123,7 +123,7 @@ def _concat_batches(fn: Callable, arglist: list, workers: int) -> tuple[np.ndarr
 # keyed chunk engine (every path is drawn by it) and the one stop rule
 
 #: Steps per draw block of the first-passage walker and of every family output
-#: (``generators._primary_blocks``): the class-(D) batch and ``generate_rows``.
+#: (``generators._primary_blocks``): the class-(D) batch and ``row_passes``.
 #: A block does not change a report byte; a shorter one draws fewer normals
 #: past a path's stop.
 _WALK_BLOCK = 1000

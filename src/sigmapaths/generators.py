@@ -22,13 +22,15 @@ block generator of the family outputs: it yields each block of ``B``, ``R``,
 ``exp(B - t/2)`` or ``x0/R``, holds a stopped row at its stop inside the
 block, and stops drawing the row after that block.  The class-(D) batch of
 the balance experiments reduces its blocks as they come;
-:func:`generate_rows` fills a ``(rows, n+1)`` matrix from them, one row per
-path, and fills each stopped row's tail from its stop column.  A single path
-is ``rows=1`` and a row does not depend on the batch it was drawn in, so
-ensembles can be built in any order, split across any number of workers, and
-still come out bit-identical.  :class:`~.grids.Path` objects are built from
-rows only at the API edge (``simulate``, ``decompose``'s CSV, the ``verify``
-suites).
+:func:`row_passes` fills full rows from them, one row per path and each
+stopped row's tail from its stop column, one pass of at most one full-row
+batch at a time in one reused buffer, and :func:`generate_rows` stacks those
+passes into a ``(rows, n+1)`` matrix.  A single path is ``rows=1`` and a row
+does not depend on the batch it was drawn in, so ensembles can be built in
+any order, split across any number of workers, and still come out
+bit-identical.  :class:`~.grids.Path` objects are built from rows only at
+the API edge (``simulate``, which writes each pass before drawing the next,
+``decompose``'s CSV, the ``verify`` suites).
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ import numpy as np
 
 from .grids import TimeGrid, make_grid
 
-__all__ = ["GeneratorSpec", "FAMILIES", "generate_rows"]
+__all__ = ["GeneratorSpec", "FAMILIES", "generate_rows", "row_passes"]
 
 #: family -> (required params, optional params)
 FAMILIES: dict[str, tuple[set, set]] = {
@@ -185,23 +187,36 @@ def _primary_blocks(spec: GeneratorSpec, master_seed: int, first_index: int, row
         yield step, alive, P, stopped
 
 
-def generate_rows(spec: GeneratorSpec, master_seed: int, first_index: int, rows: int) -> np.ndarray:
-    """Batch of the family's primary output, one keyed stream set per path.
+def row_passes(spec: GeneratorSpec, master_seed: int, first_index: int, rows: int):
+    """The rows of :func:`generate_rows`, in passes of at most one full-row
+    batch (``_batch_rows(len(grid))`` rows).
 
-    The rows are walked by :func:`_primary_blocks` in ``_WALK_BLOCK`` blocks,
-    so each row equals one cumulative sum of its streams bit for bit, in
-    passes of at most one full-row batch (``_batch_rows(len(grid))`` rows).
-    A stopped row stops drawing after the block that holds its stop, and its
-    tail is filled from the stop column."""
+    Each pass yields ``(off, R)``: the offset of its first row from
+    ``first_index`` and its rows, walked by :func:`_primary_blocks` in
+    ``_WALK_BLOCK`` blocks, so each row equals one cumulative sum of its
+    streams bit for bit.  A stopped row stops drawing after the block that
+    holds its stop, and its tail is filled from the stop column.  ``R`` lives
+    in one buffer that the next pass overwrites, so the passes hold one
+    pass's rows at a time, however many there are."""
     from .experiments import _WALK_BLOCK, _batch_rows
 
-    grid = spec.grid
-    out = np.empty((rows, grid.n_steps + 1))
-    bound = _batch_rows(len(grid))
+    bound = _batch_rows(len(spec.grid))
+    buf = np.empty((min(bound, rows), len(spec.grid)))
     for off in range(0, rows, bound):
-        for step, alive, P, stopped in _primary_blocks(spec, master_seed, first_index + off,
-                                                       min(bound, rows - off), _WALK_BLOCK):
+        out = buf[:min(bound, rows - off)]
+        for step, alive, P, stopped in _primary_blocks(spec, master_seed, first_index + off, len(out),
+                                                       _WALK_BLOCK):
             end = step + P.shape[1]
-            out[off + alive, step:end] = P
-            out[off + alive[stopped], end:] = P[stopped, -1:]
+            out[alive, step:end] = P
+            out[alive[stopped], end:] = P[stopped, -1:]
+        del P  # a view of this pass's block buffer: free it before the next pass draws
+        yield off, out
+
+
+def generate_rows(spec: GeneratorSpec, master_seed: int, first_index: int, rows: int) -> np.ndarray:
+    """Batch of the family's primary output, one keyed stream set per path:
+    the passes of :func:`row_passes` in one ``(rows, n+1)`` matrix."""
+    out = np.empty((rows, len(spec.grid)))
+    for off, R in row_passes(spec, master_seed, first_index, rows):
+        out[off:off + len(R)] = R
     return out

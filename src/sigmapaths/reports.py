@@ -19,8 +19,9 @@ import json
 import math
 import platform
 from datetime import datetime, timezone
+from itertools import chain
 from pathlib import Path as FsPath
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -67,11 +68,14 @@ def reports_equal_ignoring_meta(a: bytes | dict, b: bytes | dict) -> bool:
     return json.dumps(strip_meta(da), sort_keys=True) == json.dumps(strip_meta(db), sort_keys=True)
 
 
-def write_csv_table(path: FsPath, rows: list[dict]) -> None:
-    """A CSV table of ``rows``, with the keys of the first row as its header."""
+def write_csv_table(path: FsPath, rows: Iterable[dict]) -> None:
+    """A CSV table of ``rows``, any non-empty iterable of row dicts, with the
+    keys of the first row as its header; a generator is written as it goes."""
+    rows = iter(rows)
+    first = next(rows)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(rows[0]) + "\n")
-        for row in rows:
+        fh.write(",".join(first) + "\n")
+        for row in chain((first,), rows):
             fh.write(",".join(_csv_cell(v) for v in row.values()) + "\n")
 
 

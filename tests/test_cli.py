@@ -4,19 +4,21 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from sigmapaths import experiments, generators
 from sigmapaths.calculus import running_min
 from sigmapaths.cli import main
 from sigmapaths.decompose import sigma_compose
 from sigmapaths.experiments import EXPERIMENTS, _martingale_spec
 from sigmapaths.generators import GeneratorSpec, generate_rows
 from sigmapaths.grids import Path as GridPath, read_paths_csv
-from sigmapaths.reports import reports_equal_ignoring_meta
+from sigmapaths.reports import reports_equal_ignoring_meta, write_csv_table
 
 
 @pytest.fixture
@@ -262,6 +264,51 @@ def test_simulate_size_cap(runner, tmp_path):
     assert "cap" in r.output
 
 
+def _simulate_csv(runner, out, family, paths, n_steps=64):
+    r = runner.invoke(main, ["simulate", "--family", *family, "--n-steps", str(n_steps), "--paths", str(paths),
+                             "--seed", "5", "--formats", "csv", "--out", str(out)])
+    assert r.exit_code == 0, r.output
+    return out / "paths.csv"
+
+
+@pytest.mark.parametrize("family", [("bessel3", "--x0", "1"), ("brownian_stopped_level", "--a", "0.5")])
+def test_simulate_writes_each_pass_in_order(runner, tmp_path, monkeypatch, family):
+    whole = _simulate_csv(runner, tmp_path / "whole", family, 7).read_bytes()
+    monkeypatch.setattr(experiments, "_BATCH_VALUES", 3 * 65)  # passes of 3, 3 and 1 rows
+    passes = _simulate_csv(runner, tmp_path / "passes", family, 7).read_bytes()
+    assert passes == whole
+    ids = [line.split(",", 1)[0] for line in passes.decode().splitlines()[1:]]
+    assert ids == [f"{family[0]}#{i}" for i in range(7) for _ in range(65)]
+
+
+def _simulate_peak(runner, out, paths):
+    tracemalloc.start()
+    try:
+        _simulate_csv(runner, out, ("bessel3", "--x0", "1"), paths, n_steps=256)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_simulate_holds_one_pass(runner, tmp_path, monkeypatch):
+    monkeypatch.setattr(experiments, "_BATCH_VALUES", 40 * 257)  # passes of 40 rows
+    _simulate_peak(runner, tmp_path / "warm", 40)
+    one, four = (_simulate_peak(runner, tmp_path / f"n{n}", n) for n in (40, 160))
+    assert four <= 1.1 * one, (one, four)
+
+
+def test_simulate_json_only_draws_no_path(runner, tmp_path, monkeypatch):
+    def no_draws(*args):
+        raise AssertionError("simulate --formats json drew a path")
+
+    monkeypatch.setattr(generators, "_primary_blocks", no_draws)
+    out = tmp_path / "json"
+    r = runner.invoke(main, ["simulate", "--family", "brownian", "--paths", "3", "--formats", "json",
+                             "--out", str(out)])
+    assert r.exit_code == 0, r.output
+    assert sorted(p.name for p in out.iterdir()) == ["simulate.json"]
+
+
 def _strict_json(raw):
     def reject(token):
         raise ValueError(f"non-finite number {token}")
@@ -275,6 +322,14 @@ def test_default_saturation_report_is_strict_json(runner, tmp_path):
     assert r.exit_code == 0, r.output
     doc = _strict_json((out / "saturation.json").read_bytes())
     assert doc["results"]["membership_rate"] is None  # undefined for this kind
+
+
+def test_csv_table_from_a_generator_matches_a_list(tmp_path):
+    rows = [{"n": i, "x": 0.1 * i, "ok": i % 2 == 0, "note": None if i else "first"} for i in range(5)]
+    write_csv_table(tmp_path / "list.csv", rows)
+    write_csv_table(tmp_path / "gen.csv", (dict(row) for row in rows))
+    assert (tmp_path / "gen.csv").read_bytes() == (tmp_path / "list.csv").read_bytes()
+    assert (tmp_path / "list.csv").read_text().splitlines()[:2] == ["n,x,ok,note", "0,0,true,first"]
 
 
 def test_report_json_encodes_non_finite_as_null():

@@ -4,9 +4,11 @@ Each entry pins, at a reduced size, the sha256 of a report without its
 ``meta`` block in the package's canonical encoding, or of the raw bytes of a
 ``simulate`` CSV.  Each experiment entry also pins the sha256 of every CSV
 table and SVG chart it writes with ``--formats json,csv,svg``, and of its
-stdout summary line with the ``--out`` path replaced by ``<out>``.  Sizes are chosen so that the experiments on long grids and
-the walkers split into several batches, and the first-passage walker carries
-one running sum across 16 of its 1000-step draw blocks.  A change that alters
+stdout summary line with the ``--out`` path replaced by ``<out>``; the
+``decompose`` entry pins its path-0 CSV and stdout line the same way, with
+``--formats json,csv``.  Sizes are chosen so that the experiments on long
+grids and the walkers split into several batches, and the first-passage
+walker carries one running sum across 16 of its 1000-step draw blocks.  A change that alters
 a digest on purpose updates the table and says why in CHANGES.md.
 """
 
@@ -93,7 +95,7 @@ GOLDEN = {
 }
 
 
-#: experiment entry -> {file or "stdout": sha256} of its run with ``--formats json,csv,svg``
+#: experiment or decompose entry -> {file or "stdout": sha256} of its run with every format it writes
 ARTIFACTS = {
     "lemma-balance": {
         "lemma_balance_estimates.csv": "45c21a101a1d062626e98abdbf2253ce3f6d18b9b463b6db0eff1f5f7c6b80b1",
@@ -150,6 +152,10 @@ ARTIFACTS = {
     "saturation saturated, 16 draw blocks": {
         "stdout": "048a17387dcbc2832a8c626a3ee68130eb3c580c2b6efa6a2c31554f0a0dbbb3",
     },
+    "decompose": {
+        "decomposition_path0.csv": "a143bb733a7e4c7025028a845e580c67dddd07a8e4c1d81a50c09b04d6e41144",
+        "stdout": "1542a68e59d7f247a2f0c51b091e4d164951ac3009deda91019ea2d249510c7c",
+    },
 }
 
 
@@ -181,8 +187,9 @@ def test_golden_digests(tmp_path, workers):
 def _artifacts(tmp_path, name, workers):
     argv, _, _ = GOLDEN[name]
     out = tmp_path / f"{name.replace(' ', '_')}-w{workers}"
+    fmt = "json,csv,svg" if argv[0] == "experiment" else "json,csv"
     r = CliRunner().invoke(main, [*argv, *_SEED, "--workers", str(workers),
-                                  "--formats", "json,csv,svg", "--out", str(out)])
+                                  "--formats", fmt, "--out", str(out)])
     assert r.exit_code == 0, r.output
     pins = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
             for p in sorted(out.iterdir()) if p.suffix != ".json"}
@@ -192,5 +199,5 @@ def _artifacts(tmp_path, name, workers):
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_golden_tables_charts_and_summary_lines(tmp_path, workers):
-    names = [name for name, (argv, _, _) in GOLDEN.items() if argv[0] == "experiment"]
+    names = [name for name, (argv, _, _) in GOLDEN.items() if argv[0] in ("experiment", "decompose")]
     assert {name: _artifacts(tmp_path, name, workers) for name in names} == ARTIFACTS
