@@ -31,11 +31,12 @@ Estimation strategy notes, shared by several experiments:
   retires it.  Only the last-visit walker, which serves both azema-law
   families, restarts its sum at every block, so its block of
   ``_REVISIT_BLOCK`` steps is part of both azema-law reports' identity.
-  Every batch reduces over it block by block: the first-passage and
-  last-visit walkers, and the two-infinity and class-(D) batches with
-  carried per-row state that is exact or one sequential sum.  The class-(D)
-  batch walks the family outputs of ``generators._primary_blocks``, and
-  ``generators.row_passes`` fills full rows for the API edge from them.  Stops
+  Every batch reduces over it block by block.  The first-passage walker
+  walks the engine itself; every other batch walks the family outputs that
+  ``generators._primary_blocks`` makes of it: the last-visit walker, and the
+  two-infinity and class-(D) batches with carried per-row state that is
+  exact or one sequential sum.  ``generators.row_passes`` fills full rows
+  for the API edge from the same blocks.  Stops
   are decided at grid resolution by one rule, :func:`_first_stop`, and a
   stopped path draws no block past its stop and leaves the reduction there;
   that is what makes the 10^5-path tail studies affordable.
@@ -54,7 +55,7 @@ from numpy.random import Generator, Philox
 from . import oracles
 from .calculus import tanaka_carried
 from .decompose import ClassDReport, class_d_carried, class_d_finish, class_d_from_path_stats, class_d_start
-from .generators import GeneratorSpec, _bessel_norm, _primary_blocks
+from .generators import GeneratorSpec, _primary_blocks
 from .grids import McEstimate, make_grid
 from .reports import Chart
 from .streams import RNG_INFO, KeySequence, StreamKey
@@ -96,7 +97,9 @@ def _stream_batches(fn: Callable, arglist: list, workers: int):
     """Apply ``fn`` over batch argument tuples, in order, optionally in
     worker processes, holding at most a small window of batch results.
     Results are concatenated by the caller in batch order, so the outcome
-    does not depend on ``workers``."""
+    does not depend on ``workers``.  The pool starts no more processes than
+    there are batches: a forked pool starts all of its workers at once."""
+    workers = min(workers, len(arglist))
     if workers <= 1:
         for a in arglist:
             yield fn(a)
@@ -122,8 +125,8 @@ def _concat_batches(fn: Callable, arglist: list, workers: int) -> tuple[np.ndarr
 # ---------------------------------------------------------------------------
 # keyed chunk engine (every path is drawn by it) and the one stop rule
 
-#: Steps per draw block of the first-passage walker and of every family output
-#: (``generators._primary_blocks``): the class-(D) batch and ``row_passes``.
+#: Steps per draw block of the first-passage walker and of the family outputs
+#: (``generators._primary_blocks``) that the class-(D) batch and ``row_passes`` walk.
 #: A block does not change a report byte; a shorter one draws fewer normals
 #: past a path's stop.
 _WALK_BLOCK = 1000
@@ -188,18 +191,18 @@ def _keyed_chunks(seed, first, rows, start, dt, n_steps, block, retired, restart
         yield step, alive, W.transpose(0, 2, 1)
 
 
-def _first_stop(P, times, upper=None, lower=None, line_b=None, line_level=1.0):
+def _first_stop(P, times, upper=None, lower=None, line_b=None):
     """The stop rule of every stopped path: the first column of each row of
     ``P`` (paths at grid ``times``) where ``P >= upper``, ``P <= lower`` or
-    ``P + line_b * t >= line_level``.  Returns the rows that stop, and their
-    stop column (the last column for rows that do not)."""
+    ``P + line_b * t >= 1``.  Returns the rows that stop, and their stop
+    column (the last column for rows that do not)."""
     trig = np.zeros(P.shape, dtype=bool)
     if upper is not None:
         trig |= P >= upper
     if lower is not None:
         trig |= P <= lower
     if line_b is not None:
-        trig |= P + line_b * times[None, :] >= line_level
+        trig |= P + line_b * times[None, :] >= 1.0
     has = trig.any(axis=1)
     return has, np.where(has, trig.argmax(axis=1), P.shape[1] - 1)
 
@@ -324,7 +327,7 @@ def _martingale_batch(args) -> tuple[np.ndarray, ...]:
     right, left = np.zeros((2, rows, n))
     carry = class_d_start(rows)
     buf = np.empty(rows * (4 * block + 1))
-    for step, alive, M, _ in _primary_blocks(spec, seed, first, rows, block):
+    for step, alive, M, _ in _primary_blocks(spec, seed, first, rows, block, np.zeros(rows, dtype=bool)):
         a, cs = M.shape[0], M.shape[1] - 1
         cols = slice(step, step + cs)
         if a == rows:  # every row still walks: the state and the terms are written in place
@@ -470,21 +473,15 @@ def _state_bin_edges(state_t: np.ndarray, bins: int | Sequence[float]) -> np.nda
     return edges
 
 
-def _revisit_start(spec: GeneratorSpec) -> tuple:
-    """Start of the last-visit walker's Brownian components: the 3-D start of
-    a Bessel path, or the one Brownian motion under ``M = exp(B - t/2)``."""
-    return (spec.params["x0"], 0.0, 0.0) if spec.family == "bessel3" else (0.0,)
-
-
 def _bessel_revisit_batch(args):
     """One batch of the last-visit walker, for both azema-law families.
 
-    The state is the Bessel norm ``R`` of three components, or ``M = exp(B -
-    t/2)`` of one, and the exact probability that it visits the level after
-    a stopping time where it stands at ``z`` is ``min(num/den, 1)``, with
-    ``(num, den) = (level, R)`` for Bessel(3) and ``(M, level)`` for the
-    exponential martingale.  The components are walked in
-    ``_REVISIT_BLOCK``-step blocks, each of which restarts its running sum
+    The state is the Bessel norm ``R``, or ``M = exp(B - t/2)``, as
+    ``generators._primary_blocks`` yields it, and the exact probability that
+    it visits the level after a stopping time where it stands at ``z`` is
+    ``min(num/den, 1)``, with ``(num, den) = (level, R)`` for Bessel(3) and
+    ``(M, level)`` for the exponential martingale.  The state is walked in
+    ``_REVISIT_BLOCK``-step blocks, each of which restarts its running sums
     from the last position; after time ``t`` a path is retired as soon as it
     crosses the level (survival score 1) or ends a block escaped with ``den
     >= _ESCAPE_MULT * num`` (score = the exact residual ``num/den``).  Paths
@@ -493,44 +490,34 @@ def _bessel_revisit_batch(args):
     """
     (cfg, seed, first, rows, level, t_idx) = args
     spec = GeneratorSpec.from_config(cfg)
-    grid, bessel, start = spec.grid, spec.family == "bessel3", _revisit_start(spec)
+    bessel = spec.family == "bessel3"
     state_t = np.empty(rows)
     score = np.empty(rows)
     correction = np.zeros(rows)
     retired = np.zeros(rows, dtype=bool)
-    # the state at the last grid index walked: R_0 = x0, or M_0 = 1
-    prev_state = np.full(rows, spec.params.get("x0", 1.0))
 
     def hit(z):  # (num, den) of the hit probability min(num/den, 1) from state z
         return (level, z) if bessel else (z, level)
 
-    def scan(step, alive, W):
-        end = step + W.shape[1]
-        if bessel:
-            state = _bessel_norm(W, np.empty(W.shape[:2]))
-        else:
-            state = np.exp(W[:, :, 0] - grid.times[step + 1:end + 1] / 2.0)
+    def scan(step, alive, P):  # P holds the state at grid indices step to end
+        end = step + P.shape[1] - 1
         if step < t_idx <= end:
-            state_t[alive] = state[:, t_idx - step - 1]
+            state_t[alive] = P[:, t_idx - step]
         if end > t_idx:
-            lo = max(t_idx - step, 0)  # first block column that lies past t
-            prev = prev_state[alive] if lo == 0 else state[:, lo - 1]
-            rel = state[:, lo:] - level
-            crossed = (rel[:, :-1] * rel[:, 1:] <= 0).any(axis=1) | ((prev - level) * rel[:, 0] <= 0)
-            num, den = hit(state[:, -1])
+            rel = P[:, max(t_idx - step, 0):] - level
+            crossed = (rel[:, :-1] * rel[:, 1:] <= 0).any(axis=1)
+            num, den = hit(P[:, -1])
             escaped = ~crossed & (den >= _ESCAPE_MULT * num)
             resid = (num / den)[escaped]
             score[alive[crossed]] = 1.0
             score[alive[escaped]] = resid
             correction[alive[escaped]] = resid
             retired[alive[crossed | escaped]] = True
-        prev_state[alive] = state[:, -1]
 
-    for block_args in _keyed_chunks(seed, first, rows, start, grid.dt, grid.n_steps, _REVISIT_BLOCK, retired,
-                                    restart=True):
-        scan(*block_args)
+    for step, alive, P, _ in _primary_blocks(spec, seed, first, rows, _REVISIT_BLOCK, retired, restart=True):
+        scan(step, alive, P)
     live = ~retired
-    num, den = hit(prev_state[live])
+    num, den = hit(P[~retired[alive], -1])  # every live row walked the last block
     resid = np.minimum(num / den, 1.0)
     score[live] = resid
     correction[live] = resid
@@ -579,7 +566,7 @@ def azema_conditional_experiment(
     else:
         raise ValueError("azema experiment supports bessel3 and exp_martingale specs")
     # one path holds its draw block, its state and one temporary of the state in ``scan``
-    rows = _batch_rows((len(_revisit_start(spec)) + 2) * _REVISIT_BLOCK)
+    rows = _batch_rows(((3 if spec.family == "bessel3" else 1) + 2) * _REVISIT_BLOCK)
     args = [(spec.to_config(), master_seed, first, r, level, t_idx) for first, r in _ranges(n_paths, rows)]
     state_t, score, ambiguous, correction = _concat_batches(_bessel_revisit_batch, args, workers)
 
@@ -659,38 +646,33 @@ class TwoInfinityReport:
 def _two_infinity_batch(args):
     """Per path: |M - 2I| at each horizon index, and the x-range violation.
 
-    The Bessel(3) components are walked in ``_TERMINAL_BLOCK``-step blocks,
-    and each block is reduced with carried per-row state: the last ``S = 1 -
-    level/R``, the Tanaka sum and the running max of its residual, the
-    running min of ``M`` and the running max of ``S``.  Each step is exact or
-    one sequential sum, so the block size changes no bit.  ``h_indices`` are
-    ascending grid indices of at least 1."""
+    The Bessel(3) paths of ``generators._primary_blocks`` are walked in
+    ``_TERMINAL_BLOCK``-step blocks, each turned into ``S = 1 - level/R`` in
+    place (column 0 is the last ``S`` of the block before), and each block is
+    reduced with carried per-row state: the Tanaka sum and the running max of
+    its residual, the running min of ``M`` and the running max of ``S``.
+    Each step is exact or one sequential sum, so the block size changes no
+    bit.  ``h_indices`` are ascending grid indices of at least 1."""
     (cfg, seed, first, rows, level, h_indices) = args
     spec = GeneratorSpec.from_config(cfg)
-    grid, x0 = spec.grid, spec.params["x0"]
-    s_last = 1.0 - level / np.full(rows, x0)  # S_0
-    base = np.abs(s_last)
+    s0 = 1.0 - level / np.full(rows, spec.params["x0"])  # S_0
+    base = np.abs(s0)
     tanaka = np.full(rows, -0.0)  # the exact additive identity
     local_max = base - base  # the residual at index 0
-    m_min = np.maximum(s_last, 0.0) + 1.0  # M_0 = (1 + X_0) exp(-0)
+    m_min = np.maximum(s0, 0.0) + 1.0  # M_0 = (1 + X_0) exp(-0)
     s_max = np.ones(rows)  # max(X - 1, 0) == max(S, 1) - 1: rounding is monotone
-    violation = -s_last
+    violation = -s0
     gaps = np.empty((rows, len(h_indices)))
-    block = min(_TERMINAL_BLOCK, grid.n_steps)
-    buf = np.empty(3 * rows * block + rows)
+    block = min(_TERMINAL_BLOCK, spec.grid.n_steps)
+    buf = np.empty(2 * rows * block)
     h = 0
-    for step, _, W in _keyed_chunks(seed, first, rows, (x0, 0.0, 0.0), grid.dt, grid.n_steps, block,
-                                    np.zeros(rows, dtype=bool)):
-        cs = W.shape[1]
-        # S holds the last S of the previous block in column 0; M's buffer holds the Tanaka increments first
-        S = buf[:rows * (cs + 1)].reshape(rows, cs + 1)
-        L = buf[rows * (block + 1):][:rows * cs].reshape(rows, cs)
-        M = buf[rows * (2 * block + 1):][:rows * cs].reshape(rows, cs)
-        S[:, 0] = s_last
-        R = _bessel_norm(W, S[:, 1:])
-        np.subtract(1.0, np.divide(level, R, out=R), out=R)
+    for step, _, S, _ in _primary_blocks(spec, seed, first, rows, block, np.zeros(rows, dtype=bool)):
+        cs = S.shape[1] - 1
+        # M's buffer holds the Tanaka increments first
+        L = buf[:rows * cs].reshape(rows, cs)
+        M = buf[rows * block:][:rows * cs].reshape(rows, cs)
+        np.subtract(1.0, np.divide(level, S, out=S), out=S)
         np.maximum(s_max, S.max(axis=1), out=s_max)
-        s_last = S[:, -1].copy()
         tanaka_carried(S, base, tanaka, L, M)
         np.maximum(local_max, L[:, 0], out=L[:, 0])
         np.maximum.accumulate(L, axis=1, out=L)
@@ -769,11 +751,11 @@ def _walk_brownian_batch(args):
     """Simulate Brownian rows block by block until a trigger or the horizon.
 
     Triggers: ``upper`` level (B >= upper), ``lower`` level (B <= lower),
-    or the drifted line ``B + line_b * t >= line_level``.  Returns per path:
+    or the drifted line ``B + line_b * t >= 1``.  Returns per path:
     stop step (grid index, -1 when censored), value at the stop (final value
     when censored), prefix minimum up to the stop, and the censored mask.
     """
-    (seed, first, rows, dt, n_steps, upper, lower, line_b, line_level) = args
+    (seed, first, rows, dt, n_steps, upper, lower, line_b) = args
     run_min = np.zeros(rows)
     stop_step = np.full(rows, -1, dtype=np.int64)
     stop_value = np.zeros(rows)
@@ -781,7 +763,7 @@ def _walk_brownian_batch(args):
 
     def scan(step, alive, W):
         P = W[:, :, 0]
-        has, at = _first_stop(P, (np.arange(1, P.shape[1] + 1) + step) * dt, upper, lower, line_b, line_level)
+        has, at = _first_stop(P, (np.arange(1, P.shape[1] + 1) + step) * dt, upper, lower, line_b)
         stop_value[alive] = P[np.arange(alive.size), at]
         low = P.min(axis=1)
         for j in np.flatnonzero(has):
@@ -812,8 +794,7 @@ def _walk_steps(horizon: float, dt: float) -> int:
 
 def _walk(n_paths, master_seed, dt, n_steps, workers, **trig) -> tuple:
     args = [
-        (master_seed, first, r, dt, n_steps, trig.get("upper"), trig.get("lower"), trig.get("line_b"),
-         trig.get("line_level", 1.0))
+        (master_seed, first, r, dt, n_steps, trig.get("upper"), trig.get("lower"), trig.get("line_b"))
         for first, r in _ranges(n_paths, _batch_rows(_WALK_BLOCK))
     ]
     return _concat_batches(_walk_brownian_batch, args, workers)
@@ -1081,7 +1062,7 @@ def tail_experiment(
         if not 0 < b < math.inf:
             raise ValueError(f"b must be positive and finite, got {b}")
         stop_step, stop_value, _, censored = _walk(
-            n_paths, master_seed, dt, n_steps, workers, line_b=b, line_level=1.0
+            n_paths, master_seed, dt, n_steps, workers, line_b=b
         )
         ok = ~censored
         sigma = stop_step[ok] * dt

@@ -20,17 +20,19 @@ i``) through the one keyed chunk engine of :mod:`~.experiments`, with the
 stop rule the first-passage walker uses.  :func:`_primary_blocks` is the one
 block generator of the family outputs: it yields each block of ``B``, ``R``,
 ``exp(B - t/2)`` or ``x0/R``, holds a stopped row at its stop inside the
-block, and stops drawing the row after that block.  The class-(D) batch of
-the balance experiments reduces its blocks as they come;
-:func:`row_passes` fills full rows from them, one row per path and each
-stopped row's tail from its stop column, one pass of at most one full-row
-batch at a time in one reused buffer, and :func:`generate_rows` stacks those
-passes into a ``(rows, n+1)`` matrix.  A single path is ``rows=1`` and a row
-does not depend on the batch it was drawn in, so ensembles can be built in
-any order, split across any number of workers, and still come out
-bit-identical.  :class:`~.grids.Path` objects are built from rows only at
-the API edge (``simulate``, which writes each pass before drawing the next,
-``decompose``'s CSV, the ``verify`` suites).
+block, and stops drawing the row after that block.  Every batch of
+:mod:`~.experiments` but the first-passage walker reduces these blocks as
+they come: the class-(D) batch of the balance experiments, the two-infinity
+batch and the last-visit walker (which restarts the engine's running sums at
+every block).  :func:`row_passes` fills full rows from them, one row per
+path and each stopped row's tail from its stop column, one pass of at most
+one full-row batch at a time in one reused buffer, and :func:`generate_rows`
+stacks those passes into a ``(rows, n+1)`` matrix.  A single path is
+``rows=1`` and a row does not depend on the batch it was drawn in, so
+ensembles can be built in any order, split across any number of workers,
+and still come out bit-identical.  :class:`~.grids.Path` objects are built
+from rows only at the API edge (``simulate``, which writes each pass before
+drawing the next, ``decompose``'s CSV, the ``verify`` suites).
 """
 
 from __future__ import annotations
@@ -135,7 +137,8 @@ def _bessel_norm(W: np.ndarray, out: np.ndarray) -> np.ndarray:
     return np.sqrt(out, out=out)
 
 
-def _primary_blocks(spec: GeneratorSpec, master_seed: int, first_index: int, rows: int, block: int):
+def _primary_blocks(spec: GeneratorSpec, master_seed: int, first_index: int, rows: int, block: int,
+                    retired: np.ndarray, restart: bool = False):
     """Walk ``rows`` paths of the family's primary output (``B``, ``R``,
     ``exp(B - t/2)`` or ``x0/R``) through :func:`~.experiments._keyed_chunks`,
     ``block`` grid steps at a time, one keyed stream set per path.
@@ -147,7 +150,9 @@ def _primary_blocks(spec: GeneratorSpec, master_seed: int, first_index: int, row
     stopped row is held at its stop column (for ``exp_martingale``, at
     ``exp(B_s - s/2)``, what the stopped ``(B, t)`` gives from there on) and
     is not drawn after that block, so its value from there on is ``P[stopped,
-    -1]``.  ``P`` lives in a buffer that the next block overwrites."""
+    -1]``.  Rows the caller sets in ``retired`` are not drawn again either,
+    and ``restart`` goes to the engine.  ``P`` lives in a buffer that the
+    next block overwrites."""
     from .experiments import _first_stop, _keyed_chunks
 
     grid, p = spec.grid, spec.params
@@ -158,10 +163,9 @@ def _primary_blocks(spec: GeneratorSpec, master_seed: int, first_index: int, row
     stops = level is not None or line_b is not None
     # B_0 = 0 and R_0 = x0; both martingales start at 1, exp(0 - 0/2) and x0/x0 exactly
     last = np.full(rows, 1.0 if spec.family in ("exp_martingale", "scale_martingale") else start[0])
-    retired = np.zeros(rows, dtype=bool)
     buf = np.empty(rows * (min(block, grid.n_steps) + 1))
     for step, alive, W in _keyed_chunks(master_seed, first_index, rows, start, grid.dt, grid.n_steps, block,
-                                        retired):
+                                        retired, restart):
         cs = W.shape[1]
         t = grid.times[step + 1:step + 1 + cs]
         P = buf[:alive.size * (cs + 1)].reshape(alive.size, cs + 1)
@@ -205,7 +209,7 @@ def row_passes(spec: GeneratorSpec, master_seed: int, first_index: int, rows: in
     for off in range(0, rows, bound):
         out = buf[:min(bound, rows - off)]
         for step, alive, P, stopped in _primary_blocks(spec, master_seed, first_index + off, len(out),
-                                                       _WALK_BLOCK):
+                                                       _WALK_BLOCK, np.zeros(len(out), dtype=bool)):
             end = step + P.shape[1]
             out[alive, step:end] = P
             out[alive[stopped], end:] = P[stopped, -1:]

@@ -4,9 +4,9 @@ The row generators draw one keyed block per stream and take one cumulative
 sum per row, with no chunk engine in between: they are the generators the
 package used before every family was drawn through the keyed chunk engine of
 ``experiments``.  The full-row reductions (Tanaka residual, two-infinity tile
-reduction, class-(D) statistics) build one fresh array per numpy step, as the
-package did before they worked in reused buffers.  The tests compare the
-package against both bit for bit."""
+reduction, last-visit scoring, class-(D) statistics) build one fresh array
+per numpy step, as the package did before they worked in reused buffers.
+The tests compare the package against both bit for bit."""
 
 import numpy as np
 from numpy.random import Generator, Philox
@@ -135,6 +135,22 @@ def two_infinity_reduce(R: np.ndarray, level: float, h_indices) -> tuple[np.ndar
     gaps = np.abs(M - 2.0 * np.minimum.accumulate(M, axis=-1))
     violation = np.maximum(np.max(X - 1.0, axis=1, initial=0.0), -S[:, 0])
     return gaps[:, h_indices], violation
+
+
+def revisit_reduce(R: np.ndarray, level: float, t_idx: int, bessel: bool) -> tuple[np.ndarray, ...]:
+    """The last-visit walker's scoring of full ``(rows, n+1)`` state rows in
+    one block: (state at ``t_idx``, survival score, ambiguous flag,
+    correction mass).  A row that crosses the level after ``t_idx`` scores 1;
+    any other scores ``min(num/den, 1)`` at the horizon, with ``(num, den) =
+    (level, R)`` for Bessel(3) and ``(M, level)`` for ``exp_martingale``, and
+    counts as escaped (not ambiguous) when ``den >= 8 num``."""
+    rel = R[:, t_idx:] - level
+    crossed = (rel[:, :-1] * rel[:, 1:] <= 0).any(axis=1)
+    num, den = (level, R[:, -1]) if bessel else (R[:, -1], level)
+    resid = np.minimum(num / den, 1.0)
+    live = ~crossed & ~(den >= 8.0 * num)
+    score = np.where(crossed, 1.0, resid)
+    return R[:, t_idx].copy(), score, live & (score > 0.5), np.where(crossed, 0.0, resid)
 
 
 def class_d_path_stats(M: np.ndarray) -> tuple[np.ndarray, ...]:

@@ -105,7 +105,7 @@ def _batch_args(rows):
         "_martingale_batch": (expmart, 5, 3, rows),
         "_bessel_revisit_batch": (bessel, 5, 3, rows, 1.0, 32),
         "_two_infinity_batch": (bessel, 5, 3, rows, 1.0, [128, 256]),
-        "_walk_brownian_batch": (5, 3, rows, 1e-2, 400, 1.0, -2.0, None, 1.0),
+        "_walk_brownian_batch": (5, 3, rows, 1e-2, 400, 1.0, -2.0, None),
     }
 
 
@@ -142,6 +142,31 @@ def test_every_batch_function_returns_per_path_tuple(rows):
 def test_tiled_batches_ignore_tile_size(name, rows, batch_values):
     fn, args = _split_cases(rows)[name]
     assert _bitwise_equal(_in_batches(fn, args, batch_values), fn(args))
+
+
+_REVISIT_CASES = {"bessel3": (GeneratorSpec("bessel3", {"x0": 1.0}, make_grid(8.0, 256)), (0.5, 1.0, 2.0)),
+                  "exp_martingale": (GeneratorSpec("exp_martingale", {}, make_grid(8.0, 256)), (0.1, 0.5, 1.0))}
+
+
+@pytest.mark.parametrize("t_at", ["first", "middle", "last"])
+@pytest.mark.parametrize("family", sorted(_REVISIT_CASES))
+@settings(max_examples=15, deadline=None)
+@given(rows=st.integers(1, 12), seed=st.integers(0, 10**6), level_at=st.integers(0, 2))
+def test_last_visit_walker_in_one_block_matches_full_row_scoring(family, t_at, rows, seed, level_at):
+    # one block that covers the grid: the restart at every block does nothing
+    spec, levels = _REVISIT_CASES[family]
+    n = spec.grid.n_steps
+    t_idx = {"first": 1, "middle": n // 2, "last": n - 1}[t_at]
+    args = (spec.to_config(), seed, 3, rows, levels[level_at], t_idx)
+    saved = experiments._REVISIT_BLOCK
+    experiments._REVISIT_BLOCK = n
+    try:
+        walked = experiments._bessel_revisit_batch(args)
+    finally:
+        experiments._REVISIT_BLOCK = saved
+    expected = reference.revisit_reduce(generate_rows(spec, seed, 3, rows), levels[level_at], t_idx,
+                                        family == "bessel3")
+    assert _bitwise_equal(walked, expected)
 
 
 _WALK_GRID = make_grid(3.0, 300)
@@ -258,7 +283,7 @@ def test_one_chunk_walk_equals_stop_at_mask_rows(rows, seed, trigger, block):
     g = _WALK_GRID
     upper, lower, line_b = _TRIGGERS[trigger]
     stop_step, stop_value, run_min, censored = _walk_in_blocks(
-        block, (seed, 2, rows, g.dt, g.n_steps, upper, lower, line_b, 1.0))
+        block, (seed, 2, rows, g.dt, g.n_steps, upper, lower, line_b))
     B = brownian_rows(g, seed, 2, rows)
     mask = np.zeros(B.shape, dtype=bool)
     if upper is not None:
@@ -279,7 +304,7 @@ def test_one_chunk_walk_equals_stop_at_mask_rows(rows, seed, trigger, block):
 def test_walk_blocks_match_one_block_per_chunk(rows, seed, trigger, block):
     g = _WALK_GRID
     upper, lower, line_b = _TRIGGERS[trigger]
-    args = (seed, 2, rows, g.dt, g.n_steps, upper, lower, line_b, 1.0)
+    args = (seed, 2, rows, g.dt, g.n_steps, upper, lower, line_b)
     assert _bitwise_equal(_walk_in_blocks(block, args), _walk_in_blocks(g.n_steps, args))
 
 

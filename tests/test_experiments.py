@@ -1,10 +1,12 @@
 """Experiment-level behavior at desk scale; the acceptance module runs the
 full-size versions."""
 
+from concurrent.futures import Future
+
 import numpy as np
 import pytest
 
-from sigmapaths import oracles
+from sigmapaths import experiments, oracles
 from sigmapaths.decompose import class_d_from_path_stats, class_d_path_stats
 from sigmapaths.experiments import (
     EXPERIMENTS,
@@ -307,3 +309,31 @@ def test_worker_count_does_not_change_numbers():
     t1 = tail_experiment("T_a_heavy_tail", 2000, 12, horizon=8.0, dt=2e-3, workers=1)
     t2 = tail_experiment("T_a_heavy_tail", 2000, 12, horizon=8.0, dt=2e-3, workers=2)
     assert reports_equal_ignoring_meta(t1.as_report(), t2.as_report())
+
+
+class _InProcessPool:
+    """A process pool stand-in that records its ``max_workers`` and runs each
+    submitted call in this process."""
+
+    def __init__(self, started, max_workers):
+        started.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, arg):
+        done = Future()
+        done.set_result(fn(arg))
+        return done
+
+
+@pytest.mark.parametrize("workers, batches, started", [(64, 3, [3]), (2, 3, [2]), (64, 1, []), (1, 3, [])])
+def test_pool_starts_no_more_workers_than_batches(monkeypatch, workers, batches, started):
+    seen = []
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", lambda max_workers: _InProcessPool(seen, max_workers))
+    args = list(range(batches))
+    assert list(experiments._stream_batches(lambda a: 10 * a, args, workers)) == [10 * a for a in args]
+    assert seen == started

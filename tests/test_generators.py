@@ -91,7 +91,7 @@ def test_stopped_hitting_never_triggers(fixed_normals):
 def test_stopped_hitting_line_rule():
     g = make_grid(1.0, 4)
     flat = _ramp(np.zeros(4))
-    _, stop = _first_stop(flat, g.times, line_b=2.0, line_level=1.0)  # 0 + 2t >= 1 at t = 0.5
+    _, stop = _first_stop(flat, g.times, line_b=2.0)  # 0 + 2t >= 1 at t = 0.5
     assert stop[0] == 2
 
 

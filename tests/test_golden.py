@@ -10,16 +10,24 @@ stdout summary line with the ``--out`` path replaced by ``<out>``; the
 grids and the walkers split into several batches, and the first-passage
 walker carries one running sum across 16 of its 1000-step draw blocks.  A change that alters
 a digest on purpose updates the table and says why in CHANGES.md.
+
+The digests hold for the numpy they were taken with (``NUMPY_VERSION``): its
+ziggurat normals and pairwise sums set their bits, so on another numpy a
+failure names both versions.
 """
 
 import hashlib
 import json
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
 from sigmapaths.cli import main
 from sigmapaths.reports import report_json_bytes, strip_meta
+
+#: The numpy every digest below was taken with.
+NUMPY_VERSION = "2.4.6"
 
 _SEED = ["--seed", "506369"]
 _SPEC = ["--family", "exp_martingale", "--stop-level", "1", "--horizon", "4", "--n-steps", "512"]
@@ -159,6 +167,19 @@ ARTIFACTS = {
 }
 
 
+def _numpy_note(installed=np.__version__):
+    """The assertion message of a digest mismatch: names both numpy versions
+    when the installed one is not the one the digests were taken with."""
+    if installed == NUMPY_VERSION:
+        return ""
+    return f"digests taken with numpy {NUMPY_VERSION}, installed numpy is {installed}"
+
+
+def test_numpy_note_names_both_versions():
+    assert _numpy_note(NUMPY_VERSION) == ""
+    assert NUMPY_VERSION in _numpy_note("1.26.4") and "1.26.4" in _numpy_note("1.26.4")
+
+
 def _run(tmp_path, name, workers):
     argv, output, _ = GOLDEN[name]
     out = tmp_path / f"{name.replace(' ', '_')}-w{workers}"
@@ -179,7 +200,7 @@ def _digest(raw, output):
 def test_golden_digests(tmp_path, workers):
     raws = {name: _run(tmp_path, name, workers) for name in GOLDEN}
     assert {name: _digest(raw, GOLDEN[name][1]) for name, raw in raws.items()} == {
-        name: sha for name, (_, _, sha) in GOLDEN.items()}
+        name: sha for name, (_, _, sha) in GOLDEN.items()}, _numpy_note()
     docs = {name: json.loads(raws[name]) for name in ("decompose", "lemma-balance")}
     assert docs["decompose"]["results"] == docs["lemma-balance"]["results"]["classd"]
 
@@ -200,4 +221,4 @@ def _artifacts(tmp_path, name, workers):
 @pytest.mark.parametrize("workers", [1, 2])
 def test_golden_tables_charts_and_summary_lines(tmp_path, workers):
     names = [name for name, (argv, _, _) in GOLDEN.items() if argv[0] in ("experiment", "decompose")]
-    assert {name: _artifacts(tmp_path, name, workers) for name in names} == ARTIFACTS
+    assert {name: _artifacts(tmp_path, name, workers) for name in names} == ARTIFACTS, _numpy_note()
