@@ -24,22 +24,23 @@ Estimation strategy notes, shared by several experiments:
   stays genuinely ambiguous (residual hit probability above 1/2), plus the
   mean tail-correction mass.
 
-* Every path is drawn by one keyed chunk engine, :func:`_keyed_chunks`.  It
-  draws each path's streams in blocks and carries one running sum per
-  stream across them, so a position is one cumulative sum and the block
-  size changes no report byte; it stops drawing a path once its caller
-  retires it.  Only the last-visit walker, which serves both azema-law
-  families, restarts its sum at every block, so its block of
-  ``_REVISIT_BLOCK`` steps is part of both azema-law reports' identity.
-  Every batch reduces over it block by block.  The first-passage walker
-  walks the engine itself; every other batch walks the family outputs that
-  ``generators._primary_blocks`` makes of it: the last-visit walker, and the
-  two-infinity and class-(D) batches with carried per-row state that is
-  exact or one sequential sum.  ``generators.row_passes`` fills full rows
-  for the API edge from the same blocks.  Stops
-  are decided at grid resolution by one rule, :func:`_first_stop`, and a
-  stopped path draws no block past its stop and leaves the reduction there;
-  that is what makes the 10^5-path tail studies affordable.
+* Every path is drawn by one keyed chunk engine, :func:`_keyed_chunks`,
+  whose one caller is ``generators._primary_blocks``, the block generator
+  of the family outputs.  It draws each path's streams in blocks and
+  carries one running sum per stream across them, so a position is one
+  cumulative sum and the block size changes no report byte; column 0 of a
+  block is the position before it.  Only the last-visit walker, which
+  serves both azema-law families, restarts its sum at every block, so its
+  block of ``_REVISIT_BLOCK`` steps is part of both azema-law reports'
+  identity.  Every batch reduces the blocks of ``_primary_blocks`` as they
+  come: the first-passage walker (on the stopped Brownian families), the
+  last-visit walker, and the two-infinity and class-(D) batches with
+  carried per-row state that is exact or one sequential sum.
+  ``generators.row_passes`` fills full rows for the API edge from the same
+  blocks.  Stops are decided at grid resolution by one rule,
+  :func:`_first_stop`, which ``_primary_blocks`` applies; a stopped path
+  draws no block past its stop and leaves the reduction there; that is
+  what makes the 10^5-path tail studies affordable.
 """
 
 from __future__ import annotations
@@ -125,8 +126,8 @@ def _concat_batches(fn: Callable, arglist: list, workers: int) -> tuple[np.ndarr
 # ---------------------------------------------------------------------------
 # keyed chunk engine (every path is drawn by it) and the one stop rule
 
-#: Steps per draw block of the first-passage walker and of the family outputs
-#: (``generators._primary_blocks``) that the class-(D) batch and ``row_passes`` walk.
+#: Steps per draw block of the family outputs (``generators._primary_blocks``)
+#: that the first-passage walker, the class-(D) batch and ``row_passes`` walk.
 #: A block does not change a report byte; a shorter one draws fewer normals
 #: past a path's stop.
 _WALK_BLOCK = 1000
@@ -149,26 +150,28 @@ def _keyed_chunks(seed, first, rows, start, dt, n_steps, block, retired, restart
 
     Component ``c`` of row ``i`` draws from ``StreamKey(seed, first + i, c)``,
     a counter-based stream, so the blocks see the same increments as one
-    draw.  Each block folds the sum of the earlier increments into its first
-    increment before its cumsum, and numpy's accumulate is sequential, so a
-    position is ``start`` plus one cumulative sum of its stream, the same
-    bits for every ``block``.  With ``restart``, each block's sum starts
-    again from the last position instead.
+    draw.  Each block puts the sum of the earlier increments in column 0,
+    draws its increments after it and takes one cumsum, and numpy's
+    accumulate is sequential, so a position is ``start`` plus one cumulative
+    sum of its stream, the same bits for every ``block``.  With ``restart``,
+    each block's sum starts again from the last position instead.
 
     Each block yields ``(step, alive, W)``: the grid index before the block,
-    the rows still walking, and their positions at the block's grid indices,
-    shaped ``(len(alive), cs, len(start))``.  Rows the caller sets in
+    the rows still walking, and their positions at grid indices ``step`` to
+    ``step + cs``, shaped ``(len(alive), cs + 1, len(start))``.  Column 0 is
+    the carried sum itself, so it equals the last column of the block before
+    bit for bit, and ``start`` in the first block.  Rows the caller sets in
     ``retired`` are not drawn again.  Every block reuses one buffer, and each
-    stream draws straight into it; callers reduce ``W`` in a function of
-    their own, so that the reduction's temporaries are freed before the next
-    block is drawn.
+    stream draws straight into it; callers may overwrite ``W``, and reduce it
+    in a function of their own, so that the reduction's temporaries are freed
+    before the next block is drawn.
     """
     k = len(start)
     gens = [[Generator(Philox(KeySequence(StreamKey(seed, first + i, c).philox_key()))) for c in range(k)]
             for i in range(rows)]
     pos = np.tile(np.asarray(start, dtype=float), (rows, 1))  # added after each cumsum
     raw = np.zeros((rows, k))  # Brownian sum so far; stays 0 with ``restart``
-    buf = np.empty(rows * k * min(block, n_steps))
+    buf = np.empty(rows * k * (min(block, n_steps) + 1))
     sqrt_dt = math.sqrt(dt)
     alive = np.arange(rows)
     for step in range(0, n_steps, block):
@@ -176,12 +179,12 @@ def _keyed_chunks(seed, first, rows, start, dt, n_steps, block, retired, restart
         if not alive.size:
             return
         cs = min(block, n_steps - step)
-        W = buf[: alive.size * k * cs].reshape(alive.size, k, cs)  # out= needs each stream's block contiguous
+        W = buf[: alive.size * k * (cs + 1)].reshape(alive.size, k, cs + 1)  # out= needs each stream contiguous
         for r, i in enumerate(alive):
             for c in range(k):
-                gens[i][c].standard_normal(cs, out=W[r, c])
-        W *= sqrt_dt
-        W[:, :, 0] += raw[alive]
+                gens[i][c].standard_normal(cs, out=W[r, c, 1:])
+        W[:, :, 1:] *= sqrt_dt
+        W[:, :, 0] = raw[alive]
         np.cumsum(W, axis=2, out=W)
         if not restart:
             raw[alive] = W[:, :, -1]
@@ -356,8 +359,8 @@ def lemma_balance_experiment(
     mspec = _martingale_spec(spec)
     cfg = mspec.to_config()
     n, k = mspec.grid.n_steps, 3 if "x0" in mspec.params else 1
-    # one path holds its two rows of Stieltjes terms and, on each block, its k-component draw block, M, the
-    # block's two rows of terms and the kernel's two work rows
+    # one path holds its two rows of Stieltjes terms and, on each block, its k-component draw block, M (in the
+    # draw block for exp_martingale: one block spare), the block's two rows of terms and two work rows
     rows = _batch_rows(2 * n + (k + 5) * min(_WALK_BLOCK, n))
     args = [(cfg, master_seed, first, r) for first, r in _ranges(n_paths, rows)]
     classd = class_d_from_path_stats(_stream_batches(_martingale_batch, args, workers), mspec.grid)
@@ -565,7 +568,8 @@ def azema_conditional_experiment(
         formula_at = oracles.exp_martingale_level_hit_probability
     else:
         raise ValueError("azema experiment supports bessel3 and exp_martingale specs")
-    # one path holds its draw block, its state and one temporary of the state in ``scan``
+    # one path holds its draw block, its state (in the draw block for exp_martingale: one block spare) and
+    # one temporary of the state in ``scan``
     rows = _batch_rows(((3 if spec.family == "bessel3" else 1) + 2) * _REVISIT_BLOCK)
     args = [(spec.to_config(), master_seed, first, r, level, t_idx) for first, r in _ranges(n_paths, rows)]
     state_t, score, ambiguous, correction = _concat_batches(_bessel_revisit_batch, args, workers)
@@ -748,32 +752,27 @@ def two_infinity_check(
 
 
 def _walk_brownian_batch(args):
-    """Simulate Brownian rows block by block until a trigger or the horizon.
+    """Walk Brownian rows block by block until a trigger or the horizon.
 
     Triggers: ``upper`` level (B >= upper), ``lower`` level (B <= lower),
-    or the drifted line ``B + line_b * t >= 1``.  Returns per path:
-    stop step (grid index, -1 when censored), value at the stop (final value
-    when censored), prefix minimum up to the stop, and the censored mask.
+    or the drifted line ``B + line_b * t >= 1``, as the ``a``, ``lower`` and
+    ``b`` of a stopped Brownian spec walked by ``generators._primary_blocks``.
+    Returns per path: stop step (grid index, -1 when censored), value at the
+    stop (final value when censored), prefix minimum up to the stop, and the
+    censored mask.
     """
-    (seed, first, rows, dt, n_steps, upper, lower, line_b) = args
+    (seed, first, rows, horizon, n_steps, upper, lower, line_b) = args
+    params = {k: v for k, v in (("a", upper), ("lower", lower), ("b", line_b)) if v is not None}
+    spec = GeneratorSpec("brownian_stopped_level" if "a" in params else "brownian_drift_stopped_line", params,
+                         make_grid(horizon, n_steps))
     run_min = np.zeros(rows)
     stop_step = np.full(rows, -1, dtype=np.int64)
     stop_value = np.zeros(rows)
-    retired = np.zeros(rows, dtype=bool)
-
-    def scan(step, alive, W):
-        P = W[:, :, 0]
-        has, at = _first_stop(P, (np.arange(1, P.shape[1] + 1) + step) * dt, upper, lower, line_b)
-        stop_value[alive] = P[np.arange(alive.size), at]
-        low = P.min(axis=1)
-        for j in np.flatnonzero(has):
-            low[j] = P[j, :at[j] + 1].min()
-        run_min[alive] = np.minimum(run_min[alive], low)
-        stop_step[alive[has]] = step + at[has] + 1
-        retired[alive[has]] = True
-
-    for block_args in _keyed_chunks(seed, first, rows, (0.0,), dt, n_steps, _WALK_BLOCK, retired):
-        scan(*block_args)
+    for step, alive, P, stop in _primary_blocks(spec, seed, first, rows, _WALK_BLOCK, np.zeros(rows, dtype=bool)):
+        stop_value[alive] = P[:, -1]
+        run_min[alive] = np.minimum(run_min[alive], P.min(axis=1))  # a held tail repeats its stop
+        stopped = stop >= 0
+        stop_step[alive[stopped]] = step + stop[stopped] + 1
     return stop_step, stop_value, run_min, stop_step < 0
 
 
@@ -792,9 +791,9 @@ def _walk_steps(horizon: float, dt: float) -> int:
     return n_steps
 
 
-def _walk(n_paths, master_seed, dt, n_steps, workers, **trig) -> tuple:
+def _walk(n_paths, master_seed, horizon, n_steps, workers, **trig) -> tuple:
     args = [
-        (master_seed, first, r, dt, n_steps, trig.get("upper"), trig.get("lower"), trig.get("line_b"))
+        (master_seed, first, r, horizon, n_steps, trig.get("upper"), trig.get("lower"), trig.get("line_b"))
         for first, r in _ranges(n_paths, _batch_rows(_WALK_BLOCK))
     ]
     return _concat_batches(_walk_brownian_batch, args, workers)
@@ -890,7 +889,7 @@ def saturation_probe(
     if kind == "nonsaturated_zero_set":
         a_max = max(_SATURATION_LEVELS)
         stop_step, stop_value, run_min, censored = _walk(
-            n_paths, master_seed, dt, n_steps, workers, upper=1.0, lower=-a_max
+            n_paths, master_seed, horizon, n_steps, workers, upper=1.0, lower=-a_max
         )
         ok = ~censored
         neg_min = -run_min[ok]
@@ -915,7 +914,7 @@ def saturation_probe(
         )
     if kind == "saturated_level_set":
         stop_step, stop_value, run_min, censored = _walk(
-            n_paths, master_seed, dt, n_steps, workers, upper=1.0
+            n_paths, master_seed, horizon, n_steps, workers, upper=1.0
         )
         ok = ~censored
         membership = float(np.mean(run_min[ok] <= 0.0)) if ok.any() else float("nan")
@@ -1024,7 +1023,7 @@ def tail_experiment(
             raise ValueError(f"--horizon {horizon} lies below every survival time {list(_TAIL_TIMES)}; "
                              f"raise it to at least {min(_TAIL_TIMES)}")
         stop_step, _, _, censored = _walk(
-            n_paths, master_seed, dt, n_steps, workers, upper=a
+            n_paths, master_seed, horizon, n_steps, workers, upper=a
         )
         t_hit = np.where(censored, np.inf, stop_step * dt)
         ests = [McEstimate.from_samples((t_hit > t).astype(float)) for t in usable]
@@ -1062,7 +1061,7 @@ def tail_experiment(
         if not 0 < b < math.inf:
             raise ValueError(f"b must be positive and finite, got {b}")
         stop_step, stop_value, _, censored = _walk(
-            n_paths, master_seed, dt, n_steps, workers, line_b=b
+            n_paths, master_seed, horizon, n_steps, workers, line_b=b
         )
         ok = ~censored
         sigma = stop_step[ok] * dt

@@ -4,7 +4,8 @@ Families
 --------
 * ``brownian``                    standard Brownian motion from 0
 * ``brownian_stopped_level``     Brownian motion frozen at the first grid
-                                  index with ``B >= a``
+                                  index with ``B >= a``, or ``B <= lower``
+                                  when the optional ``lower < 0`` is given
 * ``brownian_drift_stopped_line`` Brownian motion frozen at the first grid
                                   index with ``B + b t >= 1``
 * ``exp_martingale``             ``exp(B_t - t/2)``, optionally on a stopped
@@ -16,23 +17,24 @@ Families
                                   scale-function martingale normalized to 1
 
 Every row is drawn from its own keyed streams (path index ``first_index +
-i``) through the one keyed chunk engine of :mod:`~.experiments`, with the
-stop rule the first-passage walker uses.  :func:`_primary_blocks` is the one
-block generator of the family outputs: it yields each block of ``B``, ``R``,
-``exp(B - t/2)`` or ``x0/R``, holds a stopped row at its stop inside the
-block, and stops drawing the row after that block.  Every batch of
-:mod:`~.experiments` but the first-passage walker reduces these blocks as
-they come: the class-(D) batch of the balance experiments, the two-infinity
-batch and the last-visit walker (which restarts the engine's running sums at
-every block).  :func:`row_passes` fills full rows from them, one row per
-path and each stopped row's tail from its stop column, one pass of at most
-one full-row batch at a time in one reused buffer, and :func:`generate_rows`
-stacks those passes into a ``(rows, n+1)`` matrix.  A single path is
-``rows=1`` and a row does not depend on the batch it was drawn in, so
-ensembles can be built in any order, split across any number of workers,
-and still come out bit-identical.  :class:`~.grids.Path` objects are built
-from rows only at the API edge (``simulate``, which writes each pass before
-drawing the next, ``decompose``'s CSV, the ``verify`` suites).
+i``) through the one keyed chunk engine of :mod:`~.experiments` and its one
+stop rule, both applied here only.  :func:`_primary_blocks` is the one block
+generator of the family outputs: it turns each engine block into ``B``,
+``R``, ``exp(B - t/2)`` or ``x0/R`` in place (the Bessel families in one norm
+buffer), holds a stopped row at its stop inside the block, and stops drawing
+the row after that block.  Every batch of :mod:`~.experiments` reduces these
+blocks as they come: the first-passage walker, the class-(D) batch of the
+balance experiments, the two-infinity batch and the last-visit walker (which
+restarts the engine's running sums at every block).  :func:`row_passes`
+fills full rows from them, one row per path and each stopped row's tail
+from its stop column, one pass of at most one full-row batch at a time in
+one reused buffer, and :func:`generate_rows` stacks those passes into a
+``(rows, n+1)`` matrix.  A single path is ``rows=1`` and a row does not
+depend on the batch it was drawn in, so ensembles can be built in any order,
+split across any number of workers, and still come out bit-identical.
+:class:`~.grids.Path` objects are built from rows only at the API edge
+(``simulate``, which writes each pass before drawing the next,
+``decompose``'s CSV, the ``verify`` suites).
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ __all__ = ["GeneratorSpec", "FAMILIES", "generate_rows", "row_passes"]
 #: family -> (required params, optional params)
 FAMILIES: dict[str, tuple[set, set]] = {
     "brownian": (set(), set()),
-    "brownian_stopped_level": ({"a"}, set()),
+    "brownian_stopped_level": ({"a"}, {"lower"}),
     "brownian_drift_stopped_line": ({"b"}, set()),
     "exp_martingale": (set(), {"stop_level", "stop_line_drift"}),
     "bessel3": ({"x0"}, set()),
@@ -86,6 +88,10 @@ class GeneratorSpec:
         for k, v in self.params.items():
             if k in _POSITIVE_PARAMS and not 0 < v < math.inf:
                 raise ValueError(f"parameter {k} must be positive and finite, got {v}")
+        if not -math.inf < self.params.get("lower", -1.0) < 0:  # B_0 = 0 would stop at step 1
+            raise ValueError(f"parameter lower must be negative and finite, got {self.params['lower']}")
+        if math.sqrt((x0 := self.params.get("x0", 1.0)) * x0) != x0:  # the Bessel norm gives R_0
+            raise ValueError(f"parameter x0 = {x0} is too small or large: sqrt(x0 * x0) != x0")
 
     def to_config(self) -> dict[str, str]:
         """Flat key-value form (echoed into reports)."""
@@ -120,11 +126,11 @@ class GeneratorSpec:
 # blocks and rows: the keyed chunk engine of ``experiments``, one running sum per stream
 
 
-def _freeze(values: np.ndarray, stop: np.ndarray) -> np.ndarray:
-    """Hold each row of ``values`` at its value in column ``stop`` from there
-    on, in place; returns ``values``."""
-    held = values[np.arange(len(values)), stop][:, None]
-    np.copyto(values, held, where=np.arange(values.shape[1]) > stop[:, None])
+def _hold(values: np.ndarray, stop: np.ndarray) -> np.ndarray:
+    """Hold each row of ``values`` with ``stop >= 0`` at its column ``stop``
+    from there on, in place, touching no other row; returns ``values``."""
+    for r in np.flatnonzero(stop >= 0):
+        values[r, stop[r] + 1:] = values[r, stop[r]]
     return values
 
 
@@ -143,16 +149,18 @@ def _primary_blocks(spec: GeneratorSpec, master_seed: int, first_index: int, row
     ``exp(B - t/2)`` or ``x0/R``) through :func:`~.experiments._keyed_chunks`,
     ``block`` grid steps at a time, one keyed stream set per path.
 
-    Each block yields ``(step, alive, P, stopped)``: the grid index before the
+    Each block yields ``(step, alive, P, stop)``: the grid index before the
     block, the rows still walking, their values at grid indices ``step`` to
-    ``step + cs`` (shaped ``(len(alive), cs + 1)``, so column 0 repeats the
-    last column of the block before), and which of them stop in the block.  A
-    stopped row is held at its stop column (for ``exp_martingale``, at
+    ``step + cs`` (shaped ``(len(alive), cs + 1)``; column 0 comes from the
+    engine and repeats the last column of the block before), and each row's
+    stop column in ``P[:, 1:]``, -1 for rows that do not stop in the block.
+    A stopped row is held at its stop (for ``exp_martingale``, at
     ``exp(B_s - s/2)``, what the stopped ``(B, t)`` gives from there on) and
-    is not drawn after that block, so its value from there on is ``P[stopped,
+    is not drawn after that block, so its value from there on is ``P[row,
     -1]``.  Rows the caller sets in ``retired`` are not drawn again either,
-    and ``restart`` goes to the engine.  ``P`` lives in a buffer that the
-    next block overwrites."""
+    and ``restart`` goes to the engine.  ``P`` is the engine's block (the
+    Bessel norm's buffer for the Bessel families), transformed in place, and
+    the next block overwrites it."""
     from .experiments import _first_stop, _keyed_chunks
 
     grid, p = spec.grid, spec.params
@@ -160,35 +168,27 @@ def _primary_blocks(spec: GeneratorSpec, master_seed: int, first_index: int, row
     start = (0.0,) if x0 is None else (x0, 0.0, 0.0)
     level = p.get("a", p.get("stop_level"))
     line_b = p.get("b", p.get("stop_line_drift"))
-    stops = level is not None or line_b is not None
-    # B_0 = 0 and R_0 = x0; both martingales start at 1, exp(0 - 0/2) and x0/x0 exactly
-    last = np.full(rows, 1.0 if spec.family in ("exp_martingale", "scale_martingale") else start[0])
-    buf = np.empty(rows * (min(block, grid.n_steps) + 1))
+    if x0 is not None:  # R_0 = sqrt(x0^2) = x0 and x0/x0 = 1 exactly
+        buf = np.empty(rows * (min(block, grid.n_steps) + 1))
     for step, alive, W in _keyed_chunks(master_seed, first_index, rows, start, grid.dt, grid.n_steps, block,
                                         retired, restart):
-        cs = W.shape[1]
-        t = grid.times[step + 1:step + 1 + cs]
-        P = buf[:alive.size * (cs + 1)].reshape(alive.size, cs + 1)
-        P[:, 0] = last[alive]
-        V = P[:, 1:]
-        stopped = np.zeros(alive.size, dtype=bool)
-        if x0 is None:
-            B = W[:, :, 0]
-            if stops:
-                stopped, at = _first_stop(B, t, upper=level, line_b=line_b)
+        cs = W.shape[1] - 1
+        stop = np.full(alive.size, -1)
+        if x0 is None:  # B_0 = 0, and exp(0 - 0/2) = 1 exactly
+            P = W[:, :, 0]
+            if level is not None or line_b is not None:
+                has, at = _first_stop(P[:, 1:], grid.times[step + 1:step + 1 + cs], upper=level,
+                                      lower=p.get("lower"), line_b=line_b)
+                stop[has] = at[has]
+                retired[alive[has]] = True
             if spec.family == "exp_martingale":
-                np.exp(np.subtract(B, t / 2.0, out=V), out=V)
-            else:
-                V[...] = B
-            if stops:
-                _freeze(V, at)
-                retired[alive[stopped]] = True
+                np.exp(np.subtract(P, grid.times[step:step + cs + 1] / 2.0, out=P), out=P)
+            _hold(P[:, 1:], stop)
         else:  # the Bessel families never stop
-            _bessel_norm(W, V)
+            P = _bessel_norm(W, buf[:alive.size * (cs + 1)].reshape(alive.size, cs + 1))
             if spec.family == "scale_martingale":
-                np.divide(x0, V, out=V)
-        last[alive] = V[:, -1]
-        yield step, alive, P, stopped
+                np.divide(x0, P, out=P)
+        yield step, alive, P, stop
 
 
 def row_passes(spec: GeneratorSpec, master_seed: int, first_index: int, rows: int):
@@ -208,11 +208,11 @@ def row_passes(spec: GeneratorSpec, master_seed: int, first_index: int, rows: in
     buf = np.empty((min(bound, rows), len(spec.grid)))
     for off in range(0, rows, bound):
         out = buf[:min(bound, rows - off)]
-        for step, alive, P, stopped in _primary_blocks(spec, master_seed, first_index + off, len(out),
-                                                       _WALK_BLOCK, np.zeros(len(out), dtype=bool)):
+        for step, alive, P, stop in _primary_blocks(spec, master_seed, first_index + off, len(out),
+                                                    _WALK_BLOCK, np.zeros(len(out), dtype=bool)):
             end = step + P.shape[1]
             out[alive, step:end] = P
-            out[alive[stopped], end:] = P[stopped, -1:]
+            out[alive[stop >= 0], end:] = P[stop >= 0, -1:]
         del P  # a view of this pass's block buffer: free it before the next pass draws
         yield off, out
 

@@ -88,7 +88,7 @@ def reference_rows(spec, master_seed: int, first_index: int, rows: int) -> tuple
     level = spec.params.get("a", spec.params.get("stop_level"))
     drift = spec.params.get("b", spec.params.get("stop_line_drift"))
     if level is not None:
-        B, stop = stop_at_mask_rows(B, B >= level)
+        B, stop = stop_at_mask_rows(B, (B >= level) | (B <= spec.params.get("lower", -np.inf)))
     elif drift is not None:
         B, stop = stop_at_mask_rows(B, B + drift * grid.times[None, :] >= 1.0)
     if fam != "exp_martingale":

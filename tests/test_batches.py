@@ -105,7 +105,7 @@ def _batch_args(rows):
         "_martingale_batch": (expmart, 5, 3, rows),
         "_bessel_revisit_batch": (bessel, 5, 3, rows, 1.0, 32),
         "_two_infinity_batch": (bessel, 5, 3, rows, 1.0, [128, 256]),
-        "_walk_brownian_batch": (5, 3, rows, 1e-2, 400, 1.0, -2.0, None),
+        "_walk_brownian_batch": (5, 3, rows, 4.0, 400, 1.0, -2.0, None),
     }
 
 
@@ -184,10 +184,11 @@ class _CountingGenerator:
 
 
 def _walked(start, rows, block, retire_after=None, restart=False):
-    """Walk ``_WALK_GRID`` with ``_keyed_chunks`` in blocks of ``block`` steps.
-    Returns the positions (NaN where a row no longer walks), the
-    ``(step, steps)`` of each yielded block, and the normals each row drew;
-    row ``i`` is retired after block ``retire_after[i]``."""
+    """Walk ``_WALK_GRID`` with ``_keyed_chunks`` in blocks of ``block`` steps,
+    checking that column 0 of each block is the position before it, bit for
+    bit.  Returns the positions after index 0 (NaN where a row no longer
+    walks), the ``(step, steps)`` of each yielded block, and the normals each
+    row drew; row ``i`` is retired after block ``retire_after[i]``."""
     g = _WALK_GRID
     out = np.full((rows, g.n_steps, len(start)), np.nan)
     retired = np.zeros(rows, dtype=bool)
@@ -203,8 +204,10 @@ def _walked(start, rows, block, retire_after=None, restart=False):
                 31, 4, rows, start, g.dt, g.n_steps, block, retired, restart=restart)):
             assert not retired[alive].any()
             assert W.shape == (alive.size, W.shape[1], len(start))
-            out[alive, step:step + W.shape[1]] = W
-            blocks.append((step, W.shape[1]))
+            before = np.tile(start, (alive.size, 1)) if step == 0 else out[alive, step - 1]
+            assert W[:, 0].tobytes() == before.tobytes()
+            out[alive, step:step + W.shape[1] - 1] = W[:, 1:]
+            blocks.append((step, W.shape[1] - 1))
             if retire_after is not None:
                 retired[np.asarray(retire_after) == j] = True
     finally:
@@ -283,15 +286,15 @@ def test_one_chunk_walk_equals_stop_at_mask_rows(rows, seed, trigger, block):
     g = _WALK_GRID
     upper, lower, line_b = _TRIGGERS[trigger]
     stop_step, stop_value, run_min, censored = _walk_in_blocks(
-        block, (seed, 2, rows, g.dt, g.n_steps, upper, lower, line_b))
+        block, (seed, 2, rows, g.horizon, g.n_steps, upper, lower, line_b))
     B = brownian_rows(g, seed, 2, rows)
     mask = np.zeros(B.shape, dtype=bool)
     if upper is not None:
         mask |= B >= upper
     if lower is not None:
         mask |= B <= lower
-    if line_b is not None:  # the walker's own grid times, index * dt
-        mask |= B + line_b * (np.arange(g.n_steps + 1) * g.dt) >= 1.0
+    if line_b is not None:  # the times of the walker's grid, make_grid(horizon, n_steps)
+        mask |= B + line_b * g.times >= 1.0
     frozen, stop = stop_at_mask_rows(B, mask)
     assert np.array_equal(censored, ~mask.any(axis=1))
     assert np.array_equal(np.where(censored, g.n_steps, stop_step), stop)
@@ -304,14 +307,15 @@ def test_one_chunk_walk_equals_stop_at_mask_rows(rows, seed, trigger, block):
 def test_walk_blocks_match_one_block_per_chunk(rows, seed, trigger, block):
     g = _WALK_GRID
     upper, lower, line_b = _TRIGGERS[trigger]
-    args = (seed, 2, rows, g.dt, g.n_steps, upper, lower, line_b)
+    args = (seed, 2, rows, g.horizon, g.n_steps, upper, lower, line_b)
     assert _bitwise_equal(_walk_in_blocks(block, args), _walk_in_blocks(g.n_steps, args))
 
 
 _GEN_GRID = make_grid(4.0, 160)
 _GEN_SPECS = {
     f"{family} {params}": GeneratorSpec(family, params, _GEN_GRID) for family, params in [
-        ("brownian", {}), ("brownian_stopped_level", {"a": 0.5}), ("brownian_drift_stopped_line", {"b": 0.5}),
+        ("brownian", {}), ("brownian_stopped_level", {"a": 0.5}),
+        ("brownian_stopped_level", {"a": 0.5, "lower": -0.5}), ("brownian_drift_stopped_line", {"b": 0.5}),
         ("exp_martingale", {}), ("exp_martingale", {"stop_level": 0.5}),
         ("exp_martingale", {"stop_line_drift": 0.5}), ("bessel3", {"x0": 1.5}), ("scale_martingale", {"x0": 1.5})]}
 
@@ -486,6 +490,7 @@ def test_balance_batches_hold_blocks_and_two_rows_of_terms():
     assert peak < 2 * experiments._BATCH_VALUES * 8, peak
 
 
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(1, 8), st.integers(0, 10**6), st.sampled_from([0.5, 1.0, 1.5, 3.0]),
        st.lists(st.integers(1, 128), min_size=1, max_size=5, unique=True).map(sorted))
@@ -555,3 +560,19 @@ def test_two_infinity_batches_hold_blocks_not_rows():
     finally:
         tracemalloc.stop()
     assert peak < 2 * experiments._BATCH_VALUES * 8, peak
+
+
+@pytest.mark.parametrize("run", [
+    lambda: experiments.tail_experiment("T_a_heavy_tail", 1048, 3, horizon=4.0, dt=1e-3),
+    lambda: experiments.saturation_probe("nonsaturated_zero_set", 1048, 3, horizon=4.0, dt=1e-3),
+], ids=["tail T_a", "saturation nonsaturated"])
+def test_walker_batches_hold_one_engine_block(run):
+    # one walker batch of 1048 rows over 4000 steps: a second full-block buffer beside the engine's
+    # would peak near 2.4 times _BATCH_VALUES float64s
+    tracemalloc.start()
+    try:
+        run()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * experiments._BATCH_VALUES * 8, peak

@@ -205,6 +205,12 @@ def test_generator_spec_validation():
         GeneratorSpec("brownian", {"a": 1.0}, g)
     with pytest.raises(ValueError, match="at most one"):
         GeneratorSpec("exp_martingale", {"stop_level": 1.0, "stop_line_drift": 1.0}, g)
+    for x0 in (1e-200, 1e200):  # R_0 = sqrt(x0^2) would not be x0
+        with pytest.raises(ValueError, match="too small or large"):
+            GeneratorSpec("bessel3", {"x0": x0}, g)
+    for lower in (0.0, 0.5, -np.inf, np.nan):  # B_0 = 0: a barrier at or above it stops every row at step 1
+        with pytest.raises(ValueError, match="lower must be negative and finite"):
+            GeneratorSpec("brownian_stopped_level", {"a": 1.0, "lower": lower}, g)
 
 
 def test_generator_spec_config_roundtrip():

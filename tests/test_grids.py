@@ -62,8 +62,8 @@ def test_path_rejects_nan_and_length_mismatch():
 
 def _stop_row(values, level):
     """The shared stop rule at ``values >= level``, and the row frozen from there."""
-    _, stop = _first_stop(np.array([values]), None, upper=level)
-    return generators._freeze(np.array([values]), stop)[0], int(stop[0])
+    has, stop = _first_stop(np.array([values]), None, upper=level)
+    return generators._hold(np.array([values]), np.where(has, stop, -1))[0], int(stop[0])
 
 
 def test_stop_path_first_crossing():
