@@ -19,10 +19,14 @@ Estimation strategy notes, shared by several experiments:
   simulation can only bound them.  The experiments resolve the revisit event
   on the grid and close the remainder with the exact hitting probability from
   the terminal state (strong Markov plus the scale-function / martingale ruin
-  formula).  That keeps the estimator unbiased at any horizon; what is
-  reported as censoring is the fraction of paths whose binary classification
-  stays genuinely ambiguous (residual hit probability above 1/2), plus the
-  mean tail-correction mass.
+  formula).  That keeps the estimator unbiased in the horizon, but a revisit
+  is seen only as a sign change between grid points, so one that crosses
+  the level and returns within a step is missed: an O(sqrt(dt)) bias of
+  discrete monitoring that reads -10.0 standard errors on the grid of
+  acceptance criterion 6 (32,768 steps, 100,000 paths; see ROADMAP).
+  What is reported as censoring is the fraction of paths whose binary
+  classification stays genuinely ambiguous (residual hit probability above
+  1/2), plus the mean tail-correction mass.
 
 * Every path is drawn by one keyed chunk engine, :func:`_keyed_chunks`,
   whose one caller is ``generators._primary_blocks``, the block generator
@@ -40,7 +44,9 @@ Estimation strategy notes, shared by several experiments:
   blocks.  Stops are decided at grid resolution by one rule,
   :func:`_first_stop`, which ``_primary_blocks`` applies; a stopped path
   draws no block past its stop and leaves the reduction there; that is
-  what makes the 10^5-path tail studies affordable.
+  what makes the 10^5-path tail studies affordable.  A passage time is the
+  time of the walked grid at the stop index, never that index times a
+  second step.
 """
 
 from __future__ import annotations
@@ -359,8 +365,8 @@ def lemma_balance_experiment(
     mspec = _martingale_spec(spec)
     cfg = mspec.to_config()
     n, k = mspec.grid.n_steps, 3 if "x0" in mspec.params else 1
-    # one path holds its two rows of Stieltjes terms and, on each block, its k-component draw block, M (in the
-    # draw block for exp_martingale: one block spare), the block's two rows of terms and two work rows
+    # one path holds its two rows of Stieltjes terms and, on each block, its k-component draw block (M in
+    # place), one temporary of the Bessel norm, the block's two rows of terms and two work rows
     rows = _batch_rows(2 * n + (k + 5) * min(_WALK_BLOCK, n))
     args = [(cfg, master_seed, first, r) for first, r in _ranges(n_paths, rows)]
     classd = class_d_from_path_stats(_stream_batches(_martingale_batch, args, workers), mspec.grid)
@@ -568,8 +574,7 @@ def azema_conditional_experiment(
         formula_at = oracles.exp_martingale_level_hit_probability
     else:
         raise ValueError("azema experiment supports bessel3 and exp_martingale specs")
-    # one path holds its draw block, its state (in the draw block for exp_martingale: one block spare) and
-    # one temporary of the state in ``scan``
+    # one path holds its draw block (the state in place) plus two ``scan`` temporaries
     rows = _batch_rows(((3 if spec.family == "bessel3" else 1) + 2) * _REVISIT_BLOCK)
     args = [(spec.to_config(), master_seed, first, r, level, t_idx) for first, r in _ranges(n_paths, rows)]
     state_t, score, ambiguous, correction = _concat_batches(_bessel_revisit_batch, args, workers)
@@ -729,8 +734,9 @@ def two_infinity_check(
         raise ValueError(f"horizons {hs} fall on grid indices {h_indices} of {grid.n_steps} steps; "
                          "they need distinct indices of at least 1: raise --n-steps")
     cfg = spec.to_config()
-    # one path holds its 3-component draw block, S, L, M and one temporary of the Bessel norm
-    rows = _batch_rows(7 * min(_TERMINAL_BLOCK, grid.n_steps))
+    # one path holds its 3-component draw block (S in place of its first component), L, M and one temporary
+    # of the Bessel norm
+    rows = _batch_rows(6 * min(_TERMINAL_BLOCK, grid.n_steps))
     args = [(cfg, master_seed, first, r, y, h_indices) for first, r in _ranges(n_paths, rows)]
     gaps, violation = _concat_batches(_two_infinity_batch, args, workers)
     medians = [float(np.median(gaps[:, k])) for k in range(len(hs))]
@@ -792,11 +798,15 @@ def _walk_steps(horizon: float, dt: float) -> int:
 
 
 def _walk(n_paths, master_seed, horizon, n_steps, workers, **trig) -> tuple:
+    """The first-passage walker on ``make_grid(horizon, n_steps)``.  Returns
+    per path: the passage time, read off that grid (``inf`` when censored),
+    the value at the stop and the prefix minimum up to the stop."""
     args = [
         (master_seed, first, r, horizon, n_steps, trig.get("upper"), trig.get("lower"), trig.get("line_b"))
         for first, r in _ranges(n_paths, _batch_rows(_WALK_BLOCK))
     ]
-    return _concat_batches(_walk_brownian_batch, args, workers)
+    stop_step, stop_value, run_min, censored = _concat_batches(_walk_brownian_batch, args, workers)
+    return np.where(censored, np.inf, make_grid(horizon, n_steps).times[stop_step]), stop_value, run_min
 
 
 # ---------------------------------------------------------------------------
@@ -886,53 +896,30 @@ def saturation_probe(
     B_0 = 0), verified for every uncensored path.
     """
     n_steps = _walk_steps(horizon, dt)
-    if kind == "nonsaturated_zero_set":
-        a_max = max(_SATURATION_LEVELS)
-        stop_step, stop_value, run_min, censored = _walk(
-            n_paths, master_seed, horizon, n_steps, workers, upper=1.0, lower=-a_max
-        )
-        ok = ~censored
-        neg_min = -run_min[ok]
-        ests, refs = [], []
-        for a in _SATURATION_LEVELS:
-            ests.append(McEstimate.from_samples((neg_min >= a).astype(float)))
-            refs.append(oracles.gamblers_ruin_down_before_up(a, 1.0))
-        capped = stop_value[ok] <= -a_max
-        return SaturationReport(
-            kind=kind,
-            levels=_SATURATION_LEVELS,
-            empirical_survival=tuple(ests),
-            reference=tuple(refs),
-            samples=tuple(float(v) for v in neg_min[:_KEEP_SAMPLES]),
-            sample_capped=tuple(bool(c) for c in capped[:_KEEP_SAMPLES]),
-            membership_rate=float("nan"),
-            n_uncensored=int(ok.sum()),
-            n_censored=int(censored.sum()),
-            horizon=horizon,
-            dt=dt,
-            seed=master_seed,
-        )
-    if kind == "saturated_level_set":
-        stop_step, stop_value, run_min, censored = _walk(
-            n_paths, master_seed, horizon, n_steps, workers, upper=1.0
-        )
-        ok = ~censored
-        membership = float(np.mean(run_min[ok] <= 0.0)) if ok.any() else float("nan")
-        return SaturationReport(
-            kind=kind,
-            levels=(),
-            empirical_survival=(),
-            reference=(),
-            samples=(),
-            sample_capped=(),
-            membership_rate=membership,
-            n_uncensored=int(ok.sum()),
-            n_censored=int(censored.sum()),
-            horizon=horizon,
-            dt=dt,
-            seed=master_seed,
-        )
-    raise ValueError(f"kind must be 'nonsaturated_zero_set' or 'saturated_level_set', got {kind!r}")
+    nonsaturated = kind == "nonsaturated_zero_set"
+    if not nonsaturated and kind != "saturated_level_set":
+        raise ValueError(f"kind must be 'nonsaturated_zero_set' or 'saturated_level_set', got {kind!r}")
+    a_max = max(_SATURATION_LEVELS)
+    t_hit, stop_value, run_min = _walk(n_paths, master_seed, horizon, n_steps, workers, upper=1.0,
+                                       lower=-a_max if nonsaturated else None)
+    ok = np.isfinite(t_hit)
+    levels, keep = (_SATURATION_LEVELS, _KEEP_SAMPLES) if nonsaturated else ((), 0)
+    neg_min = -run_min[ok]
+    capped = stop_value[ok] <= -a_max
+    return SaturationReport(
+        kind=kind,
+        levels=levels,
+        empirical_survival=tuple(McEstimate.from_samples((neg_min >= a).astype(float)) for a in levels),
+        reference=tuple(oracles.gamblers_ruin_down_before_up(a, 1.0) for a in levels),
+        samples=tuple(float(v) for v in neg_min[:keep]),
+        sample_capped=tuple(bool(c) for c in capped[:keep]),
+        membership_rate=float(np.mean(run_min[ok] <= 0.0)) if ok.any() and not nonsaturated else float("nan"),
+        n_uncensored=int(ok.sum()),
+        n_censored=int((~ok).sum()),
+        horizon=horizon,
+        dt=dt,
+        seed=master_seed,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -1018,21 +1005,28 @@ def tail_experiment(
     if kind == "T_a_heavy_tail":
         if not 0 < a < math.inf:
             raise ValueError(f"a must be positive and finite, got {a}")
-        usable = [t for t in _TAIL_TIMES if t <= horizon]
-        if not usable:
+        times = [t for t in _TAIL_TIMES if t <= horizon]
+        if not times:
             raise ValueError(f"--horizon {horizon} lies below every survival time {list(_TAIL_TIMES)}; "
                              f"raise it to at least {min(_TAIL_TIMES)}")
-        stop_step, _, _, censored = _walk(
-            n_paths, master_seed, horizon, n_steps, workers, upper=a
-        )
-        t_hit = np.where(censored, np.inf, stop_step * dt)
-        ests = [McEstimate.from_samples((t_hit > t).astype(float)) for t in usable]
-        refs = [oracles.level_passage_survival(a, t) for t in usable]
-        fit_times = [t for t in usable if t >= 4.0]
-        warning = ""
+        trig = {"upper": a}
+    elif kind == "sigma_b_expectation":
+        if not 0 < b < math.inf:
+            raise ValueError(f"b must be positive and finite, got {b}")
+        times = [horizon / 8, horizon / 4, horizon / 2, horizon]
+        trig = {"line_b": b}
+    else:
+        raise ValueError(f"kind must be 'T_a_heavy_tail' or 'sigma_b_expectation', got {kind!r}")
+    t_hit, stop_value, _ = _walk(n_paths, master_seed, horizon, n_steps, workers, **trig)
+    survival = [McEstimate.from_samples((t_hit > t).astype(float)) for t in times]
+    censoring = float(np.mean(np.isinf(t_hit)))
+    warning = ""
+    if kind == "T_a_heavy_tail":
+        refs = [oracles.level_passage_survival(a, t) for t in times]
+        fit_times = [t for t in times if t >= 4.0]
         if len(fit_times) >= 2:
             xs = np.log(fit_times)
-            ys = np.log([max(e.mean, 1e-12) for e, t in zip(ests, usable) if t >= 4.0])
+            ys = np.log([max(e.mean, 1e-12) for e, t in zip(survival, times) if t >= 4.0])
             slope = float(np.polyfit(xs, ys, 1)[0])
             slope_ref = oracles.level_passage_survival_slope(a, fit_times)
         else:
@@ -1044,59 +1038,32 @@ def tail_experiment(
             "loglog_slope_reference": slope_ref,
             "level": a,
         }
-        return TailReport(
-            kind=kind,
-            levels=tuple(usable),
-            empirical_survival=tuple(ests),
-            reference=tuple(refs),
-            extras=extras,
-            censoring_rate=float(np.mean(censored)),
-            n_paths=n_paths,
-            horizon=horizon,
-            dt=dt,
-            seed=master_seed,
-            warning=warning,
-        )
-    if kind == "sigma_b_expectation":
-        if not 0 < b < math.inf:
-            raise ValueError(f"b must be positive and finite, got {b}")
-        stop_step, stop_value, _, censored = _walk(
-            n_paths, master_seed, horizon, n_steps, workers, line_b=b
-        )
-        ok = ~censored
-        sigma = stop_step[ok] * dt
-        wealth = np.exp(stop_value[ok] - 0.5 * sigma)
-        est = McEstimate.from_samples(wealth)
-        cens_rate = float(np.mean(censored))
-        check_times = [horizon / 8, horizon / 4, horizon / 2, horizon]
-        t_hit = np.where(censored, np.inf, stop_step * dt)
-        surv = [McEstimate.from_samples((t_hit > t).astype(float)) for t in check_times]
-        refs = [oracles.drifted_line_passage_survival(b, t) for t in check_times]
-        ref_mean = oracles.stopped_exp_martingale_mean(b)
-        warning = ""
-        if b >= 0.5 and horizon >= 64.0 and cens_rate > 0.01:
-            warning = f"censoring {cens_rate:.4f} exceeds 1% at b={b}"
+    else:
+        ok = np.isfinite(t_hit)
+        est = McEstimate.from_samples(np.exp(stop_value[ok] - 0.5 * t_hit[ok]))
+        refs = [oracles.drifted_line_passage_survival(b, t) for t in times]
+        if b >= 0.5 and horizon >= 64.0 and censoring > 0.01:
+            warning = f"censoring {censoring:.4f} exceeds 1% at b={b}"
         extras = {
             "wealth_estimate": est.as_dict(),
-            "wealth_reference_laplace": ref_mean,
+            "wealth_reference_laplace": oracles.stopped_exp_martingale_mean(b),
             "side_of_one": "below" if est.mean < 1.0 else "above",
             "ci_contains_one": abs(est.mean - 1.0) <= 3 * est.stderr,
             "drift": b,
         }
-        return TailReport(
-            kind=kind,
-            levels=tuple(check_times),
-            empirical_survival=tuple(surv),
-            reference=tuple(refs),
-            extras=extras,
-            censoring_rate=cens_rate,
-            n_paths=n_paths,
-            horizon=horizon,
-            dt=dt,
-            seed=master_seed,
-            warning=warning,
-        )
-    raise ValueError(f"kind must be 'T_a_heavy_tail' or 'sigma_b_expectation', got {kind!r}")
+    return TailReport(
+        kind=kind,
+        levels=tuple(times),
+        empirical_survival=tuple(survival),
+        reference=tuple(refs),
+        extras=extras,
+        censoring_rate=censoring,
+        n_paths=n_paths,
+        horizon=horizon,
+        dt=dt,
+        seed=master_seed,
+        warning=warning,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -20,8 +20,8 @@ Every row is drawn from its own keyed streams (path index ``first_index +
 i``) through the one keyed chunk engine of :mod:`~.experiments` and its one
 stop rule, both applied here only.  :func:`_primary_blocks` is the one block
 generator of the family outputs: it turns each engine block into ``B``,
-``R``, ``exp(B - t/2)`` or ``x0/R`` in place (the Bessel families in one norm
-buffer), holds a stopped row at its stop inside the block, and stops drawing
+``R``, ``exp(B - t/2)`` or ``x0/R`` in place (the Bessel norm into the first
+component), holds a stopped row at its stop inside the block, and stops drawing
 the row after that block.  Every batch of :mod:`~.experiments` reduces these
 blocks as they come: the first-passage walker, the class-(D) batch of the
 balance experiments, the two-infinity batch and the last-visit walker (which
@@ -134,13 +134,13 @@ def _hold(values: np.ndarray, stop: np.ndarray) -> np.ndarray:
     return values
 
 
-def _bessel_norm(W: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Euclidean norm of 3-D positions ``W`` (shape ``(..., 3)``) into ``out``,
-    summing the squares in component order; returns ``out``."""
-    np.multiply(W[..., 0], W[..., 0], out=out)
-    out += W[..., 1] * W[..., 1]
-    out += W[..., 2] * W[..., 2]
-    return np.sqrt(out, out=out)
+def _bessel_norm(W: np.ndarray) -> np.ndarray:
+    """Euclidean norm of 3-D positions ``W`` (shape ``(..., 3)``), summing the
+    squares in component order, into ``W[..., 0]`` in place; returns it."""
+    R = np.multiply(W[..., 0], W[..., 0], out=W[..., 0])
+    R += W[..., 1] * W[..., 1]
+    R += W[..., 2] * W[..., 2]
+    return np.sqrt(R, out=R)
 
 
 def _primary_blocks(spec: GeneratorSpec, master_seed: int, first_index: int, rows: int, block: int,
@@ -158,9 +158,9 @@ def _primary_blocks(spec: GeneratorSpec, master_seed: int, first_index: int, row
     ``exp(B_s - s/2)``, what the stopped ``(B, t)`` gives from there on) and
     is not drawn after that block, so its value from there on is ``P[row,
     -1]``.  Rows the caller sets in ``retired`` are not drawn again either,
-    and ``restart`` goes to the engine.  ``P`` is the engine's block (the
-    Bessel norm's buffer for the Bessel families), transformed in place, and
-    the next block overwrites it."""
+    and ``restart`` goes to the engine.  ``P`` is the engine's block (its
+    component 0 for the Bessel families), transformed in place, and the next
+    block overwrites it."""
     from .experiments import _first_stop, _keyed_chunks
 
     grid, p = spec.grid, spec.params
@@ -168,8 +168,6 @@ def _primary_blocks(spec: GeneratorSpec, master_seed: int, first_index: int, row
     start = (0.0,) if x0 is None else (x0, 0.0, 0.0)
     level = p.get("a", p.get("stop_level"))
     line_b = p.get("b", p.get("stop_line_drift"))
-    if x0 is not None:  # R_0 = sqrt(x0^2) = x0 and x0/x0 = 1 exactly
-        buf = np.empty(rows * (min(block, grid.n_steps) + 1))
     for step, alive, W in _keyed_chunks(master_seed, first_index, rows, start, grid.dt, grid.n_steps, block,
                                         retired, restart):
         cs = W.shape[1] - 1
@@ -184,8 +182,8 @@ def _primary_blocks(spec: GeneratorSpec, master_seed: int, first_index: int, row
             if spec.family == "exp_martingale":
                 np.exp(np.subtract(P, grid.times[step:step + cs + 1] / 2.0, out=P), out=P)
             _hold(P[:, 1:], stop)
-        else:  # the Bessel families never stop
-            P = _bessel_norm(W, buf[:alive.size * (cs + 1)].reshape(alive.size, cs + 1))
+        else:  # the Bessel families never stop; R_0 = sqrt(x0^2) = x0 and x0/x0 = 1 exactly
+            P = _bessel_norm(W)
             if spec.family == "scale_martingale":
                 np.divide(x0, P, out=P)
         yield step, alive, P, stop

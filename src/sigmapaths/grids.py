@@ -167,7 +167,9 @@ def write_paths_csv(paths: Iterable[Path], dest) -> None:
 
 
 def read_paths_csv(src) -> list[Path]:
-    """Read paths written by :func:`write_paths_csv` (grids reconstructed)."""
+    """Read paths written by :func:`write_paths_csv`.  Each path's grid is
+    rebuilt from its row count and last time, and its ``t`` column must be
+    that grid to ``UNIFORMITY_RTOL`` of a step."""
     own = isinstance(src, (str, bytes)) or hasattr(src, "__fspath__")
     fh = open(src, "r", encoding="utf-8", newline="") if own else src
     try:
@@ -196,5 +198,8 @@ def read_paths_csv(src) -> list[Path]:
         if grid is None:
             grid = make_grid(times[-1], len(times) - 1)
             grid_cache[key] = grid
+        if np.max(np.abs(times - grid.times)) > UNIFORMITY_RTOL * grid.dt:
+            raise ValueError(f"path {pid!r}: its t column is not the uniform grid of {grid.n_steps} steps "
+                             f"on [0, {grid.horizon!r}]")
         out.append(Path(grid, values, label=pid))
     return out

@@ -15,7 +15,7 @@ from sigmapaths import experiments
 from sigmapaths.calculus import tanaka_carried, tanaka_raw
 from sigmapaths.decompose import (class_d_carried, class_d_finish, class_d_from_path_stats, class_d_path_stats,
                                   class_d_start)
-from sigmapaths.generators import GeneratorSpec, _bessel_norm, generate_rows
+from sigmapaths.generators import GeneratorSpec, _bessel_norm, _primary_blocks, generate_rows
 from sigmapaths.grids import make_grid
 from sigmapaths.reports import report_json_bytes
 
@@ -222,7 +222,7 @@ def _block_ends(n_steps, block):
 
 
 def _norm(W):
-    return _bessel_norm(W, np.empty(W.shape[:2]))
+    return _bessel_norm(W)
 
 
 @settings(max_examples=40, deadline=None)
@@ -560,6 +560,21 @@ def test_two_infinity_batches_hold_blocks_not_rows():
     finally:
         tracemalloc.stop()
     assert peak < 2 * experiments._BATCH_VALUES * 8, peak
+
+
+@pytest.mark.parametrize("family", ["bessel3", "scale_martingale"])
+def test_bessel_blocks_hold_the_norm_in_the_engine_block(family):
+    # 200 rows over 4 blocks of 1000 steps: the 3-component engine block and one temporary of the norm's
+    # squares; a norm buffer beside the engine's block would peak near 5.4 row-blocks
+    spec = GeneratorSpec(family, {"x0": 1.0}, make_grid(4.0, 4000))
+    tracemalloc.start()
+    try:
+        for _ in _primary_blocks(spec, 3, 0, 200, 1000, np.zeros(200, dtype=bool)):
+            pass
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 200 * 1000 * 8, peak
 
 
 @pytest.mark.parametrize("run", [

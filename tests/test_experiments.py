@@ -263,6 +263,14 @@ def test_tail_t_a_warns_when_no_slope_can_be_fitted():
     assert tail_experiment("T_a_heavy_tail", 200, 5, horizon=16.0, dt=0.01).warning == ""
 
 
+def test_tail_passage_times_come_from_the_walked_grid():
+    # dt = 1/3 + 1e-12 walks 3 steps of 1/3 to horizon 1, and 3 * dt passes 1: a path that stops at the
+    # last grid point has passed level a by t = 1, so survival at 1 is the censoring rate
+    rep = tail_experiment("T_a_heavy_tail", 2000, 7, a=0.5, horizon=1.0, dt=1 / 3 + 1e-12)
+    assert rep.levels == (1.0,)
+    assert rep.empirical_survival[0].mean == rep.censoring_rate
+
+
 def test_tail_sigma_b_reports_not_asserts():
     rep = tail_experiment("sigma_b_expectation", 4000, 56, b=1.0, horizon=16.0, dt=1e-3)
     w = rep.extras["wealth_estimate"]

@@ -18,6 +18,8 @@ failure names both versions.
 
 import hashlib
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -178,6 +180,11 @@ def _numpy_note(installed=np.__version__):
 def test_numpy_note_names_both_versions():
     assert _numpy_note(NUMPY_VERSION) == ""
     assert NUMPY_VERSION in _numpy_note("1.26.4") and "1.26.4" in _numpy_note("1.26.4")
+
+
+def test_ci_installs_the_numpy_of_the_digests():
+    workflow = (Path(__file__).parent.parent / ".github" / "workflows" / "tests.yml").read_text()
+    assert re.findall(r"numpy==([0-9][^\s\"']*)", workflow) == [NUMPY_VERSION]
 
 
 def _run(tmp_path, name, workers):

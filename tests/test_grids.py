@@ -124,6 +124,23 @@ def test_csv_format_and_roundtrip():
     assert back[0].label == "p0"
 
 
+def test_csv_roundtrip_keeps_the_grid_exactly():
+    g = make_grid(3.0, 7)
+    buf = io.StringIO()
+    write_paths_csv([Path(g, np.linspace(-1.0, 2.0, 8), label="p0")], buf)
+    back = read_paths_csv(io.StringIO(buf.getvalue()))[0]
+    assert back.grid.times.tobytes() == g.times.tobytes()
+
+
+@pytest.mark.parametrize("times", [(0.0, 0.1, 0.5, 1.0), (0.0, 1.0, 0.5)], ids=["nonuniform", "unordered"])
+def test_csv_rejects_a_time_column_off_the_grid(times):
+    # the grid comes from the row count and the last time: 0, 1/3, 2/3, 1 and 0, 0.25, 0.5
+    text = "path_id,t,value\n" + "".join(f"ok,{t!r},0\n" for t in (0.0, 0.5, 1.0))
+    text += "".join(f"bad,{t!r},0\n" for t in times)
+    with pytest.raises(ValueError, match="path 'bad'"):
+        read_paths_csv(io.StringIO(text))
+
+
 def test_csv_rejects_unknown_header():
     with pytest.raises(ValueError, match="header"):
         read_paths_csv(io.StringIO("a,b,c\n1,2,3\n"))
