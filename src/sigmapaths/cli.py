@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import os
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path as FsPath
 
 import click
@@ -45,78 +44,6 @@ from .verify import VERIFY_SUITES, run_suites
 
 EXIT_ACCEPTANCE = 3
 EXIT_OUTPUT = 4
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Programmatic equivalent of one CLI invocation.
-
-    ``command`` is one of simulate/decompose/verify/experiment; ``name``
-    selects the experiment or verify suite.  ``params`` carries the
-    family/experiment-specific numeric options (``x0``, ``level``, ...).
-    """
-
-    command: str
-    name: str = ""
-    family: str = "brownian"
-    params: dict = field(default_factory=dict)
-    seed: int = 0
-    n_paths: int = 10
-    n_steps: int = 4096
-    horizon: float = 1.0
-    output_dir: str = "out"
-    formats: tuple = ("json", "csv")
-    workers: int = 1
-
-    def __post_init__(self):
-        if self.command not in ("simulate", "decompose", "verify", "experiment"):
-            raise ValueError(f"unknown command {self.command!r}")
-        if not 0 <= self.seed <= MAX_SEED:
-            raise ValueError(f"seed must lie in [0, 2^64), got {self.seed}")
-        for label, v in (("n_paths", self.n_paths), ("n_steps", self.n_steps),
-                         ("horizon", self.horizon), ("workers", self.workers)):
-            if not v > 0:
-                raise ValueError(f"{label} must be positive, got {v}")
-
-    def to_argv(self) -> list[str]:
-        if self.command == "verify":
-            return ["verify", self.name or "all", "--seed", str(self.seed)]
-        common = [
-            "--seed", str(self.seed),
-            "--out", self.output_dir,
-            "--formats", ",".join(self.formats),
-            "--workers", str(self.workers),
-            "--paths", str(self.n_paths),
-        ]
-        extra = [arg for k, v in sorted(self.params.items())
-                 for arg in (f"--{k.replace('_', '-')}", str(v))]
-        if self.command == "experiment":
-            defn = EXPERIMENTS.get(self.name)
-            if defn is not None:  # grid options only where the experiment has them
-                if "horizon" in defn.params and "horizon" not in self.params:
-                    extra += ["--horizon", repr(self.horizon)]
-                if "n_steps" in defn.params and "n_steps" not in self.params:
-                    extra += ["--n-steps", str(self.n_steps)]
-            return ["experiment", self.name, *common, *extra]
-        return [
-            self.command, "--family", self.family,
-            "--n-steps", str(self.n_steps), "--horizon", repr(self.horizon),
-            *common, *extra,
-        ]
-
-
-def run(config: RunConfig) -> int:
-    """Execute one run; returns the process exit code (0/2/3/4)."""
-    try:
-        main.main(args=config.to_argv(), standalone_mode=False)
-        return 0
-    except click.UsageError:
-        return 2
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    except OSError:
-        return EXIT_OUTPUT
-
 _MAX_SIMULATE_VALUES = 50_000_000
 _SEED = click.IntRange(0, MAX_SEED)
 
@@ -331,7 +258,7 @@ def experiment():
     """Run a named Monte Carlo experiment (names come from the registry)."""
 
 
-def _make_experiment_command(defn):
+def _make_experiment_command(name, defn):
     @click.option("--paths", type=click.IntRange(min=1), default=10000, show_default=True)
     @_common_options
     def cmd(paths, seed, out, formats, workers, **params):
@@ -342,19 +269,19 @@ def _make_experiment_command(defn):
             report = defn.runner(seed=seed, n_paths=paths, workers=workers, **params)
         except ValueError as exc:
             raise click.UsageError(str(exc))
-        written = _write_guard(reports.write_report, out, defn.name.replace("-", "_"), report, fmt)
+        written = _write_guard(reports.write_report, out, name.replace("-", "_"), report, fmt)
         click.echo(f"{report.summary()} -> {out} ({', '.join(written)})")
 
     for pname, default in reversed(list(defn.params.items())):
         ptype = {int: int, float: float}.get(type(default), str)
         cmd = click.option(f"--{pname.replace('_', '-')}", pname, type=ptype,
                            default=default, show_default=True)(cmd)
-    cmd = click.command(name=defn.name, help=defn.summary)(cmd)
+    cmd = click.command(name=name, help=defn.summary)(cmd)
     return cmd
 
 
-for _defn in EXPERIMENTS.values():
-    experiment.add_command(_make_experiment_command(_defn))
+for _name, _defn in EXPERIMENTS.items():
+    experiment.add_command(_make_experiment_command(_name, _defn))
 
 
 if __name__ == "__main__":

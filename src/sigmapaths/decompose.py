@@ -127,10 +127,6 @@ class SigmaTriple:
         if np.any(np.abs(X - (N + A)) > _ADDITIVITY_TOL * np.maximum(np.abs(X), 1.0)):
             raise ValueError("X = N + A violated beyond tolerance")
 
-    def carried_verdict(self, epsilon: float | None = None) -> "CarriedVerdict":
-        eps = self.zero_threshold if epsilon is None else epsilon
-        return carried_by_zeros(self.submartingale, self.increasing_part, eps)
-
 
 @dataclass(frozen=True)
 class CarriedVerdict:

@@ -809,6 +809,16 @@ def _walk(n_paths, master_seed, horizon, n_steps, workers, **trig) -> tuple:
     return np.where(censored, np.inf, make_grid(horizon, n_steps).times[stop_step]), stop_value, run_min
 
 
+def _stopped(t_hit, what) -> np.ndarray:
+    """Mask of the walked paths that stopped before the horizon.  An estimate
+    over them needs a standard error, so fewer than two is an error."""
+    ok = np.isfinite(t_hit)
+    if ok.sum() < 2:
+        raise ValueError(f"{ok.sum()} of {len(t_hit)} paths reached {what} before the horizon, and the estimate "
+                         f"needs at least 2: raise --horizon or --paths")
+    return ok
+
+
 # ---------------------------------------------------------------------------
 # saturation probe
 
@@ -902,7 +912,7 @@ def saturation_probe(
     a_max = max(_SATURATION_LEVELS)
     t_hit, stop_value, run_min = _walk(n_paths, master_seed, horizon, n_steps, workers, upper=1.0,
                                        lower=-a_max if nonsaturated else None)
-    ok = np.isfinite(t_hit)
+    ok = _stopped(t_hit, f"level 1 or {-a_max:g}") if nonsaturated else np.isfinite(t_hit)
     levels, keep = (_SATURATION_LEVELS, _KEEP_SAMPLES) if nonsaturated else ((), 0)
     neg_min = -run_min[ok]
     capped = stop_value[ok] <= -a_max
@@ -1039,7 +1049,7 @@ def tail_experiment(
             "level": a,
         }
     else:
-        ok = np.isfinite(t_hit)
+        ok = _stopped(t_hit, f"the line B_t + b t = 1 (b={b:g})")
         est = McEstimate.from_samples(np.exp(stop_value[ok] - 0.5 * t_hit[ok]))
         refs = [oracles.drifted_line_passage_survival(b, t) for t in times]
         if b >= 0.5 and horizon >= 64.0 and censoring > 0.01:
@@ -1072,7 +1082,6 @@ def tail_experiment(
 
 @dataclass(frozen=True)
 class ExperimentDef:
-    name: str
     summary: str
     params: dict          # experiment-specific options with defaults
     runner: Callable      # runner(seed, n_paths, workers, **params) -> report
@@ -1111,7 +1120,6 @@ def _run_tail(seed, n_paths, workers, kind, a, b, horizon, dt):
 
 EXPERIMENTS: dict[str, ExperimentDef] = {
     "lemma-balance": ExperimentDef(
-        name="lemma-balance",
         summary="paired estimates of E[M_T C_T] and 1 + E[sum M dC] with C = 1/I",
         params={
             "family": "exp_martingale",
@@ -1124,7 +1132,6 @@ EXPERIMENTS: dict[str, ExperimentDef] = {
         runner=_run_lemma,
     ),
     "azema-law": ExperimentDef(
-        name="azema-law",
         summary="state-binned conditional law of a last visit vs min(y/z, 1)",
         params={
             "family": "bessel3",
@@ -1138,19 +1145,16 @@ EXPERIMENTS: dict[str, ExperimentDef] = {
         runner=_run_azema,
     ),
     "two-infinity": ExperimentDef(
-        name="two-infinity",
         summary="median |M_T - 2 I_T| across doubling horizons (last-visit construction)",
         params={"x0": 1.0, "level": 1.0, "horizon": 64.0, "n_steps": 16384},
         runner=_run_two_infinity,
     ),
     "saturation": ExperimentDef(
-        name="saturation",
         summary="ends of random sets under Brownian paths stopped at level 1",
         params={"kind": "nonsaturated_zero_set", "horizon": 64.0, "dt": 4e-4},
         runner=_run_saturation,
     ),
     "tail": ExperimentDef(
-        name="tail",
         summary="heavy tail of T_a / the sigma_b stopped-martingale expectation",
         params={"kind": "T_a_heavy_tail", "a": 1.0, "b": 1.0, "horizon": 64.0, "dt": 1e-3},
         runner=_run_tail,

@@ -58,10 +58,12 @@ class TimeGrid:
             raise ValueError("times must have n_steps + 1 entries")
         if t[0] != 0.0:
             raise ValueError("grid must start at t = 0")
-        steps = np.diff(t)
+        steps = np.diff(t)  # reused in place below, so the checks hold one grid beyond `times`
         if np.any(steps <= 0):
             raise ValueError("grid times must be strictly increasing")
-        if np.max(np.abs(steps - steps[0])) > UNIFORMITY_RTOL * steps[0]:
+        s0 = steps[0]
+        steps -= s0
+        if np.max(np.abs(steps, out=steps)) > UNIFORMITY_RTOL * s0:
             raise ValueError("grid spacing not uniform within 1e-9")
 
     @property
@@ -159,6 +161,9 @@ def write_paths_csv(paths: Iterable[Path], dest) -> None:
         fh.write("path_id,t,value\n")
         for i, p in enumerate(paths):
             pid = p.label or str(i)
+            if any(c in pid for c in ',"\r\n'):
+                raise ValueError(f"path label {pid!r} holds a comma, a double quote, a CR or a LF, "
+                                 f"which the unquoted CSV format cannot read back")
             for t, v in zip(p.grid.times, p.values):
                 fh.write(f"{pid},{_fmt(t)},{_fmt(v)}\n")
     finally:
@@ -174,7 +179,9 @@ def read_paths_csv(src) -> list[Path]:
     fh = open(src, "r", encoding="utf-8", newline="") if own else src
     try:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, None)
+        if header is None:
+            raise ValueError("empty CSV: no path_id,t,value header")
         if header != ["path_id", "t", "value"]:
             raise ValueError(f"unexpected CSV header: {header}")
         by_id: dict[str, list[tuple[float, float]]] = {}

@@ -229,32 +229,6 @@ def test_decompose_rejects_non_martingale_family(runner, tmp_path):
     assert r.exit_code == 2
 
 
-def test_run_config_programmatic_entry(tmp_path):
-    from sigmapaths.cli import RunConfig, run
-
-    cfg = RunConfig(command="simulate", family="brownian", n_paths=3, n_steps=32,
-                    horizon=1.0, seed=5, output_dir=str(tmp_path / "rc"))
-    assert run(cfg) == 0
-    assert (tmp_path / "rc" / "paths.csv").exists()
-
-    exp = RunConfig(command="experiment", name="lemma-balance", n_paths=400,
-                    n_steps=64, horizon=1.0, seed=5, output_dir=str(tmp_path / "rce"))
-    assert run(exp) == 0
-    assert (tmp_path / "rce" / "lemma_balance.json").exists()
-
-    assert run(RunConfig(command="verify", name="skorokhod")) == 0
-    assert run(RunConfig(command="simulate", family="no_such", output_dir=str(tmp_path))) == 2
-
-
-def test_run_config_validates_numerics():
-    from sigmapaths.cli import RunConfig
-
-    with pytest.raises(ValueError, match="n_steps"):
-        RunConfig(command="simulate", n_steps=0)
-    with pytest.raises(ValueError, match="command"):
-        RunConfig(command="explode")
-
-
 def test_simulate_size_cap(runner, tmp_path):
     r = runner.invoke(main, [
         "simulate", "--family", "brownian", "--n-steps", "1000000",
@@ -361,15 +335,6 @@ def test_largest_seed_is_accepted(runner, tmp_path):
     assert json.loads((out / "lemma_balance.json").read_text())["seed"] == 2**64 - 1
 
 
-def test_run_config_rejects_seed_outside_domain():
-    from sigmapaths.cli import RunConfig
-
-    for seed in (-1, 2**64):
-        with pytest.raises(ValueError, match="seed"):
-            RunConfig(command="verify", name="skorokhod", seed=seed)
-    assert RunConfig(command="verify", seed=2**64 - 1).seed == 2**64 - 1
-
-
 @pytest.mark.parametrize("argv,option", [
     (["experiment", "lemma-balance", "--n-steps", "16", "--paths", "50", "--workers", "0"], "--workers"),
     (["experiment", "lemma-balance", "--n-steps", "16", "--paths", "50", "--workers", "-4"], "--workers"),
@@ -413,6 +378,9 @@ def test_run_config_rejects_seed_outside_domain():
     (["simulate", "--family", "brownian", "--paths", "2", "--n-steps", "16", "--formats", "svg"], "--formats"),
     (["decompose", "--family", "exp_martingale", "--paths", "4", "--n-steps", "16", "--formats", "json,svg"],
      "--formats"),
+    (["experiment", "saturation", "--horizon", "0.01", "--dt", "0.001", "--paths", "20"], "--horizon"),
+    (["experiment", "tail", "--kind", "sigma_b_expectation", "--horizon", "0.01", "--dt", "0.001", "--paths", "20"],
+     "--horizon"),
 ], ids=["workers-0", "workers-negative", "simulate-no-paths", "tail-dt-0", "tail-horizon-negative",
         "saturation-zero-steps", "lemma-stop-level-negative", "decompose-stop-line-drift-negative",
         "tail-no-paths", "two-infinity-no-paths", "azema-paths-negative", "decompose-no-paths",
@@ -423,7 +391,7 @@ def test_run_config_rejects_seed_outside_domain():
         "simulate-x0-inf", "two-infinity-level-inf", "two-infinity-x0-inf", "tail-a-inf", "tail-b-inf",
         "azema-level-inf", "azema-t-rounds-onto-horizon", "lemma-stop-level-inf", "tail-a-nan",
         "tail-dt-not-dividing-horizon", "saturation-dt-not-dividing-horizon", "tail-horizon-below-every-time",
-        "simulate-svg", "decompose-svg"])
+        "simulate-svg", "decompose-svg", "saturation-too-few-stops", "tail-sigma_b-too-few-stops"])
 def test_out_of_domain_input_exits_2(runner, tmp_path, argv, option):
     out = tmp_path / "o"
     r = runner.invoke(main, [*argv, "--out", str(out)])

@@ -1,6 +1,8 @@
 """Grid, path and estimate container contracts, and the row stop rule."""
 
 import io
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -40,10 +42,32 @@ def test_make_grid_rejects_bad_arguments(horizon, n):
         make_grid(horizon, n)
 
 
-def test_grid_uniformity_enforced():
-    times = np.array([0.0, 0.25, 0.55, 0.75, 1.0])
-    with pytest.raises(ValueError, match="uniform"):
-        TimeGrid(horizon=1.0, n_steps=4, times=times)
+@pytest.mark.parametrize("times,match", [((0.0, 0.25, 0.55, 0.75, 1.0), "uniform"),
+                                         ((0.0, 0.5, 0.25, 0.75, 1.0), "strictly increasing")])
+def test_grid_uniformity_enforced(times, match):
+    with pytest.raises(ValueError, match=match):
+        TimeGrid(horizon=1.0, n_steps=4, times=np.array(times))
+
+
+def test_make_grid_holds_few_copies_of_its_grid():
+    make_grid(1.0, 4)  # warm up
+    tracemalloc.start()
+    try:
+        g = make_grid(64.0, 64000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.2 * g.times.nbytes, peak / g.times.nbytes
+    assert g.times.tobytes() == np.linspace(0.0, 64.0, 64001).tobytes()
+
+
+def test_grid_and_path_copy_the_caller_array():
+    times, values = np.linspace(0.0, 1.0, 5), np.arange(5.0)
+    g = TimeGrid(horizon=1.0, n_steps=4, times=times)
+    p = Path(g, values)
+    times[1] = 0.3
+    values[1] = -7.0
+    assert g.times[1] == 0.25 and p.values[1] == 1.0
 
 
 def test_grid_is_immutable():
@@ -144,3 +168,15 @@ def test_csv_rejects_a_time_column_off_the_grid(times):
 def test_csv_rejects_unknown_header():
     with pytest.raises(ValueError, match="header"):
         read_paths_csv(io.StringIO("a,b,c\n1,2,3\n"))
+
+
+def test_csv_rejects_an_empty_file():
+    with pytest.raises(ValueError, match="header"):
+        read_paths_csv(io.StringIO(""))
+
+
+@pytest.mark.parametrize("label", ["a,b", 'say "hi"', "a\rb", "a\nb"])
+def test_csv_refuses_a_label_it_cannot_read_back(label):
+    p = Path(make_grid(1.0, 2), [0.0, 1.0, 2.0], label=label)
+    with pytest.raises(ValueError, match=re.escape(f"label {label!r}")):
+        write_paths_csv([p], io.StringIO())
