@@ -11,7 +11,9 @@ Files are written as they are produced, so no command holds its whole output.
 ``simulate`` draws its paths in the passes of ``generators.row_passes``
 (one full-row batch each, ``--workers`` is not used) and writes each pass to
 ``paths.csv`` before drawing the next; it draws nothing unless ``csv`` is in
-``--formats``.  ``decompose`` writes the table of path 0 row by row.  The
+``--formats``.  ``decompose`` writes the table of path 0 row by row, from the
+row the balance batch that draws path 0 returns: the CLI process draws
+nothing itself.  The
 ``simulate`` size cap bounds its output, one CSV line per value.
 
 Exit codes: 0 success; 2 invalid configuration or usage; 3 an acceptance
@@ -36,8 +38,8 @@ from click.core import ParameterSource
 from . import reports
 from .calculus import running_min
 from .decompose import sigma_compose
-from .experiments import EXPERIMENTS, _martingale_spec, lemma_balance_experiment
-from .generators import FAMILIES, GeneratorSpec, generate_rows, row_passes
+from .experiments import EXPERIMENTS, lemma_balance_experiment
+from .generators import FAMILIES, GeneratorSpec, row_passes
 from .grids import Path, make_grid, write_paths_csv
 from .streams import MAX_SEED
 from .verify import VERIFY_SUITES, run_suites
@@ -204,10 +206,10 @@ def decompose(family, horizon, n_steps, paths, seed, out, formats, workers, **op
     fmt = _parse_formats(formats, {"csv", "json"})
     spec = _build_spec(family, horizon, n_steps, options)
     try:
-        mspec = _martingale_spec(spec)
-        classd = lemma_balance_experiment(spec, paths, seed, workers).classd
+        report = lemma_balance_experiment(spec, paths, seed, workers)
     except ValueError as exc:
         raise click.UsageError(str(exc))
+    classd = report.classd
     envelope = {
         "schema": 1,
         "command": "decompose",
@@ -223,9 +225,9 @@ def decompose(family, horizon, n_steps, paths, seed, out, formats, workers, **op
         _write_guard(p.write_bytes, reports.report_json_bytes(envelope))
         written.append(p.name)
     if "csv" in fmt:
-        M = generate_rows(mspec, seed, 0, 1)[0]
-        triple = sigma_compose(Path(mspec.grid, M))
-        columns = {"t": mspec.grid.times, "M": M, "I": running_min(M), "X": triple.submartingale.values,
+        M = report.path0
+        triple = sigma_compose(Path(spec.grid, M))
+        columns = {"t": spec.grid.times, "M": M, "I": running_min(M), "X": triple.submartingale.values,
                    "A": triple.increasing_part.values, "N": triple.martingale_part.values}
         rows_csv = (dict(zip(columns, map(float, row))) for row in zip(*columns.values()))
         p = out_dir / "decomposition_path0.csv"

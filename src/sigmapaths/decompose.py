@@ -36,7 +36,7 @@ from typing import Iterable
 import numpy as np
 
 from .calculus import ito_sum, running_min
-from .grids import McEstimate, Path, TimeGrid
+from .grids import McEstimate, Path, TimeGrid, median
 
 __all__ = [
     "MultDecomp",
@@ -357,9 +357,10 @@ def class_d_path_stats(M: np.ndarray) -> tuple[np.ndarray, ...]:
     if np.any(M[:, 0] != 1.0):
         raise ValueError("every path must start at M_0 = 1")
     carry = class_d_start(len(M))
-    right, left = np.empty((2, len(M), M.shape[1] - 1))
-    class_d_carried(M, carry, right, left, np.empty(2 * M.size - len(M)))
-    return class_d_finish(carry, right, left)
+    terms = np.zeros((2, len(M), M.shape[1] - 1))
+    r, j, t = class_d_carried(M, carry, np.empty(2 * M.size))
+    terms[:, r, j] = t
+    return class_d_finish(carry, terms)
 
 
 def class_d_start(rows: int) -> np.ndarray:
@@ -372,8 +373,7 @@ def class_d_start(rows: int) -> np.ndarray:
     return np.repeat(np.array([[1.0], [-0.0], [-0.0], [0.0], [0.0], [1.0]]), rows, axis=1)
 
 
-def class_d_carried(M: np.ndarray, carry: np.ndarray, right: np.ndarray, left: np.ndarray,
-                    work: np.ndarray) -> None:
+def class_d_carried(M: np.ndarray, carry: np.ndarray, work: np.ndarray) -> tuple[np.ndarray, ...]:
     """Class-(D) sums over one block of longer positive M-paths, with carried
     state.
 
@@ -382,26 +382,28 @@ def class_d_carried(M: np.ndarray, carry: np.ndarray, right: np.ndarray, left: n
     end in place.  Each running sum is folded into the block's first term
     before one sequential cumsum, and the minima and maxima are exact, so a
     path split into any blocks gets the bits of one block.  The Stieltjes
-    terms ``M_{j+1} dC_j`` and ``M_j dC_j`` of ``C = 1/I`` go into ``right``
-    and ``left`` (shaped like ``M[:, 1:]``); ``work`` holds at least ``2 *
-    M.size - len(M)`` values.  ``M`` is only read."""
-    if np.any(M[:, 1:] <= 0):
+    terms ``M_{j+1} dC_j`` and ``M_j dC_j`` of ``C = 1/I`` are +0.0 unless
+    ``I`` falls: returns ``(r, j, terms)``, the row and column of each step
+    where it falls and the two terms there (``terms`` is ``(2, len(r))``).
+    ``work`` holds ``2 * (M.size - len(M))`` values.  ``M`` is only read."""
+    low = M[:, 1:].min(axis=1)
+    if not np.all(low > 0):
         raise ValueError("every path must stay positive")
     i_min, sum_u, qv, drift_min, err_log, m_last = carry
     rows, cs = M.shape[0], M.shape[1] - 1
-    C = work[:rows * (cs + 1)].reshape(rows, cs + 1)
-    D = work[rows * (cs + 1):rows * (2 * cs + 1)].reshape(rows, cs)
-    C[:, 0] = i_min
-    C[:, 1:] = M[:, 1:]
-    np.minimum.accumulate(C, axis=1, out=C)
-    i_min[...] = C[:, -1]
-    np.divide(1.0, C, out=C)
-    dC = np.subtract(C[:, 1:], C[:, :-1], out=D)
-    np.multiply(M[:, 1:], dC, out=right)
-    np.multiply(M[:, :-1], dC, out=left)
-    u = np.subtract(M[:, 1:], M[:, :-1], out=C[:, 1:])  # C is spent: it holds u, then the drift
+    fall = np.flatnonzero(low < i_min)  # the rows that set a new low in this block
+    I = work[:fall.size * (cs + 1)].reshape(fall.size, cs + 1)
+    I[:, 0] = i_min[fall]
+    I[:, 1:] = M[fall, 1:]
+    np.minimum.accumulate(I, axis=1, out=I)
+    i_min[fall] = I[:, -1]
+    r, j = np.nonzero(I[:, 1:] < I[:, :-1])
+    dC = 1.0 / I[r, j + 1] - 1.0 / I[r, j]
+    r = fall[r]
+    terms = np.stack([M[r, j + 1] * dC, M[r, j] * dC])
+    u = np.subtract(M[:, 1:], M[:, :-1], out=work[:rows * cs].reshape(rows, cs))  # u, then the drift
     u /= M[:, :-1]
-    QV = np.multiply(u, u, out=D)
+    QV = np.multiply(u, u, out=work[rows * cs:2 * rows * cs].reshape(rows, cs))
     QV[:, 0] += qv
     np.cumsum(QV, axis=1, out=QV)
     qv[...] = QV[:, -1]
@@ -414,17 +416,18 @@ def class_d_carried(M: np.ndarray, carry: np.ndarray, right: np.ndarray, left: n
     drift -= np.log(M[:, 1:], out=QV)
     np.maximum(err_log, np.abs(drift, out=drift).max(axis=1), out=err_log)
     m_last[...] = M[:, -1]
+    return r, j, terms
 
 
-def class_d_finish(carry: np.ndarray, right: np.ndarray, left: np.ndarray) -> tuple[np.ndarray, ...]:
+def class_d_finish(carry: np.ndarray, terms: np.ndarray) -> tuple[np.ndarray, ...]:
     """The :func:`class_d_path_stats` vectors from the carried state at the
-    horizon and the full ``(rows, n)`` rows of Stieltjes terms, each summed
-    once along its row."""
+    horizon and the full ``(2, rows, n)`` rows of Stieltjes terms (zero where
+    ``I`` does not fall), each summed once along its row."""
     i_min, _, qv, drift_min, err_log, m_T = carry
     log_inv_i = -np.log(i_min)
     mc = m_T * (1.0 / i_min)
-    int_right = 1.0 + np.sum(right, axis=1)
-    int_left = 1.0 + np.sum(left, axis=1)
+    int_right = 1.0 + np.sum(terms[0], axis=1)
+    int_left = 1.0 + np.sum(terms[1], axis=1)
     err_inf = np.abs(log_inv_i + drift_min)  # the drift minimum includes drift_0 = 0
     return mc, int_right, int_left, log_inv_i, qv.copy(), err_log.copy(), err_inf, m_T.copy()
 
@@ -446,8 +449,8 @@ def class_d_from_path_stats(parts: Iterable[tuple[np.ndarray, ...]], grid: TimeG
         e_int=McEstimate.from_samples(int_right),
         e_log_inv_i=McEstimate.from_samples(log_inv_i),
         e_qv_u=McEstimate.from_samples(qv_u),
-        pathwise_log_identity_median_err=float(np.median(err_log)),
-        pathwise_inf_identity_median_err=float(np.median(err_inf)),
+        pathwise_log_identity_median_err=median(err_log),
+        pathwise_inf_identity_median_err=median(err_inf),
         e_int_left=McEstimate.from_samples(int_left),
         e_mean_drift=float(np.mean(m_T) - 1.0),
         tail_mass=float(np.mean(m_T > _TAIL_LEVEL)),

@@ -11,7 +11,9 @@ Estimation strategy notes, shared by several experiments:
   batch two full rows of Stieltjes terms).  Each
   batch function generates its rows in one pass and reduces them where they
   are generated, returning a tuple of per-path arrays (leading dimension =
-  rows), so only those vectors travel back from a worker.  The parent
+  rows), so only those vectors travel back from a worker; the class-(D)
+  batch that starts at path 0 also returns that path's row, which
+  ``decompose`` writes, so no path is drawn twice.  The parent
   concatenates them in path order before any cross-path reduction, so
   reports are bit-identical across reruns, worker counts and batch splits.
 
@@ -53,7 +55,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -63,7 +65,7 @@ from . import oracles
 from .calculus import tanaka_carried
 from .decompose import ClassDReport, class_d_carried, class_d_finish, class_d_from_path_stats, class_d_start
 from .generators import GeneratorSpec, _primary_blocks
-from .grids import McEstimate, make_grid
+from .grids import McEstimate, make_grid, median, quantile
 from .reports import Chart
 from .streams import RNG_INFO, KeySequence, StreamKey
 
@@ -188,7 +190,7 @@ def _keyed_chunks(seed, first, rows, start, dt, n_steps, block, retired, restart
         W = buf[: alive.size * k * (cs + 1)].reshape(alive.size, k, cs + 1)  # out= needs each stream contiguous
         for r, i in enumerate(alive):
             for c in range(k):
-                gens[i][c].standard_normal(cs, out=W[r, c, 1:])
+                gens[i][c].standard_normal(out=W[r, c, 1:])
         W[:, :, 1:] *= sqrt_dt
         W[:, :, 0] = raw[alive]
         np.cumsum(W, axis=2, out=W)
@@ -203,15 +205,18 @@ def _keyed_chunks(seed, first, rows, start, dt, n_steps, block, retired, restart
 def _first_stop(P, times, upper=None, lower=None, line_b=None):
     """The stop rule of every stopped path: the first column of each row of
     ``P`` (paths at grid ``times``) where ``P >= upper``, ``P <= lower`` or
-    ``P + line_b * t >= 1``.  Returns the rows that stop, and their stop
-    column (the last column for rows that do not)."""
-    trig = np.zeros(P.shape, dtype=bool)
+    ``P + line_b * t >= 1``, of those given (at least one).  Returns the rows
+    that stop, and their stop column (the last column for rows that do not)."""
+    hits = []
     if upper is not None:
-        trig |= P >= upper
+        hits.append(P >= upper)
     if lower is not None:
-        trig |= P <= lower
+        hits.append(P <= lower)
     if line_b is not None:
-        trig |= P + line_b * times[None, :] >= 1.0
+        hits.append(P + line_b * times[None, :] >= 1.0)
+    trig = hits[0]  # the first given condition, OR-ed in place with the others
+    for hit in hits[1:]:
+        trig |= hit
     has = trig.any(axis=1)
     return has, np.where(has, trig.argmax(axis=1), P.shape[1] - 1)
 
@@ -258,6 +263,8 @@ class LemmaBalanceReport:
     seed: int
     classd: ClassDReport
     degenerate: bool
+    #: Path 0 of the martingale spec, as its batch drew it (``decompose`` writes its table).
+    path0: np.ndarray = field(compare=False, repr=False)
 
     chart = None
 
@@ -320,35 +327,36 @@ def _martingale_spec(spec: GeneratorSpec) -> GeneratorSpec:
 
 
 def _martingale_batch(args) -> tuple[np.ndarray, ...]:
-    """Per-path class-(D) statistics of one batch, reduced block by block.
+    """Per-path class-(D) statistics of one batch, reduced block by block,
+    and the row of path 0 when the batch holds it.
 
     The M-paths are walked in ``_WALK_BLOCK``-step blocks, and each block
     goes through :func:`~.decompose.class_d_carried` with carried per-row
     state, so a stopped row leaves the reduction after the block that holds
     its stop.  The two Stieltjes sums are pairwise sums of whole rows, so
-    their terms go into two zeroed full-length rows per path, each summed
-    once at the end: after a stop ``dC`` is +0.0, so these rows equal the
-    full-row terms bit for bit."""
+    the terms at each new low go into two zeroed full-length rows per path,
+    each summed once at the end: everywhere else, and after a stop, ``dC``
+    is +0.0, so these rows equal the full-row terms bit for bit.  The last
+    array is path 0 held at its stop, as ``generators.row_passes`` fills it,
+    shaped ``(1, n + 1)`` in the batch that starts at path 0 and ``(0, n +
+    1)`` in every other."""
     cfg, seed, first, rows = args
     spec = GeneratorSpec.from_config(cfg)
     n = spec.grid.n_steps
     block = min(_WALK_BLOCK, n)
-    right, left = np.zeros((2, rows, n))
+    terms = np.zeros((2, rows, n))
     carry = class_d_start(rows)
-    buf = np.empty(rows * (4 * block + 1))
+    buf = np.empty(2 * rows * block)
+    path0 = np.empty((1 if first == 0 else 0, n + 1))
     for step, alive, M, _ in _primary_blocks(spec, seed, first, rows, block, np.zeros(rows, dtype=bool)):
-        a, cs = M.shape[0], M.shape[1] - 1
-        cols = slice(step, step + cs)
-        if a == rows:  # every row still walks: the state and the terms are written in place
-            class_d_carried(M, carry, right[:, cols], left[:, cols], buf)
-            continue
-        terms = buf[:2 * a * cs].reshape(2, a, cs)
         c = carry[:, alive]
-        class_d_carried(M, c, terms[0], terms[1], buf[2 * a * cs:])
+        r, j, t = class_d_carried(M, c, buf)
         carry[:, alive] = c
-        right[alive, cols] = terms[0]
-        left[alive, cols] = terms[1]
-    return class_d_finish(carry, right, left)
+        terms[:, alive[r], step + j] = t
+        if path0.size and alive[0] == 0:
+            path0[0, step:] = M[0, -1]
+            path0[0, step:step + M.shape[1]] = M[0]
+    return (*class_d_finish(carry, terms), path0)
 
 
 def lemma_balance_experiment(
@@ -363,17 +371,20 @@ def lemma_balance_experiment(
     many-sigma disagreement rather than an error.
     """
     mspec = _martingale_spec(spec)
+    if n_paths < 2:
+        raise ValueError(f"--paths {n_paths}: the balance estimates need --paths of at least 2")
     cfg = mspec.to_config()
     n, k = mspec.grid.n_steps, 3 if "x0" in mspec.params else 1
     # one path holds its two rows of Stieltjes terms and, on each block, its k-component draw block (M in
-    # place), one temporary of the Bessel norm, the block's two rows of terms and two work rows
+    # place), one temporary of the Bessel norm, two work rows, and the copy that the running minimum takes
+    # of the rows that set a new low, with a spare row
     rows = _batch_rows(2 * n + (k + 5) * min(_WALK_BLOCK, n))
     args = [(cfg, master_seed, first, r) for first, r in _ranges(n_paths, rows)]
-    classd = class_d_from_path_stats(_stream_batches(_martingale_batch, args, workers), mspec.grid)
+    parts = list(_stream_batches(_martingale_batch, args, workers))
+    classd = class_d_from_path_stats((p[:-1] for p in parts), mspec.grid)
     degenerate = classd.e_mc.stderr == 0.0 and classd.e_int.stderr == 0.0
-    return LemmaBalanceReport(
-        spec_cfg=spec.to_config(), seed=master_seed, classd=classd, degenerate=degenerate
-    )
+    return LemmaBalanceReport(spec_cfg=spec.to_config(), seed=master_seed, classd=classd, degenerate=degenerate,
+                              path0=parts[0][-1][0])
 
 
 #: The three specs the balance acceptance criterion runs (all satisfy the
@@ -472,7 +483,7 @@ def _state_bin_edges(state_t: np.ndarray, bins: int | Sequence[float]) -> np.nda
     if bins < 1:
         raise ValueError("need at least one bin")
     lo = float(np.min(state_t))
-    hi = float(np.quantile(state_t, 0.995))
+    hi = quantile(state_t, 0.995)
     top = float(np.max(state_t))
     if hi <= lo:
         return np.array([lo, max(top, lo + 1e-12)])
@@ -739,7 +750,7 @@ def two_infinity_check(
     rows = _batch_rows(6 * min(_TERMINAL_BLOCK, grid.n_steps))
     args = [(cfg, master_seed, first, r, y, h_indices) for first, r in _ranges(n_paths, rows)]
     gaps, violation = _concat_batches(_two_infinity_batch, args, workers)
-    medians = [float(np.median(gaps[:, k])) for k in range(len(hs))]
+    medians = [median(gaps[:, k]) for k in range(len(hs))]
     noninc = all(medians[k + 1] <= medians[k] + 1e-12 for k in range(len(medians) - 1))
     return TwoInfinityReport(
         level=y,
@@ -1012,6 +1023,8 @@ def tail_experiment(
     transience.
     """
     n_steps = _walk_steps(horizon, dt)
+    if n_paths < 2:
+        raise ValueError(f"--paths {n_paths}: the survival estimates need --paths of at least 2")
     if kind == "T_a_heavy_tail":
         if not 0 < a < math.inf:
             raise ValueError(f"a must be positive and finite, got {a}")

@@ -33,8 +33,8 @@ one reused buffer, and :func:`generate_rows` stacks those passes into a
 depend on the batch it was drawn in, so ensembles can be built in any order,
 split across any number of workers, and still come out bit-identical.
 :class:`~.grids.Path` objects are built from rows only at the API edge
-(``simulate``, which writes each pass before drawing the next,
-``decompose``'s CSV, the ``verify`` suites).
+(``simulate``, which writes each pass before drawing the next, the
+``verify`` suites, and ``decompose``'s CSV, from the class-(D) batch).
 """
 
 from __future__ import annotations

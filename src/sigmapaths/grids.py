@@ -144,6 +144,33 @@ class McEstimate:
         return {"mean": self.mean, "stderr": self.stderr, "n_samples": self.n_samples}
 
 
+# numpy's median and quantile check for NaN through ``numpy.ma``, which they import on their first call
+# (1.2 MB of RSS); these two take numpy's steps on a nonempty 1-D float array, partition indices included,
+# so they give its bits, and without that import.
+
+
+def median(x: np.ndarray) -> float:
+    """``np.median(x)``, bit for bit: NaN when ``x`` holds one."""
+    n = x.size
+    part = np.partition(x, [n // 2 - 1, n // 2, -1] if n % 2 == 0 else [(n - 1) // 2, -1])
+    return float(part[-1] if np.isnan(part[-1]) else part[(n - 1) // 2:n // 2 + 1].mean())
+
+
+def quantile(x: np.ndarray, q: float) -> float:
+    """``np.quantile(x, q)`` by its default ``linear`` method, bit for bit:
+    the order statistics around index ``(n - 1) * q``, numpy's two-branch
+    lerp between them, and NaN when ``x`` holds one."""
+    n = x.size
+    at = (n - 1) * q
+    lo = -1 if at >= n - 1 else math.floor(at)
+    hi = -1 if lo == -1 else lo + 1
+    part = np.partition(x, sorted({0, -1, lo, hi}))
+    if np.isnan(part[-1]):
+        return float(part[-1])
+    a, b, t = float(part[lo]), float(part[hi]), at - lo
+    return b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t
+
+
 # ---------------------------------------------------------------------------
 # CSV path format (long form): header "path_id,t,value", one row per grid
 # point, values printed with 17 significant digits, LF line endings, UTF-8.
@@ -186,7 +213,10 @@ def read_paths_csv(src) -> list[Path]:
             raise ValueError(f"unexpected CSV header: {header}")
         by_id: dict[str, list[tuple[float, float]]] = {}
         order: list[str] = []
-        for pid, t, v in reader:
+        for row in reader:
+            if len(row) != 3:
+                raise ValueError(f"line {reader.line_num}: {len(row)} fields, expected 3 (path_id,t,value)")
+            pid, t, v = row
             if pid not in by_id:
                 by_id[pid] = []
                 order.append(pid)

@@ -94,7 +94,10 @@ def _in_batches(fn, args, batch_values):
 def test_tiled_martingale_batch_matches_one_block(name, first, rows, batch_values):
     spec = _SPECS[name]
     batched = _in_batches(experiments._martingale_batch, (spec.to_config(), 23, first, rows), batch_values)
-    assert _bitwise_equal(batched, class_d_path_stats(generate_rows(spec, 23, first, rows)))
+    drawn = generate_rows(spec, 23, first, rows)
+    assert _bitwise_equal(batched[:-1], class_d_path_stats(drawn))
+    # the row of path 0 comes back once, from the batch that starts at it
+    assert _bitwise_equal(batched[-1:], (drawn[:1 if first == 0 else 0],))
 
 
 def _batch_args(rows):
@@ -133,6 +136,9 @@ def test_every_batch_function_returns_per_path_tuple(rows):
     for name, a in args.items():
         out = getattr(experiments, name)(a)
         assert isinstance(out, tuple), name
+        if name == "_martingale_batch":  # and path 0's row, empty in a batch that starts at path 3
+            assert out[-1].shape == (0, 129), out[-1].shape
+            out = out[:-1]
         for v in out:
             assert isinstance(v, np.ndarray) and v.shape[0] == rows, (name, type(v), np.shape(v))
 
@@ -178,9 +184,9 @@ class _CountingGenerator:
     def __init__(self, bitgen):
         self.gen, self.drawn = np.random.Generator(bitgen), 0
 
-    def standard_normal(self, size, out):
-        self.drawn += size
-        return self.gen.standard_normal(size, out=out)
+    def standard_normal(self, out):
+        self.drawn += out.size
+        return self.gen.standard_normal(out=out)
 
 
 def _walked(start, rows, block, retire_after=None, restart=False):
@@ -424,11 +430,12 @@ _STREAM_SPECS = {**_CLASS_D_SPECS, "exp_martingale {'stop_level': 1e-09}": Gener
 
 def _streamed_martingale_batch(spec, seed, first, rows, cuts, block):
     """``_martingale_batch`` with ``_WALK_BLOCK = block``, split into row
-    batches at ``cuts`` and concatenated in path order."""
+    batches at ``cuts`` and concatenated in path order, without the row of
+    path 0."""
     saved = experiments._WALK_BLOCK
     experiments._WALK_BLOCK = block
     try:
-        parts = [experiments._martingale_batch((spec.to_config(), seed, first + a, b - a))
+        parts = [experiments._martingale_batch((spec.to_config(), seed, first + a, b - a))[:-1]
                  for a, b in zip([0, *cuts], [*cuts, rows])]
     finally:
         experiments._WALK_BLOCK = saved
@@ -460,21 +467,29 @@ def test_martingale_batch_streams_rows_that_stop_at_step_1_and_rows_that_never_s
                               reference.class_d_path_stats(M))
 
 
-_POSITIVE_ROWS = hnp.arrays(np.float64, st.tuples(st.integers(1, 6), st.integers(2, 40)),
-                            elements=st.floats(1e-3, 1e3))
+_SHAPES = st.tuples(st.integers(1, 6), st.integers(2, 40))
+# rows of any positive values, and rows of a few values, which tie at the running minimum and often set no
+# new low after the first block
+_POSITIVE_ROWS = st.one_of(hnp.arrays(np.float64, _SHAPES, elements=st.floats(1e-3, 1e3)),
+                           hnp.arrays(np.float64, _SHAPES, elements=st.sampled_from([0.5, 0.75, 1.0, 2.0])))
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(_POSITIVE_ROWS, st.data())
 def test_class_d_carried_over_blocks_matches_one_block(M, data):
     M[:, 0] = 1.0
     last = M.shape[1] - 1
+    # each row held from a drawn index on, as a stopped path is
+    for row, held in zip(M, data.draw(st.lists(st.integers(0, last), min_size=len(M), max_size=len(M)))):
+        row[held:] = row[held]
     ends = sorted({*data.draw(st.lists(st.integers(1, last), max_size=6)), last})
     carry = class_d_start(len(M))
-    right, left = np.empty((2, len(M), last))
+    terms = np.zeros((2, len(M), last))
     for a, b in zip([0, *ends[:-1]], ends):
-        class_d_carried(M[:, a:b + 1], carry, right[:, a:b], left[:, a:b], np.empty(2 * M.size))
-    assert _bitwise_equal(class_d_finish(carry, right, left), class_d_path_stats(M))
+        r, j, t = class_d_carried(M[:, a:b + 1], carry, np.empty(2 * M.size))
+        terms[:, r, a + j] = t
+    assert _bitwise_equal(class_d_finish(carry, terms), class_d_path_stats(M))
+    assert _bitwise_equal(class_d_path_stats(M), reference.class_d_path_stats(M))
 
 
 def test_balance_batches_hold_blocks_and_two_rows_of_terms():

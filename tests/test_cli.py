@@ -213,6 +213,39 @@ def test_decompose_csv_columns_are_sigma_compose(runner, tmp_path):
     assert all(table[k].tobytes() == np.asarray(v, dtype=float).tobytes() for k, v in expected.items())
 
 
+def test_decompose_keys_each_path_once(runner, tmp_path, monkeypatch):
+    # path 0 of the CSV comes from the batch that walks it, not from a second draw
+    keys = []
+    philox = experiments.Philox
+    monkeypatch.setattr(experiments, "Philox", lambda seq: keys.append(seq) or philox(seq))
+    r = runner.invoke(main, ["decompose", "--family", "exp_martingale", "--stop-level", "1", "--n-steps", "64",
+                             "--paths", "5", "--workers", "1", "--out", str(tmp_path / "dec")])
+    assert r.exit_code == 0, r.output
+    assert len(keys) == 5
+
+
+def test_pooled_commands_never_import_numpy_ma(tmp_path):
+    # numpy's median and quantile import numpy.ma (1.2 MB) on their first call; a fresh interpreter,
+    # because this one may have imported it already
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    balance = ["--family", "exp_martingale", "--stop-level", "1", "--horizon", "4", "--n-steps", "4096",
+               "--paths", "150"]
+    runs = [["experiment", "lemma-balance", *balance], ["decompose", *balance],
+            ["experiment", "two-infinity", "--horizon", "4", "--n-steps", "1024", "--paths", "200"],
+            ["experiment", "azema-law", "--horizon", "4", "--n-steps", "1024", "--t", "1", "--bins", "5",
+             "--paths", "900"]]
+    code = ("import json, sys\n"
+            "from sigmapaths.cli import main\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    main.main(args=[*argv, '--workers', '2', '--out', sys.argv[2]], standalone_mode=False)\n"
+            "assert 'numpy.ma' not in sys.modules, 'numpy.ma was imported'\n")
+    r = subprocess.run([sys.executable, "-c", code, json.dumps(runs), str(tmp_path)], env=env,
+                       capture_output=True, text=True, timeout=300)
+    assert r.returncode == 0, r.stdout + r.stderr
+    assert len(r.stdout.splitlines()) == 4, r.stdout
+
+
 @pytest.mark.parametrize("command", [["decompose"], ["experiment", "lemma-balance"]])
 def test_martingale_that_underflows_to_zero_exits_2(runner, tmp_path, command):
     # exp(B_t - t/2) underflows to 0 well before t = 3000
@@ -381,6 +414,9 @@ def test_largest_seed_is_accepted(runner, tmp_path):
     (["experiment", "saturation", "--horizon", "0.01", "--dt", "0.001", "--paths", "20"], "--horizon"),
     (["experiment", "tail", "--kind", "sigma_b_expectation", "--horizon", "0.01", "--dt", "0.001", "--paths", "20"],
      "--horizon"),
+    (["experiment", "tail", "--kind", "T_a_heavy_tail", "--paths", "1"], "--paths of at least 2"),
+    (["experiment", "lemma-balance", "--n-steps", "16", "--paths", "1"], "--paths of at least 2"),
+    (["decompose", "--family", "exp_martingale", "--n-steps", "16", "--paths", "1"], "--paths of at least 2"),
 ], ids=["workers-0", "workers-negative", "simulate-no-paths", "tail-dt-0", "tail-horizon-negative",
         "saturation-zero-steps", "lemma-stop-level-negative", "decompose-stop-line-drift-negative",
         "tail-no-paths", "two-infinity-no-paths", "azema-paths-negative", "decompose-no-paths",
@@ -391,7 +427,8 @@ def test_largest_seed_is_accepted(runner, tmp_path):
         "simulate-x0-inf", "two-infinity-level-inf", "two-infinity-x0-inf", "tail-a-inf", "tail-b-inf",
         "azema-level-inf", "azema-t-rounds-onto-horizon", "lemma-stop-level-inf", "tail-a-nan",
         "tail-dt-not-dividing-horizon", "saturation-dt-not-dividing-horizon", "tail-horizon-below-every-time",
-        "simulate-svg", "decompose-svg", "saturation-too-few-stops", "tail-sigma_b-too-few-stops"])
+        "simulate-svg", "decompose-svg", "saturation-too-few-stops", "tail-sigma_b-too-few-stops",
+        "tail-one-path", "lemma-one-path", "decompose-one-path"])
 def test_out_of_domain_input_exits_2(runner, tmp_path, argv, option):
     out = tmp_path / "o"
     r = runner.invoke(main, [*argv, "--out", str(out)])

@@ -15,9 +15,9 @@ class _FixedStream:
     def __init__(self, draws):
         self.draws, self.pos = np.asarray(draws, dtype=float), 0
 
-    def standard_normal(self, size, out):
-        out[...] = self.draws[self.pos:self.pos + size]
-        self.pos += size
+    def standard_normal(self, out):
+        out[...] = self.draws[self.pos:self.pos + out.size]
+        self.pos += out.size
         return out
 
 

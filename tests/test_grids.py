@@ -6,6 +6,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from sigmapaths import generators
 from sigmapaths.experiments import _first_stop
@@ -14,6 +17,8 @@ from sigmapaths.grids import (
     Path,
     TimeGrid,
     make_grid,
+    median,
+    quantile,
     read_paths_csv,
     write_paths_csv,
 )
@@ -131,6 +136,23 @@ def test_mc_estimate_matches_sample_stats():
         McEstimate.from_samples([1.0])
 
 
+# odd and even sizes, repeated values, both zeros, both infinities and NaN
+_SAMPLES = st.one_of(
+    hnp.arrays(np.float64, st.integers(1, 300), elements=st.sampled_from(
+        [-0.0, 0.0, 1.0, -1.0, 2.5, np.inf, -np.inf, np.nan])),
+    hnp.arrays(np.float64, st.integers(1, 300), elements=st.floats(allow_nan=True, allow_infinity=True)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_SAMPLES)
+def test_median_and_quantile_are_numpys_bit_for_bit(x):
+    before = x.tobytes()
+    with np.errstate(invalid="ignore"):
+        assert np.float64(median(x)).tobytes() == np.float64(np.median(x)).tobytes()
+        assert np.float64(quantile(x, 0.995)).tobytes() == np.float64(np.quantile(x, 0.995)).tobytes()
+    assert x.tobytes() == before
+
+
 def test_csv_format_and_roundtrip():
     g = make_grid(1.0, 2)
     p = Path(g, [0.0, 1.0 / 3.0, 2.0 / 3.0], label="p0")
@@ -163,6 +185,11 @@ def test_csv_rejects_a_time_column_off_the_grid(times):
     text += "".join(f"bad,{t!r},0\n" for t in times)
     with pytest.raises(ValueError, match="path 'bad'"):
         read_paths_csv(io.StringIO(text))
+
+
+def test_csv_names_the_line_of_a_short_row():
+    with pytest.raises(ValueError, match="line 3: 2 fields, expected 3"):
+        read_paths_csv(io.StringIO("path_id,t,value\np0,0,1\np0,1\n"))
 
 
 def test_csv_rejects_unknown_header():
