@@ -37,7 +37,6 @@ from .grids import (
     McEstimate,
     Path,
     TimeGrid,
-    make_grid,
     read_paths_csv,
     write_paths_csv,
 )

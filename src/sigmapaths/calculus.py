@@ -176,13 +176,6 @@ class LocalTimeEstimate:
 # path-level operations
 
 
-def _same_grid(a: Path, b: Path) -> None:
-    if a.grid is b.grid:
-        return
-    if not np.array_equal(a.grid.times, b.grid.times):
-        raise ValueError("paths live on different grids")
-
-
 def running_extremum(path: Path, mode: str) -> Path:
     """Prefix minimum (``mode='min'``) or maximum (``mode='max'``) of a path."""
     if mode == "min":
@@ -196,7 +189,8 @@ def running_extremum(path: Path, mode: str) -> Path:
 
 def ito_integral(h: Path, x: Path) -> Path:
     """Left-point Riemann sum of ``h`` against ``dx``, as a path from 0."""
-    _same_grid(h, x)
+    if h.grid != x.grid:
+        raise ValueError("paths live on different grids")
     return x.with_values(ito_sum(h.values, x.values), label=f"int({h.label} d{x.label})")
 
 

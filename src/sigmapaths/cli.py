@@ -40,7 +40,7 @@ from .calculus import running_min
 from .decompose import sigma_compose
 from .experiments import EXPERIMENTS, lemma_balance_experiment
 from .generators import FAMILIES, GeneratorSpec, row_passes
-from .grids import Path, make_grid, write_paths_csv
+from .grids import Path, TimeGrid, write_paths_csv
 from .streams import MAX_SEED
 from .verify import VERIFY_SUITES, run_suites
 
@@ -121,7 +121,7 @@ def _reject_foreign_options(family: str, options) -> None:
 def _build_spec(family, horizon, n_steps, options) -> GeneratorSpec:
     _reject_foreign_options(family, options)
     try:
-        return GeneratorSpec.from_options(family, make_grid(horizon, n_steps), **options)
+        return GeneratorSpec.from_options(family, TimeGrid(horizon, n_steps), **options)
     except ValueError as exc:
         raise click.UsageError(str(exc))
 

@@ -217,7 +217,7 @@ def mult_decompose(Y: Path, ell: Path, integrand_rule: str = "left") -> MultDeco
     of ``Y`` (default), or the midpoint average with
     ``integrand_rule='midpoint'``; then ``M = (Y + 1) / C``.
     """
-    if Y.grid is not ell.grid and not np.array_equal(Y.grid.times, ell.grid.times):
+    if Y.grid != ell.grid:
         raise ValueError("Y and ell live on different grids")
     y = Y.values
     if np.any(y < _NEG_FLOOR):
@@ -249,7 +249,7 @@ def mult_decompose_exp(m: Path, Y: Path) -> Path:
     ``M = exp( int dm/(1+Y) - (1/2) int d<m>/(1+Y)^2 )`` with left-point
     sums; agrees with the ``(Y+1)/C`` form under grid refinement.
     """
-    if m.grid is not Y.grid and not np.array_equal(m.grid.times, Y.grid.times):
+    if m.grid != Y.grid:
         raise ValueError("m and Y live on different grids")
     if m.values[0] != 0.0:
         raise ValueError("m_0 must equal 0")

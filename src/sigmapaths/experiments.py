@@ -8,14 +8,16 @@ Estimation strategy notes, shared by several experiments:
   the only grouping of paths: one rule, :func:`_batch_rows`, sizes every
   batch so that it holds about ``_BATCH_VALUES`` values at a time (per path,
   a draw block and what its reduction builds on it, and for the class-(D)
-  batch two full rows of Stieltjes terms).  Each
-  batch function generates its rows in one pass and reduces them where they
-  are generated, returning a tuple of per-path arrays (leading dimension =
-  rows), so only those vectors travel back from a worker; the class-(D)
-  batch that starts at path 0 also returns that path's row, which
-  ``decompose`` writes, so no path is drawn twice.  The parent
-  concatenates them in path order before any cross-path reduction, so
-  reports are bit-identical across reruns, worker counts and batch splits.
+  batch two full rows of Stieltjes terms).  Each batch function takes one
+  tuple ``(first, rows, ...)``, generates its rows in one pass and reduces
+  them where they are generated, returning a tuple of per-path arrays
+  (leading dimension = rows), so only those vectors travel back from a
+  worker; the class-(D) batch that starts at path 0 also returns that
+  path's row, which ``decompose`` writes, so no path is drawn twice.  One
+  runner, :func:`_run_batches`, runs every study's batches, in process or
+  in a worker pool, and concatenates each returned array in path order
+  before any cross-path reduction, so reports are bit-identical across
+  reruns, worker counts and batch splits.
 
 * Last-visit times ("honest times") are not stopping times: a finite
   simulation can only bound them.  The experiments resolve the revisit event
@@ -65,7 +67,7 @@ from . import oracles
 from .calculus import tanaka_carried
 from .decompose import ClassDReport, class_d_carried, class_d_finish, class_d_from_path_stats, class_d_start
 from .generators import GeneratorSpec, _primary_blocks
-from .grids import McEstimate, make_grid, median, quantile
+from .grids import McEstimate, TimeGrid, median, quantile
 from .reports import Chart
 from .streams import RNG_INFO, KeySequence, StreamKey
 
@@ -98,37 +100,20 @@ def _batch_rows(row_values: int) -> int:
     return max(1, min(8192, _BATCH_VALUES // row_values))
 
 
-def _ranges(n_paths: int, rows: int) -> list[tuple[int, int]]:
-    return [(first, min(rows, n_paths - first)) for first in range(0, n_paths, rows)]
-
-
-def _stream_batches(fn: Callable, arglist: list, workers: int):
-    """Apply ``fn`` over batch argument tuples, in order, optionally in
-    worker processes, holding at most a small window of batch results.
-    Results are concatenated by the caller in batch order, so the outcome
-    does not depend on ``workers``.  The pool starts no more processes than
-    there are batches: a forked pool starts all of its workers at once."""
-    workers = min(workers, len(arglist))
+def _run_batches(fn: Callable, n_paths: int, rows: int, workers: int, *common) -> tuple[np.ndarray, ...]:
+    """Run ``fn((first, rows, *common))`` over the batches of ``rows`` paths
+    that cover ``n_paths``, in this process at 1 worker and otherwise in a
+    pool of no more processes than batches (a forked pool starts all of its
+    workers at once), and concatenate each array of the returned tuples in
+    path order, so the outcome does not depend on ``workers``."""
+    args = [(first, min(rows, n_paths - first), *common) for first in range(0, n_paths, rows)]
+    workers = min(workers, len(args))
     if workers <= 1:
-        for a in arglist:
-            yield fn(a)
-        return
-    from collections import deque
-
-    with ProcessPoolExecutor(max_workers=workers) as ex:
-        pending = deque()
-        for a in arglist:
-            pending.append(ex.submit(fn, a))
-            if len(pending) > workers + 1:
-                yield pending.popleft().result()
-        while pending:
-            yield pending.popleft().result()
-
-
-def _concat_batches(fn: Callable, arglist: list, workers: int) -> tuple[np.ndarray, ...]:
-    """Run batch functions that return tuples of per-path arrays, and
-    concatenate each array across batches in path order."""
-    return tuple(np.concatenate(v) for v in zip(*_stream_batches(fn, arglist, workers)))
+        parts = [fn(a) for a in args]
+    else:
+        with ProcessPoolExecutor(max_workers=workers) as ex:
+            parts = [f.result() for f in [ex.submit(fn, a) for a in args]]
+    return tuple(np.concatenate(v) for v in zip(*parts))
 
 
 # ---------------------------------------------------------------------------
@@ -340,7 +325,7 @@ def _martingale_batch(args) -> tuple[np.ndarray, ...]:
     array is path 0 held at its stop, as ``generators.row_passes`` fills it,
     shaped ``(1, n + 1)`` in the batch that starts at path 0 and ``(0, n +
     1)`` in every other."""
-    cfg, seed, first, rows = args
+    first, rows, cfg, seed = args
     spec = GeneratorSpec.from_config(cfg)
     n = spec.grid.n_steps
     block = min(_WALK_BLOCK, n)
@@ -379,12 +364,11 @@ def lemma_balance_experiment(
     # place), one temporary of the Bessel norm, two work rows, and the copy that the running minimum takes
     # of the rows that set a new low, with a spare row
     rows = _batch_rows(2 * n + (k + 5) * min(_WALK_BLOCK, n))
-    args = [(cfg, master_seed, first, r) for first, r in _ranges(n_paths, rows)]
-    parts = list(_stream_batches(_martingale_batch, args, workers))
-    classd = class_d_from_path_stats((p[:-1] for p in parts), mspec.grid)
+    *stats, path0 = _run_batches(_martingale_batch, n_paths, rows, workers, cfg, master_seed)
+    classd = class_d_from_path_stats([stats], mspec.grid)
     degenerate = classd.e_mc.stderr == 0.0 and classd.e_int.stderr == 0.0
     return LemmaBalanceReport(spec_cfg=spec.to_config(), seed=master_seed, classd=classd, degenerate=degenerate,
-                              path0=parts[0][-1][0])
+                              path0=path0[0])
 
 
 #: The three specs the balance acceptance criterion runs (all satisfy the
@@ -508,7 +492,7 @@ def _bessel_revisit_batch(args):
     reaching the horizon score ``min(num/den, 1)`` there.  Returns (state at
     t, survival scores, ambiguous flags, correction mass).
     """
-    (cfg, seed, first, rows, level, t_idx) = args
+    (first, rows, cfg, seed, level, t_idx) = args
     spec = GeneratorSpec.from_config(cfg)
     bessel = spec.family == "bessel3"
     state_t = np.empty(rows)
@@ -587,8 +571,8 @@ def azema_conditional_experiment(
         raise ValueError("azema experiment supports bessel3 and exp_martingale specs")
     # one path holds its draw block (the state in place) plus two ``scan`` temporaries
     rows = _batch_rows(((3 if spec.family == "bessel3" else 1) + 2) * _REVISIT_BLOCK)
-    args = [(spec.to_config(), master_seed, first, r, level, t_idx) for first, r in _ranges(n_paths, rows)]
-    state_t, score, ambiguous, correction = _concat_batches(_bessel_revisit_batch, args, workers)
+    state_t, score, ambiguous, correction = _run_batches(_bessel_revisit_batch, n_paths, rows, workers,
+                                                         spec.to_config(), master_seed, level, t_idx)
 
     edges = _state_bin_edges(state_t, bins)
 
@@ -673,7 +657,7 @@ def _two_infinity_batch(args):
     its residual, the running min of ``M`` and the running max of ``S``.
     Each step is exact or one sequential sum, so the block size changes no
     bit.  ``h_indices`` are ascending grid indices of at least 1."""
-    (cfg, seed, first, rows, level, h_indices) = args
+    (first, rows, cfg, seed, level, h_indices) = args
     spec = GeneratorSpec.from_config(cfg)
     s0 = 1.0 - level / np.full(rows, spec.params["x0"])  # S_0
     base = np.abs(s0)
@@ -748,8 +732,7 @@ def two_infinity_check(
     # one path holds its 3-component draw block (S in place of its first component), L, M and one temporary
     # of the Bessel norm
     rows = _batch_rows(6 * min(_TERMINAL_BLOCK, grid.n_steps))
-    args = [(cfg, master_seed, first, r, y, h_indices) for first, r in _ranges(n_paths, rows)]
-    gaps, violation = _concat_batches(_two_infinity_batch, args, workers)
+    gaps, violation = _run_batches(_two_infinity_batch, n_paths, rows, workers, cfg, master_seed, y, h_indices)
     medians = [median(gaps[:, k]) for k in range(len(hs))]
     noninc = all(medians[k + 1] <= medians[k] + 1e-12 for k in range(len(medians) - 1))
     return TwoInfinityReport(
@@ -778,10 +761,10 @@ def _walk_brownian_batch(args):
     stop (final value when censored), prefix minimum up to the stop, and the
     censored mask.
     """
-    (seed, first, rows, horizon, n_steps, upper, lower, line_b) = args
+    (first, rows, seed, horizon, n_steps, upper, lower, line_b) = args
     params = {k: v for k, v in (("a", upper), ("lower", lower), ("b", line_b)) if v is not None}
     spec = GeneratorSpec("brownian_stopped_level" if "a" in params else "brownian_drift_stopped_line", params,
-                         make_grid(horizon, n_steps))
+                         TimeGrid(horizon, n_steps))
     run_min = np.zeros(rows)
     stop_step = np.full(rows, -1, dtype=np.int64)
     stop_value = np.zeros(rows)
@@ -799,6 +782,9 @@ def _walk_steps(horizon: float, dt: float) -> int:
     at the horizon its report names."""
     if not (0 < dt < math.inf and 0 < horizon < math.inf):
         raise ValueError(f"need finite dt > 0 and horizon > 0, got dt={dt}, horizon={horizon}")
+    if not horizon / dt + 1 <= np.iinfo(np.intp).max // 8:  # the bound of TimeGrid's times
+        raise ValueError(f"--dt {dt} cuts --horizon {horizon} into {horizon / dt:.3g} steps, "
+                         "more grid times than a float64 array can hold")
     n_steps = round(horizon / dt)
     if n_steps < 1:
         raise ValueError(f"horizon {horizon} rounds to zero steps of dt={dt}")
@@ -809,15 +795,13 @@ def _walk_steps(horizon: float, dt: float) -> int:
 
 
 def _walk(n_paths, master_seed, horizon, n_steps, workers, **trig) -> tuple:
-    """The first-passage walker on ``make_grid(horizon, n_steps)``.  Returns
+    """The first-passage walker on ``TimeGrid(horizon, n_steps)``.  Returns
     per path: the passage time, read off that grid (``inf`` when censored),
     the value at the stop and the prefix minimum up to the stop."""
-    args = [
-        (master_seed, first, r, horizon, n_steps, trig.get("upper"), trig.get("lower"), trig.get("line_b"))
-        for first, r in _ranges(n_paths, _batch_rows(_WALK_BLOCK))
-    ]
-    stop_step, stop_value, run_min, censored = _concat_batches(_walk_brownian_batch, args, workers)
-    return np.where(censored, np.inf, make_grid(horizon, n_steps).times[stop_step]), stop_value, run_min
+    stop_step, stop_value, run_min, censored = _run_batches(
+        _walk_brownian_batch, n_paths, _batch_rows(_WALK_BLOCK), workers,
+        master_seed, horizon, n_steps, trig.get("upper"), trig.get("lower"), trig.get("line_b"))
+    return np.where(censored, np.inf, TimeGrid(horizon, n_steps).times[stop_step]), stop_value, run_min
 
 
 def _stopped(t_hit, what) -> np.ndarray:
@@ -1040,6 +1024,9 @@ def tail_experiment(
         trig = {"line_b": b}
     else:
         raise ValueError(f"kind must be 'T_a_heavy_tail' or 'sigma_b_expectation', got {kind!r}")
+    if times[0] < dt:
+        raise ValueError(f"--dt {dt} is longer than the survival time {times[0]:g}, which the walked grid "
+                         f"cannot resolve: lower --dt to at most {times[0]:g}")
     t_hit, stop_value, _ = _walk(n_paths, master_seed, horizon, n_steps, workers, **trig)
     survival = [McEstimate.from_samples((t_hit > t).astype(float)) for t in times]
     censoring = float(np.mean(np.isinf(t_hit)))
@@ -1101,12 +1088,12 @@ class ExperimentDef:
 
 
 def _run_lemma(seed, n_paths, workers, family, horizon, n_steps, **options):
-    spec = GeneratorSpec.from_options(family, make_grid(horizon, n_steps), **options)
+    spec = GeneratorSpec.from_options(family, TimeGrid(horizon, n_steps), **options)
     return lemma_balance_experiment(spec, n_paths, seed, workers)
 
 
 def _run_azema(seed, n_paths, workers, family, x0, level, t, bins, horizon, n_steps):
-    spec = GeneratorSpec.from_options(family, make_grid(horizon, n_steps), x0=x0)
+    spec = GeneratorSpec.from_options(family, TimeGrid(horizon, n_steps), x0=x0)
     return azema_conditional_experiment(spec, level, t, bins, n_paths, seed, workers)
 
 
@@ -1114,7 +1101,7 @@ def _run_two_infinity(seed, n_paths, workers, x0, level, horizon, n_steps):
     if not horizon >= 4.0:
         raise ValueError(f"two-infinity needs --horizon of at least 4 (its smallest doubling horizon), "
                          f"got {horizon}")
-    spec = GeneratorSpec("bessel3", {"x0": x0}, make_grid(horizon, n_steps))
+    spec = GeneratorSpec("bessel3", {"x0": x0}, TimeGrid(horizon, n_steps))
     hs = []
     h = horizon
     while h >= 4.0 and len(hs) < 6:

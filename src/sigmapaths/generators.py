@@ -45,7 +45,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .grids import TimeGrid, make_grid
+from .grids import TimeGrid
 
 __all__ = ["GeneratorSpec", "FAMILIES", "generate_rows", "row_passes"]
 
@@ -117,7 +117,7 @@ class GeneratorSpec:
     def from_config(cls, cfg: Mapping[str, str]) -> "GeneratorSpec":
         items = dict(cfg)
         family = items.pop("family")
-        grid = make_grid(float(items.pop("horizon")), int(items.pop("n_steps")))
+        grid = TimeGrid(float(items.pop("horizon")), int(items.pop("n_steps")))
         params = {k: float(v) for k, v in items.items()}
         return cls(family=family, params=params, grid=grid)
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable
 
 import numpy as np
@@ -26,12 +26,11 @@ __all__ = [
     "TimeGrid",
     "Path",
     "McEstimate",
-    "make_grid",
     "write_paths_csv",
     "read_paths_csv",
 ]
 
-#: Relative tolerance for grid uniformity.
+#: Relative tolerance, in steps, of a CSV ``t`` column against its grid.
 UNIFORMITY_RTOL = 1e-9
 
 
@@ -43,28 +42,29 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class TimeGrid:
-    """Uniform grid ``t_0 = 0 < t_1 < ... < t_n = horizon``."""
+    """Uniform grid ``t_0 = 0 < t_1 < ... < t_n = horizon``: two grids are
+    equal when their horizon and step count are.  ``times`` is built from
+    them, with its last point ``horizon`` exactly."""
 
     horizon: float
     n_steps: int
-    times: np.ndarray
+    times: np.ndarray = field(init=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "times", _readonly(self.times))
-        t = self.times
-        if len(t) != self.n_steps + 1:
-            raise ValueError("times must have n_steps + 1 entries")
-        if t[0] != 0.0:
-            raise ValueError("grid must start at t = 0")
-        steps = np.diff(t)  # reused in place below, so the checks hold one grid beyond `times`
-        if np.any(steps <= 0):
-            raise ValueError("grid times must be strictly increasing")
-        s0 = steps[0]
-        steps -= s0
-        if np.max(np.abs(steps, out=steps)) > UNIFORMITY_RTOL * s0:
-            raise ValueError("grid spacing not uniform within 1e-9")
+        if not 0 < self.horizon < math.inf:
+            raise ValueError(f"horizon must be positive and finite, got {self.horizon}")
+        if self.n_steps < 1:
+            raise ValueError(f"n_steps must be >= 1, got {self.n_steps}")
+        if self.n_steps + 1 > np.iinfo(np.intp).max // 8:
+            raise ValueError(f"n_steps = {self.n_steps} is too large: its n_steps + 1 times exceed "
+                             "what a float64 array can hold")
+        object.__setattr__(self, "horizon", float(self.horizon))
+        object.__setattr__(self, "n_steps", int(self.n_steps))
+        times = np.linspace(0.0, self.horizon, self.n_steps + 1)
+        times.flags.writeable = False
+        object.__setattr__(self, "times", times)
 
     @property
     def dt(self) -> float:
@@ -78,19 +78,6 @@ class TimeGrid:
         """Grid index of the point closest to time ``t``."""
         j = int(round(t / self.dt))
         return min(max(j, 0), self.n_steps)
-
-
-def make_grid(horizon: float, n_steps: int) -> TimeGrid:
-    """Build a uniform grid over ``[0, horizon]`` with ``n_steps`` steps.
-
-    The final grid point equals ``horizon`` exactly.
-    """
-    if not 0 < horizon < math.inf:
-        raise ValueError(f"horizon must be positive and finite, got {horizon}")
-    if n_steps < 1:
-        raise ValueError(f"n_steps must be >= 1, got {n_steps}")
-    times = np.linspace(0.0, float(horizon), int(n_steps) + 1)
-    return TimeGrid(horizon=float(horizon), n_steps=int(n_steps), times=times)
 
 
 @dataclass(frozen=True, eq=False)
@@ -233,7 +220,7 @@ def read_paths_csv(src) -> list[Path]:
         key = (len(times), times[-1])
         grid = grid_cache.get(key)
         if grid is None:
-            grid = make_grid(times[-1], len(times) - 1)
+            grid = TimeGrid(times[-1], len(times) - 1)
             grid_cache[key] = grid
         if np.max(np.abs(times - grid.times)) > UNIFORMITY_RTOL * grid.dt:
             raise ValueError(f"path {pid!r}: its t column is not the uniform grid of {grid.n_steps} steps "

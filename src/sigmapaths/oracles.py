@@ -87,11 +87,15 @@ def drifted_line_passage_survival(b: float, t: float) -> float:
 
     Standard drifted passage-time law for the level 1:
     Phi((1 - b t)/sqrt(t)) - exp(2 b) * Phi((-1 - b t)/sqrt(t)).
+    The product is skipped where its Phi is 0.0, so it never overflows: past
+    b = 354.9, where exp(2 b) does, that Phi's argument is at most
+    -2 sqrt(b) < -37 at every t.
     """
     if t <= 0:
         raise ValueError("time must be positive")
     rt = math.sqrt(t)
-    return norm_cdf((1.0 - b * t) / rt) - math.exp(2.0 * b) * norm_cdf((-1.0 - b * t) / rt)
+    first, tail = norm_cdf((1.0 - b * t) / rt), norm_cdf((-1.0 - b * t) / rt)
+    return first - math.exp(2.0 * b) * tail if tail else first
 
 
 def drifted_passage_laplace(level: float, drift: float, lam: float) -> float:

@@ -21,7 +21,7 @@ from .decompose import (
     sigma_martingale,
 )
 from .generators import GeneratorSpec, generate_rows
-from .grids import Path, make_grid
+from .grids import Path, TimeGrid
 
 __all__ = ["VERIFY_SUITES", "run_suite", "run_suites"]
 
@@ -73,7 +73,7 @@ def _random_positive_martingale(rng, grid) -> Path:
 
 def minimality_suite(seed: int = 20241) -> tuple[bool, str]:
     rng = np.random.default_rng(seed)
-    grid = make_grid(1.0, 128)
+    grid = TimeGrid(1.0, 128)
     n_cases = 1000
     worst = 0.0
     for c in range(n_cases):
@@ -97,7 +97,7 @@ def minimality_suite(seed: int = 20241) -> tuple[bool, str]:
 
 def sigma_roundtrip_suite(seed: int = 20242) -> tuple[bool, str]:
     rng = np.random.default_rng(seed)
-    grid = make_grid(1.0, 256)
+    grid = TimeGrid(1.0, 256)
     n_cases = 1000
     worst = 0.0
     for _ in range(n_cases):
@@ -111,7 +111,7 @@ def sigma_roundtrip_suite(seed: int = 20242) -> tuple[bool, str]:
 
 def zero_sets_suite(seed: int = 20243) -> tuple[bool, str]:
     rng = np.random.default_rng(seed)
-    grid = make_grid(1.0, 512)
+    grid = TimeGrid(1.0, 512)
     eps = 2.0 * np.sqrt(grid.dt)
     for _ in range(200):
         M = _random_positive_martingale(rng, grid)
@@ -131,7 +131,7 @@ def zero_sets_suite(seed: int = 20243) -> tuple[bool, str]:
 
 
 def carried_suite(seed: int = 20244) -> tuple[bool, str]:
-    grid = make_grid(1.0, 2**14)
+    grid = TimeGrid(1.0, 2**14)
     worst_good, best_bad = 0.0, np.inf
     for i, row in enumerate(generate_rows(GeneratorSpec("brownian", {}, grid), seed, 0, 20)):
         tri = sigma_example_triple(Path(grid, row), "abs")
@@ -146,7 +146,7 @@ def carried_suite(seed: int = 20244) -> tuple[bool, str]:
 
 def ito_linearity_suite(seed: int = 20245) -> tuple[bool, str]:
     rng = np.random.default_rng(seed)
-    grid = make_grid(1.0, 256)
+    grid = TimeGrid(1.0, 256)
     worst = 0.0
     for _ in range(200):
         h1 = Path(grid, rng.standard_normal(len(grid)), "h1")

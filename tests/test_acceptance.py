@@ -31,7 +31,7 @@ from sigmapaths.experiments import (
     two_infinity_check,
 )
 from sigmapaths.generators import GeneratorSpec
-from sigmapaths.grids import Path, make_grid
+from sigmapaths.grids import Path, TimeGrid
 from sigmapaths.reports import report_json_bytes
 from sigmapaths.streams import StreamKey
 from sigmapaths.verify import run_suite
@@ -73,8 +73,8 @@ def test_criterion_03_sigma_roundtrip():
 def test_criterion_04_local_time_identity_refinement():
     t0 = time.time()
     master_seed, n_paths = 1005, 100
-    grid_fine = make_grid(1.0, 2**16)
-    grid_coarse = make_grid(1.0, 2**14)
+    grid_fine = TimeGrid(1.0, 2**16)
+    grid_coarse = TimeGrid(1.0, 2**14)
     d_log = {14: [], 16: []}
     d_cross = {14: [], 16: []}
     for i in range(n_paths):
@@ -112,7 +112,7 @@ def test_criterion_05_lemma_balance_three_specs():
 
 def test_criterion_06_conditional_last_visit_law():
     t0 = time.time()
-    spec = GeneratorSpec("bessel3", {"x0": 1.0}, make_grid(64.0, 32768))
+    spec = GeneratorSpec("bessel3", {"x0": 1.0}, TimeGrid(64.0, 32768))
     tab = azema_conditional_experiment(spec, level=1.0, t=1.0, bins=20,
                                        n_paths=100_000, master_seed=999, workers=_WORKERS)
     worst = 0.0
@@ -153,7 +153,7 @@ def test_criterion_08_heavy_tail_slope():
 
 def test_criterion_09_terminal_balance_trend():
     t0 = time.time()
-    spec = GeneratorSpec("bessel3", {"x0": 1.0}, make_grid(64.0, 2**14))
+    spec = GeneratorSpec("bessel3", {"x0": 1.0}, TimeGrid(64.0, 2**14))
     rep = two_infinity_check(spec, [4, 8, 16, 32, 64], 2000, 4242)
     first, last = rep.median_gap[0], rep.median_gap[-1]
     ok = last < 0.5 * first
@@ -165,7 +165,7 @@ def test_criterion_09_terminal_balance_trend():
 def test_criterion_10_carried_by_zeros_discrimination():
     t0 = time.time()
     master_seed, n_paths = 1001, 100
-    grid = make_grid(1.0, 2**14)
+    grid = TimeGrid(1.0, 2**14)
     eps = default_zero_threshold(grid)
     lebesgue = Path(grid, grid.times)
     n_good = n_bad = 0
@@ -190,7 +190,7 @@ def test_criterion_10_carried_by_zeros_discrimination():
 
 def test_criterion_11_determinism():
     t0 = time.time()
-    spec = GeneratorSpec("exp_martingale", {}, make_grid(1.0, 512))
+    spec = GeneratorSpec("exp_martingale", {}, TimeGrid(1.0, 512))
     runs = [lemma_balance_experiment(spec, 2000, 7, workers=w) for w in (1, 1, 2)]
     blobs = [report_json_bytes(r.as_report(), with_meta=False) for r in runs]
     rerun_identical = blobs[0] == blobs[1]

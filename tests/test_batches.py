@@ -16,14 +16,14 @@ from sigmapaths.calculus import tanaka_carried, tanaka_raw
 from sigmapaths.decompose import (class_d_carried, class_d_finish, class_d_from_path_stats, class_d_path_stats,
                                   class_d_start)
 from sigmapaths.generators import GeneratorSpec, _bessel_norm, _primary_blocks, generate_rows
-from sigmapaths.grids import make_grid
+from sigmapaths.grids import TimeGrid
 from sigmapaths.reports import report_json_bytes
 
 from reference import bessel3_rows, brownian_rows, reference_rows, stop_at_mask_rows
 
 _SPECS = {
-    "exp_martingale stopped": GeneratorSpec("exp_martingale", {"stop_level": 0.5}, make_grid(4.0, 64)),
-    "scale_martingale": GeneratorSpec("scale_martingale", {"x0": 2.0}, make_grid(1.0, 48)),
+    "exp_martingale stopped": GeneratorSpec("exp_martingale", {"stop_level": 0.5}, TimeGrid(4.0, 64)),
+    "scale_martingale": GeneratorSpec("scale_martingale", {"x0": 2.0}, TimeGrid(1.0, 48)),
 }
 _ENSEMBLE = generate_rows(_SPECS["exp_martingale stopped"], 17, 0, 40)
 
@@ -46,8 +46,8 @@ def test_class_d_from_path_stats_ignores_row_splits(cuts):
 def _reports_at_batch_values(batch_values):
     """Non-meta report bytes of every experiment at a small size, run with
     ``experiments._BATCH_VALUES = batch_values``."""
-    bessel = GeneratorSpec("bessel3", {"x0": 1.0}, make_grid(8.0, 128))
-    expmart = GeneratorSpec("exp_martingale", {}, make_grid(4.0, 128))
+    bessel = GeneratorSpec("bessel3", {"x0": 1.0}, TimeGrid(8.0, 128))
+    expmart = GeneratorSpec("exp_martingale", {}, TimeGrid(4.0, 128))
     walk = {"horizon": 4.0, "dt": 0.01}
     runs = {
         "lemma-balance": lambda: experiments.lemma_balance_experiment(_SPECS["exp_martingale stopped"], 20, 7),
@@ -75,17 +75,17 @@ def test_reports_ignore_batch_values(batch_values):
 
 
 def _in_batches(fn, args, batch_values):
-    """Run the batch function ``fn`` on ``args = (cfg, seed, first, rows, ...)``
+    """Run the batch function ``fn`` on ``args = (first, rows, cfg, seed, ...)``
     split into batches of ``_batch_rows(len(grid))`` rows under
     ``experiments._BATCH_VALUES = batch_values``, concatenated in path order."""
-    cfg, seed, first, rows, rest = args[0], args[1], args[2], args[3], args[4:]
+    first, rows, cfg, common = args[0], args[1], args[2], args[2:]
     saved = experiments._BATCH_VALUES
     experiments._BATCH_VALUES = batch_values
     try:
         size = experiments._batch_rows(len(GeneratorSpec.from_config(cfg).grid))
     finally:
         experiments._BATCH_VALUES = saved
-    parts = [fn((cfg, seed, first + f, r) + rest) for f, r in experiments._ranges(rows, size)]
+    parts = [fn((first + f, min(size, rows - f), *common)) for f in range(0, rows, size)]
     return tuple(np.concatenate(v) for v in zip(*parts))
 
 
@@ -93,7 +93,7 @@ def _in_batches(fn, args, batch_values):
 @given(st.sampled_from(sorted(_SPECS)), st.integers(0, 50), st.integers(1, 30), st.integers(1, 3000))
 def test_tiled_martingale_batch_matches_one_block(name, first, rows, batch_values):
     spec = _SPECS[name]
-    batched = _in_batches(experiments._martingale_batch, (spec.to_config(), 23, first, rows), batch_values)
+    batched = _in_batches(experiments._martingale_batch, (first, rows, spec.to_config(), 23), batch_values)
     drawn = generate_rows(spec, 23, first, rows)
     assert _bitwise_equal(batched[:-1], class_d_path_stats(drawn))
     # the row of path 0 comes back once, from the batch that starts at it
@@ -102,26 +102,26 @@ def test_tiled_martingale_batch_matches_one_block(name, first, rows, batch_value
 
 def _batch_args(rows):
     """Small argument tuples for every batch function of ``experiments``."""
-    bessel = GeneratorSpec("bessel3", {"x0": 1.0}, make_grid(8.0, 256)).to_config()
-    expmart = GeneratorSpec("exp_martingale", {}, make_grid(4.0, 128)).to_config()
+    bessel = GeneratorSpec("bessel3", {"x0": 1.0}, TimeGrid(8.0, 256)).to_config()
+    expmart = GeneratorSpec("exp_martingale", {}, TimeGrid(4.0, 128)).to_config()
     return {
-        "_martingale_batch": (expmart, 5, 3, rows),
-        "_bessel_revisit_batch": (bessel, 5, 3, rows, 1.0, 32),
-        "_two_infinity_batch": (bessel, 5, 3, rows, 1.0, [128, 256]),
-        "_walk_brownian_batch": (5, 3, rows, 4.0, 400, 1.0, -2.0, None),
+        "_martingale_batch": (3, rows, expmart, 5),
+        "_bessel_revisit_batch": (3, rows, bessel, 5, 1.0, 32),
+        "_two_infinity_batch": (3, rows, bessel, 5, 1.0, [128, 256]),
+        "_walk_brownian_batch": (3, rows, 5, 4.0, 400, 1.0, -2.0, None),
     }
 
 
 def _split_cases(rows):
-    """Batch functions taking ``(cfg, seed, first, rows, ...)``: the last-visit
+    """Batch functions taking ``(first, rows, cfg, seed, ...)``: the last-visit
     walker on both of its families over three of its restart blocks, and the
     two-infinity batch."""
-    long = make_grid(8.0, 1200)
+    long = TimeGrid(8.0, 1200)
     return {
         "last-visit bessel3": (experiments._bessel_revisit_batch,
-                               (GeneratorSpec("bessel3", {"x0": 1.0}, long).to_config(), 5, 3, rows, 1.0, 150)),
+                               (3, rows, GeneratorSpec("bessel3", {"x0": 1.0}, long).to_config(), 5, 1.0, 150)),
         "last-visit exp_martingale": (experiments._bessel_revisit_batch,
-                                      (GeneratorSpec("exp_martingale", {}, long).to_config(), 5, 3, rows, 0.5, 150)),
+                                      (3, rows, GeneratorSpec("exp_martingale", {}, long).to_config(), 5, 0.5, 150)),
         "two-infinity": (experiments._two_infinity_batch, _batch_args(rows)["_two_infinity_batch"]),
     }
 
@@ -150,8 +150,8 @@ def test_tiled_batches_ignore_tile_size(name, rows, batch_values):
     assert _bitwise_equal(_in_batches(fn, args, batch_values), fn(args))
 
 
-_REVISIT_CASES = {"bessel3": (GeneratorSpec("bessel3", {"x0": 1.0}, make_grid(8.0, 256)), (0.5, 1.0, 2.0)),
-                  "exp_martingale": (GeneratorSpec("exp_martingale", {}, make_grid(8.0, 256)), (0.1, 0.5, 1.0))}
+_REVISIT_CASES = {"bessel3": (GeneratorSpec("bessel3", {"x0": 1.0}, TimeGrid(8.0, 256)), (0.5, 1.0, 2.0)),
+                  "exp_martingale": (GeneratorSpec("exp_martingale", {}, TimeGrid(8.0, 256)), (0.1, 0.5, 1.0))}
 
 
 @pytest.mark.parametrize("t_at", ["first", "middle", "last"])
@@ -163,7 +163,7 @@ def test_last_visit_walker_in_one_block_matches_full_row_scoring(family, t_at, r
     spec, levels = _REVISIT_CASES[family]
     n = spec.grid.n_steps
     t_idx = {"first": 1, "middle": n // 2, "last": n - 1}[t_at]
-    args = (spec.to_config(), seed, 3, rows, levels[level_at], t_idx)
+    args = (3, rows, spec.to_config(), seed, levels[level_at], t_idx)
     saved = experiments._REVISIT_BLOCK
     experiments._REVISIT_BLOCK = n
     try:
@@ -175,7 +175,7 @@ def test_last_visit_walker_in_one_block_matches_full_row_scoring(family, t_at, r
     assert _bitwise_equal(walked, expected)
 
 
-_WALK_GRID = make_grid(3.0, 300)
+_WALK_GRID = TimeGrid(3.0, 300)
 
 
 class _CountingGenerator:
@@ -292,14 +292,14 @@ def test_one_chunk_walk_equals_stop_at_mask_rows(rows, seed, trigger, block):
     g = _WALK_GRID
     upper, lower, line_b = _TRIGGERS[trigger]
     stop_step, stop_value, run_min, censored = _walk_in_blocks(
-        block, (seed, 2, rows, g.horizon, g.n_steps, upper, lower, line_b))
+        block, (2, rows, seed, g.horizon, g.n_steps, upper, lower, line_b))
     B = brownian_rows(g, seed, 2, rows)
     mask = np.zeros(B.shape, dtype=bool)
     if upper is not None:
         mask |= B >= upper
     if lower is not None:
         mask |= B <= lower
-    if line_b is not None:  # the times of the walker's grid, make_grid(horizon, n_steps)
+    if line_b is not None:  # the times of the walker's grid, TimeGrid(horizon, n_steps)
         mask |= B + line_b * g.times >= 1.0
     frozen, stop = stop_at_mask_rows(B, mask)
     assert np.array_equal(censored, ~mask.any(axis=1))
@@ -313,11 +313,11 @@ def test_one_chunk_walk_equals_stop_at_mask_rows(rows, seed, trigger, block):
 def test_walk_blocks_match_one_block_per_chunk(rows, seed, trigger, block):
     g = _WALK_GRID
     upper, lower, line_b = _TRIGGERS[trigger]
-    args = (seed, 2, rows, g.horizon, g.n_steps, upper, lower, line_b)
+    args = (2, rows, seed, g.horizon, g.n_steps, upper, lower, line_b)
     assert _bitwise_equal(_walk_in_blocks(block, args), _walk_in_blocks(g.n_steps, args))
 
 
-_GEN_GRID = make_grid(4.0, 160)
+_GEN_GRID = TimeGrid(4.0, 160)
 _GEN_SPECS = {
     f"{family} {params}": GeneratorSpec(family, params, _GEN_GRID) for family, params in [
         ("brownian", {}), ("brownian_stopped_level", {"a": 0.5}),
@@ -408,7 +408,7 @@ def test_tanaka_raw_matches_reference(k):
 
 
 _CLASS_D_SPECS = {
-    f"{family} {params}": GeneratorSpec(family, params, make_grid(2.0, 96)) for family, params in [
+    f"{family} {params}": GeneratorSpec(family, params, TimeGrid(2.0, 96)) for family, params in [
         ("exp_martingale", {}), ("exp_martingale", {"stop_level": 0.3}),
         ("exp_martingale", {"stop_line_drift": 0.5}), ("scale_martingale", {"x0": 1.5})]}
 
@@ -425,7 +425,7 @@ def test_class_d_path_stats_matches_reference(name, rows, seed):
 # The streamed class-(D) batch against the full-row reduction of the reference rows.  A stop level of
 # 1e-9 stops about half the rows at step 1; at 0.3 some rows never stop on this grid.
 _STREAM_SPECS = {**_CLASS_D_SPECS, "exp_martingale {'stop_level': 1e-09}": GeneratorSpec(
-    "exp_martingale", {"stop_level": 1e-9}, make_grid(2.0, 96))}
+    "exp_martingale", {"stop_level": 1e-9}, TimeGrid(2.0, 96))}
 
 
 def _streamed_martingale_batch(spec, seed, first, rows, cuts, block):
@@ -435,7 +435,7 @@ def _streamed_martingale_batch(spec, seed, first, rows, cuts, block):
     saved = experiments._WALK_BLOCK
     experiments._WALK_BLOCK = block
     try:
-        parts = [experiments._martingale_batch((spec.to_config(), seed, first + a, b - a))[:-1]
+        parts = [experiments._martingale_batch((first + a, b - a, spec.to_config(), seed))[:-1]
                  for a, b in zip([0, *cuts], [*cuts, rows])]
     finally:
         experiments._WALK_BLOCK = saved
@@ -495,7 +495,7 @@ def test_class_d_carried_over_blocks_matches_one_block(M, data):
 def test_balance_batches_hold_blocks_and_two_rows_of_terms():
     # 300 paths of the balance spec: a batch that held 255 full rows and the reduction's own two peaked
     # near 25 MiB
-    spec = GeneratorSpec("exp_martingale", {"stop_level": 1.0}, make_grid(4.0, 4096))
+    spec = GeneratorSpec("exp_martingale", {"stop_level": 1.0}, TimeGrid(4.0, 4096))
     tracemalloc.start()
     try:
         experiments.lemma_balance_experiment(spec, 300, 3)
@@ -510,8 +510,8 @@ def test_balance_batches_hold_blocks_and_two_rows_of_terms():
 @given(st.integers(1, 8), st.integers(0, 10**6), st.sampled_from([0.5, 1.0, 1.5, 3.0]),
        st.lists(st.integers(1, 128), min_size=1, max_size=5, unique=True).map(sorted))
 def test_two_infinity_batch_matches_reference(rows, seed, level, h_indices):
-    cfg = GeneratorSpec("bessel3", {"x0": 1.0}, make_grid(8.0, 128)).to_config()
-    args = (cfg, seed, 2, rows, level, list(h_indices))
+    cfg = GeneratorSpec("bessel3", {"x0": 1.0}, TimeGrid(8.0, 128)).to_config()
+    args = (2, rows, cfg, seed, level, list(h_indices))
     expected = reference.two_infinity_reduce(generate_rows(GeneratorSpec.from_config(cfg), seed, 2, rows),
                                              level, h_indices)
     assert _bitwise_equal(experiments._two_infinity_batch(args), expected)
@@ -533,7 +533,7 @@ def test_tanaka_carried_over_blocks_matches_one_block(k, data):
     assert out.tobytes() == expected.tobytes()
 
 
-_TWO_INF_GRID = make_grid(8.0, 96)
+_TWO_INF_GRID = TimeGrid(8.0, 96)
 _TWO_INF_HORIZONS = [24, 48, 96]
 
 
@@ -544,7 +544,7 @@ def _two_infinity_in_blocks(x0, level, rows, cuts, block):
     saved = experiments._TERMINAL_BLOCK
     experiments._TERMINAL_BLOCK = block
     try:
-        parts = [experiments._two_infinity_batch((cfg, 11, 4 + a, b - a, level, _TWO_INF_HORIZONS))
+        parts = [experiments._two_infinity_batch((4 + a, b - a, cfg, 11, level, _TWO_INF_HORIZONS))
                  for a, b in zip([0, *cuts], [*cuts, rows])]
     finally:
         experiments._TERMINAL_BLOCK = saved
@@ -567,7 +567,7 @@ def test_two_infinity_batch_ignores_blocks_and_row_splits(x0_level, block, cuts)
 
 def test_two_infinity_batches_hold_blocks_not_rows():
     # 130 paths on the default 16384-step grid: a batch that held full rows peaked near 40 MiB
-    spec = GeneratorSpec("bessel3", {"x0": 1.0}, make_grid(64.0, 16384))
+    spec = GeneratorSpec("bessel3", {"x0": 1.0}, TimeGrid(64.0, 16384))
     tracemalloc.start()
     try:
         experiments.two_infinity_check(spec, [4.0, 8.0, 16.0, 32.0, 64.0], 130, 3)
@@ -581,7 +581,7 @@ def test_two_infinity_batches_hold_blocks_not_rows():
 def test_bessel_blocks_hold_the_norm_in_the_engine_block(family):
     # 200 rows over 4 blocks of 1000 steps: the 3-component engine block and one temporary of the norm's
     # squares; a norm buffer beside the engine's block would peak near 5.4 row-blocks
-    spec = GeneratorSpec(family, {"x0": 1.0}, make_grid(4.0, 4000))
+    spec = GeneratorSpec(family, {"x0": 1.0}, TimeGrid(4.0, 4000))
     tracemalloc.start()
     try:
         for _ in _primary_blocks(spec, 3, 0, 200, 1000, np.zeros(200, dtype=bool)):

@@ -17,14 +17,14 @@ from sigmapaths.calculus import (
 )
 from sigmapaths.decompose import carried_by_zeros, default_zero_threshold
 from sigmapaths.generators import GeneratorSpec, generate_rows
-from sigmapaths.grids import Path, make_grid
+from sigmapaths.grids import Path, TimeGrid
 from sigmapaths.streams import StreamKey
 
 from reference import gaussian_increments
 
 
 def _path(values, horizon=1.0):
-    return Path(make_grid(horizon, len(values) - 1), values)
+    return Path(TimeGrid(horizon, len(values) - 1), values)
 
 
 # -- running extrema --------------------------------------------------------
@@ -74,19 +74,19 @@ def test_ito_integral_two_step_hand_sum():
 
 def test_ito_integral_grid_mismatch():
     x = _path([0.0, 1.0, 3.0])
-    h = Path(make_grid(2.0, 2), [1.0, 1.0, 1.0])
+    h = Path(TimeGrid(2.0, 2), [1.0, 1.0, 1.0])
     with pytest.raises(ValueError, match="grids"):
         ito_integral(h, x)
 
 
 def test_qv_linear_ramp_vanishes_under_refinement():
     for n in (64, 256):
-        g = make_grid(1.0, n)
+        g = TimeGrid(1.0, n)
         p = Path(g, g.times)  # x_j = j dt
         qv = quadratic_variation(p).values[-1]
         assert qv == pytest.approx(n * g.dt**2)
-    assert quadratic_variation(Path(make_grid(1.0, 256), make_grid(1.0, 256).times)).values[-1] < \
-        quadratic_variation(Path(make_grid(1.0, 64), make_grid(1.0, 64).times)).values[-1]
+    assert quadratic_variation(Path(TimeGrid(1.0, 256), TimeGrid(1.0, 256).times)).values[-1] < \
+        quadratic_variation(Path(TimeGrid(1.0, 64), TimeGrid(1.0, 64).times)).values[-1]
 
 
 def test_qv_constant_path_is_zero():
@@ -94,7 +94,7 @@ def test_qv_constant_path_is_zero():
 
 
 def test_qv_brownian_tracks_horizon():
-    g = make_grid(1.0, 2**16)
+    g = TimeGrid(1.0, 2**16)
     devs = []
     for i in range(100):
         B = Path(g, generate_rows(GeneratorSpec("brownian", {}, g), 311, i, 1)[0])
@@ -103,7 +103,7 @@ def test_qv_brownian_tracks_horizon():
 
 
 def test_qv_refinement_improves():
-    g = make_grid(1.0, 2**14)
+    g = TimeGrid(1.0, 2**14)
     devs_fine, devs_coarse = [], []
     for i in range(50):
         inc = gaussian_increments(g, StreamKey(312, i, 0))
@@ -177,7 +177,7 @@ def test_tanaka_raw_nondecreasing_up_to_rounding_and_clamped_exactly():
 def test_tanaka_mean_at_interval_exit():
     # E[L] at the first exit of (-1, 1) is exactly 1 by optional stopping;
     # stopping at an interval exit avoids horizon censoring entirely.
-    g = make_grid(16.0, 16 * 2048)
+    g = TimeGrid(16.0, 16 * 2048)
     n_paths = 2000
     B = generate_rows(GeneratorSpec("brownian", {}, g), master_seed=515, first_index=0, rows=n_paths)
     hit = (B >= 1.0) | (B <= -1.0)
@@ -199,7 +199,7 @@ def test_occupation_empty_band_is_zero():
 
 
 def test_occupation_of_zero_path_is_linear_ramp():
-    g = make_grid(1.0, 4)
+    g = TimeGrid(1.0, 4)
     p = Path(g, np.zeros(5))
     eps = 0.1
     expected = g.times / (2 * eps)
@@ -212,13 +212,13 @@ def test_occupation_rejects_bad_epsilon():
 
 
 def test_tanaka_occupation_agreement_and_refinement():
-    g = make_grid(1.0, 2**16)
+    g = TimeGrid(1.0, 2**16)
     rel_fine, sup_fine, sup_coarse = [], [], []
     for i in range(30):
         inc = gaussian_increments(g, StreamKey(517, i, 0))
         B = np.concatenate([[0.0], np.cumsum(inc)])
         for values, n in ((B, 2**16), (B[::4], 2**14)):
-            gg = make_grid(1.0, n)
+            gg = TimeGrid(1.0, n)
             p = Path(gg, values)
             est = estimate_local_time(p)  # eps defaults to sqrt(dt)
             sup = float(np.max(np.abs(est.tanaka.values - est.occupation.values)))
@@ -237,7 +237,7 @@ def test_tanaka_occupation_agreement_and_refinement():
 
 
 def test_sigma_example_triple_zero_input():
-    g = make_grid(1.0, 4)
+    g = TimeGrid(1.0, 4)
     K = Path(g, np.zeros(5))
     for kind in ("abs", "pos_part", "drawdown"):
         tri = sigma_example_triple(K, kind)
@@ -259,7 +259,7 @@ def test_sigma_example_triple_requires_zero_start():
 
 
 def test_abs_triple_is_carried_on_brownian_paths():
-    g = make_grid(1.0, 2**14)
+    g = TimeGrid(1.0, 2**14)
     B = Path(g, generate_rows(GeneratorSpec("brownian", {}, g), 519, 0, 1)[0])
     tri = sigma_example_triple(B, "abs")
     verdict = carried_by_zeros(tri.submartingale, tri.increasing_part, default_zero_threshold(g))
@@ -267,7 +267,7 @@ def test_abs_triple_is_carried_on_brownian_paths():
 
 
 def test_pos_part_triple_additivity_and_half_local_time():
-    g = make_grid(1.0, 1024)
+    g = TimeGrid(1.0, 1024)
     B = Path(g, generate_rows(GeneratorSpec("brownian", {}, g), 521, 0, 1)[0])
     tri_abs = sigma_example_triple(B, "abs")
     tri_pos = sigma_example_triple(B, "pos_part")

@@ -417,6 +417,11 @@ def test_largest_seed_is_accepted(runner, tmp_path):
     (["experiment", "tail", "--kind", "T_a_heavy_tail", "--paths", "1"], "--paths of at least 2"),
     (["experiment", "lemma-balance", "--n-steps", "16", "--paths", "1"], "--paths of at least 2"),
     (["decompose", "--family", "exp_martingale", "--n-steps", "16", "--paths", "1"], "--paths of at least 2"),
+    (["experiment", "tail", "--paths", "10", "--horizon", "64", "--dt", "4"], "--dt"),
+    (["experiment", "tail", "--paths", "10", "--kind", "sigma_b_expectation", "--horizon", "4", "--dt", "1"], "--dt"),
+    (["decompose", "--family", "exp_martingale", "--n-steps", "9223372036854775807"], "n_steps"),
+    (["experiment", "tail", "--paths", "10", "--dt", "1e-300"], "--dt"),
+    (["experiment", "saturation", "--paths", "10", "--dt", "1e-300"], "--dt"),
 ], ids=["workers-0", "workers-negative", "simulate-no-paths", "tail-dt-0", "tail-horizon-negative",
         "saturation-zero-steps", "lemma-stop-level-negative", "decompose-stop-line-drift-negative",
         "tail-no-paths", "two-infinity-no-paths", "azema-paths-negative", "decompose-no-paths",
@@ -428,13 +433,25 @@ def test_largest_seed_is_accepted(runner, tmp_path):
         "azema-level-inf", "azema-t-rounds-onto-horizon", "lemma-stop-level-inf", "tail-a-nan",
         "tail-dt-not-dividing-horizon", "saturation-dt-not-dividing-horizon", "tail-horizon-below-every-time",
         "simulate-svg", "decompose-svg", "saturation-too-few-stops", "tail-sigma_b-too-few-stops",
-        "tail-one-path", "lemma-one-path", "decompose-one-path"])
+        "tail-one-path", "lemma-one-path", "decompose-one-path", "tail-time-below-one-step",
+        "tail-sigma_b-time-below-one-step", "decompose-n-steps-too-large", "tail-dt-too-small",
+        "saturation-dt-too-small"])
 def test_out_of_domain_input_exits_2(runner, tmp_path, argv, option):
     out = tmp_path / "o"
     r = runner.invoke(main, [*argv, "--out", str(out)])
     assert r.exit_code == 2, r.output
     assert option in r.output, r.output
     assert not out.exists()
+
+
+def test_tail_sigma_b_runs_where_its_oracle_factor_overflows(runner, tmp_path):
+    # exp(2 b) overflows for b above 354.9, where the survival reference is the first term alone
+    r = runner.invoke(main, ["experiment", "tail", "--kind", "sigma_b_expectation", "--b", "356", "--paths", "40",
+                             "--horizon", "4", "--dt", "0.01", "--workers", "1", "--formats", "json",
+                             "--out", str(tmp_path)])
+    assert r.exit_code == 0, r.output
+    levels = _strict_json((tmp_path / "tail.json").read_bytes())["results"]["levels"]
+    assert all(0.0 <= row["reference"] <= 1.0 for row in levels), levels
 
 
 def test_commands_run_without_scipy(tmp_path):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from sigmapaths.calculus import regulator, running_min
 from sigmapaths.decompose import minimality_gap, sigma_compose, sigma_martingale
-from sigmapaths.grids import Path, make_grid
+from sigmapaths.grids import Path, TimeGrid
 
 
 def _walk(steps):
@@ -22,7 +22,7 @@ _LOG_STEPS = st.lists(st.floats(-0.5, 0.5), min_size=1, max_size=200)
 
 def _log_martingale_path(steps):
     """A positive path with M_0 = 1 exactly."""
-    return Path(make_grid(1.0, len(steps)), np.exp(_walk(steps)))
+    return Path(TimeGrid(1.0, len(steps)), np.exp(_walk(steps)))
 
 
 @settings(max_examples=200, deadline=None)

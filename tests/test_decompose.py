@@ -19,35 +19,35 @@ from sigmapaths.decompose import (
     sigma_martingale,
 )
 from sigmapaths.generators import GeneratorSpec, generate_rows
-from sigmapaths.grids import Path, make_grid
+from sigmapaths.grids import Path, TimeGrid
 from sigmapaths.streams import StreamKey
 
 from reference import gaussian_increments
 
 
 def _path(values, horizon=1.0):
-    return Path(make_grid(horizon, len(values) - 1), values)
+    return Path(TimeGrid(horizon, len(values) - 1), values)
 
 
 # -- mult_compose -------------------------------------------------------------
 
 
 def test_mult_compose_unit_pair_gives_zero():
-    g = make_grid(1.0, 3)
+    g = TimeGrid(1.0, 3)
     one = Path(g, np.ones(4))
     Y = mult_compose(one, one)
     assert np.all(Y.values == 0.0)
 
 
 def test_mult_compose_linear_growth():
-    g = make_grid(1.0, 4)
+    g = TimeGrid(1.0, 4)
     M = Path(g, np.ones(5))
     C = Path(g, 1.0 + g.times)
     assert np.allclose(mult_compose(M, C).values, g.times)
 
 
 def test_mult_compose_rejects_product_below_one():
-    g = make_grid(1.0, 2)
+    g = TimeGrid(1.0, 2)
     M = Path(g, [1.0, 0.5, 0.5])
     C = Path(g, [1.0, 1.0, 1.0])
     with pytest.raises(ValueError, match="index 1"):
@@ -55,7 +55,7 @@ def test_mult_compose_rejects_product_below_one():
 
 
 def test_mult_compose_rejects_decreasing_c():
-    g = make_grid(1.0, 2)
+    g = TimeGrid(1.0, 2)
     M = Path(g, [1.0, 2.0, 2.0])
     C = Path(g, [1.0, 0.9, 0.8])
     with pytest.raises(ValueError, match="nondecreasing"):
@@ -66,7 +66,7 @@ def test_mult_compose_rejects_decreasing_c():
 
 
 def test_mult_decompose_trivial_pair():
-    g = make_grid(1.0, 4)
+    g = TimeGrid(1.0, 4)
     zero = Path(g, np.zeros(5))
     d = mult_decompose(zero, zero)
     assert np.all(d.martingale_part.values == 1.0)
@@ -78,7 +78,7 @@ def test_mult_decompose_deterministic_closed_form_refines():
     # the discrete left-point sum converges at first order
     sups = []
     for n in (64, 256, 1024):
-        g = make_grid(1.0, n)
+        g = TimeGrid(1.0, n)
         Y = Path(g, g.times)
         d = mult_decompose(Y, Y)
         sups.append(float(np.max(np.abs(d.increasing_part.values - (1.0 + g.times)))))
@@ -90,7 +90,7 @@ def test_mult_decompose_deterministic_closed_form_refines():
 def test_mult_decompose_exactly_carried_increasing_part():
     # when ell grows only at grid points where Y sits at zero, the integrand
     # is exactly 1 there and C reproduces exp(ell) to rounding
-    g = make_grid(1.0, 6)
+    g = TimeGrid(1.0, 6)
     Y = Path(g, [0.0, 1.0, 0.0, 2.0, 0.0, 1.0, 0.5])
     ell = Path(g, [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0])
     ell = ell.with_values(np.array([0.0, 0.3, 0.3, 0.7, 0.7, 1.1, 1.1]))
@@ -103,14 +103,14 @@ def test_mult_decompose_brownian_tanaka_c_tracks_exp_local_time():
     # dL sits within O(sqrt(dt)) of the zeros, so C = exp(int dL/(1+|B|))
     # approaches exp(L) only under refinement; the deviation halves when the
     # grid is refined fourfold
-    g = make_grid(1.0, 2**14)
+    g = TimeGrid(1.0, 2**14)
     devs = {2**14: [], 2**12: []}
     for i in range(20):
         inc = gaussian_increments(g, StreamKey(881, i, 0))
         B = np.concatenate([[0.0], np.cumsum(inc)])
         for n in (2**14, 2**12):
             sub = B[:: (2**14) // n]
-            gg = make_grid(1.0, n)
+            gg = TimeGrid(1.0, n)
             X = Path(gg, np.abs(sub))
             L = Path(gg, np.maximum.accumulate(tanaka_raw(sub)))
             d = mult_decompose(X, L)
@@ -120,7 +120,7 @@ def test_mult_decompose_brownian_tanaka_c_tracks_exp_local_time():
 
 
 def test_mult_decompose_rejects_bad_inputs():
-    g = make_grid(1.0, 2)
+    g = TimeGrid(1.0, 2)
     Y = Path(g, [0.0, 1.0, 1.0])
     with pytest.raises(ValueError, match="nondecreasing"):
         mult_decompose(Y, Path(g, [0.0, 0.5, 0.2]))
@@ -131,7 +131,7 @@ def test_mult_decompose_rejects_bad_inputs():
 
 
 def test_mult_decompose_midpoint_option_improves_smooth_case():
-    g = make_grid(1.0, 128)
+    g = TimeGrid(1.0, 128)
     Y = Path(g, g.times)
     left = mult_decompose(Y, Y, integrand_rule="left")
     mid = mult_decompose(Y, Y, integrand_rule="midpoint")
@@ -145,27 +145,27 @@ def test_mult_decompose_midpoint_option_improves_smooth_case():
 
 
 def test_mult_decompose_exp_flat_martingale_part():
-    g = make_grid(1.0, 8)
+    g = TimeGrid(1.0, 8)
     Y = Path(g, np.linspace(0.0, 2.0, 9))  # any Y: m == 0 forces M == 1
     m = Path(g, np.zeros(9))
     assert np.all(mult_decompose_exp(m, Y).values == 1.0)
 
 
 def test_mult_decompose_exp_requires_zero_start():
-    g = make_grid(1.0, 2)
+    g = TimeGrid(1.0, 2)
     with pytest.raises(ValueError, match="m_0"):
         mult_decompose_exp(Path(g, [1.0, 1.0, 1.0]), Path(g, [0.0, 0.0, 0.0]))
 
 
 def test_decompose_formula_variants_converge_together():
-    g = make_grid(1.0, 2**14)
+    g = TimeGrid(1.0, 2**14)
     sup = {2**14: [], 2**12: []}
     for i in range(20):
         inc = gaussian_increments(g, StreamKey(883, i, 0))
         B = np.concatenate([[0.0], np.cumsum(inc)])
         for n in (2**14, 2**12):
             sub = B[:: (2**14) // n]
-            gg = make_grid(1.0, n)
+            gg = TimeGrid(1.0, n)
             X = np.abs(sub)
             L = np.maximum.accumulate(tanaka_raw(sub))
             M1 = mult_decompose(Path(gg, X), Path(gg, L)).martingale_part.values
@@ -179,7 +179,7 @@ def test_roundtrip_compose_then_decompose_refines():
     # the grid refines
     sups_c, sups_m = [], []
     for n in (256, 1024):
-        g = make_grid(1.0, n)
+        g = TimeGrid(1.0, n)
         M = Path(g, np.exp(0.3 * np.sin(2 * np.pi * g.times)))
         M = M.with_values(M.values / M.values[0])
         C = Path(g, 1.0 + g.times**2)
@@ -192,11 +192,26 @@ def test_roundtrip_compose_then_decompose_refines():
     assert sups_m[1] < sups_m[0]
 
 
+@pytest.mark.parametrize("other", [TimeGrid(2.0, 4), TimeGrid(1.0, 5)], ids=["horizon", "n_steps"])
+def test_decompositions_require_one_grid_by_value(other):
+    # grids compare by horizon and step count: one built apart from the path's is the same grid
+    Y = _path([0.0, 0.5, 0.5, 1.0, 2.0])
+    same = Path(TimeGrid(1.0, 4), [0.0, 0.25, 0.5, 0.75, 1.0])
+    assert same.grid is not Y.grid
+    mult_decompose(Y, same)
+    mult_decompose_exp(same, Y)
+    elsewhere = Path(other, np.linspace(0.0, 1.0, len(other)))
+    with pytest.raises(ValueError, match="different grids"):
+        mult_decompose(Y, elsewhere)
+    with pytest.raises(ValueError, match="different grids"):
+        mult_decompose_exp(elsewhere, Y)
+
+
 # -- sigma compose / martingale ----------------------------------------------
 
 
 def test_sigma_compose_constant_martingale():
-    g = make_grid(1.0, 3)
+    g = TimeGrid(1.0, 3)
     tri = sigma_compose(Path(g, np.ones(4)))
     assert np.all(tri.submartingale.values == 0.0)
     assert np.all(tri.increasing_part.values == 0.0)
@@ -204,7 +219,7 @@ def test_sigma_compose_constant_martingale():
 
 
 def test_sigma_compose_decreasing_exponential():
-    g = make_grid(1.0, 64)
+    g = TimeGrid(1.0, 64)
     M = Path(g, np.exp(-g.times))
     tri = sigma_compose(M)
     assert np.allclose(tri.submartingale.values, 0.0, atol=1e-15)
@@ -212,21 +227,21 @@ def test_sigma_compose_decreasing_exponential():
 
 
 def test_sigma_compose_hand_case():
-    g = make_grid(1.0, 2)
+    g = TimeGrid(1.0, 2)
     tri = sigma_compose(Path(g, [1.0, 2.0, 0.5]))
     assert np.array_equal(tri.submartingale.values, [0.0, 1.0, 0.0])
     assert np.allclose(tri.increasing_part.values, [0.0, 0.0, np.log(2.0)])
 
 
 def test_sigma_martingale_trivial():
-    g = make_grid(1.0, 3)
+    g = TimeGrid(1.0, 3)
     zero = Path(g, np.zeros(4))
     assert np.all(sigma_martingale(zero, zero).values == 1.0)
 
 
 def test_sigma_roundtrip_exact():
     rng = np.random.default_rng(42)
-    g = make_grid(1.0, 512)
+    g = TimeGrid(1.0, 512)
     worst = 0.0
     for _ in range(50):
         logm = 0.8 * np.concatenate([[0.0], np.cumsum(rng.standard_normal(512))]) * np.sqrt(g.dt)
@@ -238,7 +253,7 @@ def test_sigma_roundtrip_exact():
 
 
 def test_sigma_martingale_drawdown_identity():
-    g = make_grid(1.0, 1024)
+    g = TimeGrid(1.0, 1024)
     K = Path(g, generate_rows(GeneratorSpec("brownian", {}, g), 885, 0, 1)[0])
     kbar = np.maximum.accumulate(K.values)
     X = Path(g, kbar - K.values)
@@ -251,14 +266,14 @@ def test_sigma_martingale_drawdown_identity():
 def test_sigma_roundtrip_recovers_local_time_under_refinement():
     # rebuilding M from (|B|, L) and composing back recovers A ~ L with
     # sup-error shrinking as the grid refines
-    g = make_grid(1.0, 2**14)
+    g = TimeGrid(1.0, 2**14)
     err = {}
     for n in (2**12, 2**14):
         errs = []
         for i in range(10):
             inc = gaussian_increments(g, StreamKey(887, i, 0))
             B = np.concatenate([[0.0], np.cumsum(inc)])[:: (2**14) // n]
-            gg = make_grid(1.0, n)
+            gg = TimeGrid(1.0, n)
             X = Path(gg, np.abs(B))
             L = np.maximum.accumulate(tanaka_raw(B))
             M = sigma_martingale(X, Path(gg, L))
@@ -272,7 +287,7 @@ def test_sigma_roundtrip_recovers_local_time_under_refinement():
 
 
 def test_carried_zero_increasing_part():
-    g = make_grid(1.0, 4)
+    g = TimeGrid(1.0, 4)
     X = Path(g, np.abs(np.sin(7 * g.times)))
     A = Path(g, np.zeros(5))
     v = carried_by_zeros(X, A, 0.1)
@@ -280,7 +295,7 @@ def test_carried_zero_increasing_part():
 
 
 def test_carried_discriminates_on_brownian_path():
-    g = make_grid(1.0, 2**14)
+    g = TimeGrid(1.0, 2**14)
     eps = default_zero_threshold(g)
     B = Path(g, generate_rows(GeneratorSpec("brownian", {}, g), 889, 0, 1)[0])
     X = Path(g, np.abs(B.values))
@@ -293,7 +308,7 @@ def test_carried_discriminates_on_brownian_path():
 
 
 def test_carried_rejects_bad_epsilon_and_decreasing_a():
-    g = make_grid(1.0, 2)
+    g = TimeGrid(1.0, 2)
     X = Path(g, [0.0, 1.0, 2.0])
     with pytest.raises(ValueError):
         carried_by_zeros(X, Path(g, [0.0, 0.0, 0.0]), 0.0)
@@ -305,7 +320,7 @@ def test_carried_rejects_bad_epsilon_and_decreasing_a():
 
 
 def test_minimality_gap_zero_at_minimal_choice():
-    g = make_grid(1.0, 256)
+    g = TimeGrid(1.0, 256)
     rng = np.random.default_rng(17)
     logm = np.concatenate([[0.0], np.cumsum(rng.standard_normal(256))]) * np.sqrt(g.dt)
     M = Path(g, np.exp(logm))
@@ -314,7 +329,7 @@ def test_minimality_gap_zero_at_minimal_choice():
 
 
 def test_minimality_gap_positive_for_inflated_c():
-    g = make_grid(1.0, 64)
+    g = TimeGrid(1.0, 64)
     M = Path(g, np.exp(-g.times))
     C = Path(g, (1.0 / running_min(M.values)) * (1.0 + g.times))
     assert minimality_gap(M, C) > 0.0
@@ -322,7 +337,7 @@ def test_minimality_gap_positive_for_inflated_c():
 
 def test_minimality_gap_randomized_sweep():
     rng = np.random.default_rng(23)
-    g = make_grid(1.0, 128)
+    g = TimeGrid(1.0, 128)
     for _ in range(200):
         logm = 0.7 * np.concatenate([[0.0], np.cumsum(rng.standard_normal(128))]) * np.sqrt(g.dt)
         M = Path(g, np.exp(logm))
@@ -332,7 +347,7 @@ def test_minimality_gap_randomized_sweep():
 
 
 def test_minimality_rejects_inadmissible_pair():
-    g = make_grid(1.0, 2)
+    g = TimeGrid(1.0, 2)
     M = Path(g, [1.0, 0.4, 0.4])
     C = Path(g, [1.0, 1.0, 1.0])  # M*C dips below 1
     with pytest.raises(ValueError):
@@ -343,7 +358,7 @@ def test_minimality_rejects_inadmissible_pair():
 
 
 def test_zero_set_equality_and_c_consistency():
-    g = make_grid(1.0, 2048)
+    g = TimeGrid(1.0, 2048)
     M = Path(g, generate_rows(GeneratorSpec("brownian", {}, g), 891, 0, 1)[0])
     M = M.with_values(np.exp(M.values - g.times / 2.0))
     tri = sigma_compose(M)
@@ -364,7 +379,7 @@ def _class_d(batches, grid):
 
 
 def test_class_d_constant_ensemble_exact():
-    g = make_grid(1.0, 16)
+    g = TimeGrid(1.0, 16)
     M = np.ones((8, 17))
     rep = _class_d([M], g)
     assert rep.e_mc.mean == 1.0 and rep.e_mc.stderr == 0.0
@@ -376,7 +391,7 @@ def test_class_d_constant_ensemble_exact():
 
 def test_class_d_degenerate_exponential_closed_forms():
     for n in (64, 256):
-        g = make_grid(1.0, n)
+        g = TimeGrid(1.0, n)
         M = np.exp(-g.times)[None, :].repeat(4, axis=0)
         rep = _class_d([M], g)
         assert rep.e_log_inv_i.mean == pytest.approx(1.0, abs=1e-9)
@@ -387,7 +402,7 @@ def test_class_d_degenerate_exponential_closed_forms():
 
 
 def test_class_d_requires_paths():
-    g = make_grid(1.0, 4)
+    g = TimeGrid(1.0, 4)
     with pytest.raises(ValueError, match="empty"):
         _class_d([], g)
     with pytest.raises(ValueError, match="M_0"):
@@ -399,7 +414,7 @@ def test_class_d_pathwise_identities_converge_under_refinement():
     # pathwise errors shrink as the grid refines
     errs = {}
     for n in (512, 2048):
-        g = make_grid(1.0, n)
+        g = TimeGrid(1.0, n)
         batch = np.empty((40, n + 1))
         for i in range(40):
             inc = gaussian_increments(g, StreamKey(893, i, 0))
@@ -412,7 +427,7 @@ def test_class_d_pathwise_identities_converge_under_refinement():
 
 
 def test_class_d_from_ensemble_wrapper():
-    g = make_grid(1.0, 32)
+    g = TimeGrid(1.0, 32)
     rep = _class_d([generate_rows(GeneratorSpec("exp_martingale", {}, g), 3, 0, 16)], g)
     assert rep.n_paths == 16
     assert rep.e_mc.n_samples == rep.e_int.n_samples == rep.e_qv_u.n_samples

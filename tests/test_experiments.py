@@ -18,12 +18,12 @@ from sigmapaths.experiments import (
     two_infinity_check,
 )
 from sigmapaths.generators import GeneratorSpec
-from sigmapaths.grids import Path, make_grid
+from sigmapaths.grids import Path, TimeGrid
 from sigmapaths.reports import reports_equal_ignoring_meta
 
 
 def _grid(h, n):
-    return make_grid(float(h), n)
+    return TimeGrid(float(h), n)
 
 
 # -- lemma balance ---------------------------------------------------------------
@@ -41,7 +41,7 @@ def test_lemma_balance_shipped_specs_small():
     for label, cfg in LEMMA_ACCEPTANCE_SPECS:
         spec = GeneratorSpec.from_config(dict(cfg))
         small = GeneratorSpec(spec.family, dict(spec.params),
-                              make_grid(spec.grid.horizon, 512))
+                              TimeGrid(spec.grid.horizon, 512))
         rep = lemma_balance_experiment(small, 4000, 314)
         assert rep.abs_diff <= 4.0 * rep.combined_stderr, label
         assert not rep.degenerate
@@ -342,6 +342,9 @@ class _InProcessPool:
 def test_pool_starts_no_more_workers_than_batches(monkeypatch, workers, batches, started):
     seen = []
     monkeypatch.setattr(experiments, "ProcessPoolExecutor", lambda max_workers: _InProcessPool(seen, max_workers))
-    args = list(range(batches))
-    assert list(experiments._stream_batches(lambda a: 10 * a, args, workers)) == [10 * a for a in args]
+    # each batch returns its paths' indices times 10, and the runner concatenates them in path order
+    out = experiments._run_batches(lambda a: (10 * np.arange(a[0], a[0] + a[1]), a[2:]), 2 * batches - 1, 2,
+                                   workers, "common")
+    assert out[0].tolist() == [10 * i for i in range(2 * batches - 1)]
+    assert out[1].tolist() == ["common"] * batches
     assert seen == started

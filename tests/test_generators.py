@@ -6,7 +6,7 @@ import pytest
 from sigmapaths import experiments, oracles
 from sigmapaths.experiments import _first_stop
 from sigmapaths.generators import FAMILIES, GeneratorSpec, generate_rows
-from sigmapaths.grids import make_grid
+from sigmapaths.grids import TimeGrid
 
 
 class _FixedStream:
@@ -40,20 +40,20 @@ def _bessel3(g, x0, seed, first, rows):
 
 
 def test_brownian_zero_stream_is_identically_zero(fixed_normals):
-    g = make_grid(1.0, 8)
+    g = TimeGrid(1.0, 8)
     fixed_normals(np.zeros(8))
     p = generate_rows(GeneratorSpec("brownian", {}, g), 0, 0, 1)[0]
     assert np.all(p == 0.0)
 
 
 def test_brownian_starts_at_zero_exactly():
-    g = make_grid(2.0, 64)
+    g = TimeGrid(2.0, 64)
     p = _brownian(g, 5, 0, 1)[0]
     assert p[0] == 0.0
 
 
 def test_brownian_terminal_moments():
-    g = make_grid(1.0, 16)
+    g = TimeGrid(1.0, 16)
     B = _brownian(g, 101, 0, 100_000)
     end = B[:, -1]
     n = end.size
@@ -69,7 +69,7 @@ def _ramp(increments):
 
 
 def test_stopped_hitting_on_deterministic_ramp(fixed_normals):
-    g = make_grid(1.0, 4)
+    g = TimeGrid(1.0, 4)
     fixed_normals(np.full(4, 0.5))  # sqrt(dt) = 0.5: b_t = t
     ramp = _ramp(np.full(4, 0.25))
     frozen = generate_rows(GeneratorSpec("brownian_stopped_level", {"a": 0.5}, g), 0, 0, 1)
@@ -79,7 +79,7 @@ def test_stopped_hitting_on_deterministic_ramp(fixed_normals):
 
 
 def test_stopped_hitting_never_triggers(fixed_normals):
-    g = make_grid(1.0, 4)
+    g = TimeGrid(1.0, 4)
     fixed_normals(np.full(4, 0.2))
     ramp = _ramp(np.full(4, 0.1))
     frozen = generate_rows(GeneratorSpec("brownian_stopped_level", {"a": 5.0}, g), 0, 0, 1)
@@ -89,14 +89,14 @@ def test_stopped_hitting_never_triggers(fixed_normals):
 
 
 def test_stopped_hitting_line_rule():
-    g = make_grid(1.0, 4)
+    g = TimeGrid(1.0, 4)
     flat = _ramp(np.zeros(4))
     _, stop = _first_stop(flat, g.times, line_b=2.0)  # 0 + 2t >= 1 at t = 0.5
     assert stop[0] == 2
 
 
 def test_exp_martingale_degenerate_stream(fixed_normals):
-    g = make_grid(1.0, 4)
+    g = TimeGrid(1.0, 4)
     fixed_normals(np.zeros(4))
     p = generate_rows(GeneratorSpec("exp_martingale", {}, g), 0, 0, 1)[0]
     assert np.allclose(p, np.exp(-g.times / 2.0))
@@ -105,7 +105,7 @@ def test_exp_martingale_degenerate_stream(fixed_normals):
 def test_exp_martingale_unit_mean():
     # the discrete exponential walk has exactly unit conditional mean, so the
     # sample mean converges with no discretization bias
-    g = make_grid(1.0, 16)
+    g = TimeGrid(1.0, 16)
     spec = GeneratorSpec("exp_martingale", {}, g)
     M = generate_rows(spec, 404, 0, 100_000)
     end = M[:, -1]
@@ -116,7 +116,7 @@ def test_exp_martingale_unit_mean():
 
 
 def test_exp_martingale_stopped_is_bounded():
-    g = make_grid(4.0, 1024)
+    g = TimeGrid(4.0, 1024)
     p = generate_rows(GeneratorSpec("exp_martingale", {"stop_level": 1.0}, g), 17, 4, 1)[0]
     B = _brownian(g, 17, 4, 1)[0]
     max_inc = np.max(np.abs(np.diff(B)))
@@ -124,14 +124,14 @@ def test_exp_martingale_stopped_is_bounded():
 
 
 def test_bessel3_zero_stream_is_constant(fixed_normals):
-    g = make_grid(1.0, 8)
+    g = TimeGrid(1.0, 8)
     fixed_normals(*np.zeros((3, 8)))
     p = generate_rows(GeneratorSpec("bessel3", {"x0": 1.5}, g), 0, 0, 1)[0]
     assert np.all(p == 1.5)
 
 
 def test_bessel3_stays_positive():
-    g = make_grid(1.0, 2048)
+    g = TimeGrid(1.0, 2048)
     for i in range(20):
         p = generate_rows(GeneratorSpec("bessel3", {"x0": 1.0}, g), 23, i, 1)[0]
         assert np.min(p) > 0.0
@@ -140,7 +140,7 @@ def test_bessel3_stays_positive():
 def test_bessel3_inverse_moment_oracle():
     # 1/R is a strict local martingale: its mean at T is (2*Phi(x0/sqrt(T))-1)/x0,
     # not 1/x0; the closed form is the oracle here
-    g = make_grid(1.0, 512)
+    g = TimeGrid(1.0, 512)
     R = _bessel3(g, 1.0, 606, 0, 100_000)
     inv = 1.0 / R[:, -1]
     se = inv.std(ddof=1) / np.sqrt(inv.size)
@@ -151,7 +151,7 @@ def test_bessel3_inverse_moment_oracle():
 
 def test_scale_martingale_constant_path(fixed_normals):
     # zero streams hold R at x0 = 2, so x0/R is 1 throughout
-    g = make_grid(1.0, 3)
+    g = TimeGrid(1.0, 3)
     fixed_normals(*np.zeros((3, 3)))
     N = generate_rows(GeneratorSpec("scale_martingale", {"x0": 2.0}, g), 0, 0, 1)[0]
     assert np.all(N == 1.0)
@@ -159,7 +159,7 @@ def test_scale_martingale_constant_path(fixed_normals):
 
 def test_scale_martingale_neg_inverse_values(fixed_normals):
     # unit steps (dt = 1) of the first component give R = [1, 2, 4]; x0/R = 1/R for x0 = 1
-    g = make_grid(2.0, 2)
+    g = TimeGrid(2.0, 2)
     fixed_normals([1.0, 2.0], [0.0, 0.0], [0.0, 0.0])
     assert np.array_equal(_bessel3(g, 1.0, 0, 0, 1)[0], [1.0, 2.0, 4.0])
     M = generate_rows(GeneratorSpec("scale_martingale", {"x0": 1.0}, g), 0, 0, 1)[0]
@@ -168,13 +168,13 @@ def test_scale_martingale_neg_inverse_values(fixed_normals):
 
 def test_scale_martingale_rejects_nonpositive():
     # R stays positive because its start x0 must be: that is where nonpositive input is refused
-    g = make_grid(1.0, 2)
+    g = TimeGrid(1.0, 2)
     with pytest.raises(ValueError, match="positive"):
         GeneratorSpec("scale_martingale", {"x0": 0.0}, g)
 
 
 def test_normalized_scale_mean_matches_oracle():
-    g = make_grid(1.0, 512)
+    g = TimeGrid(1.0, 512)
     spec = GeneratorSpec("scale_martingale", {"x0": 1.0}, g)
     N = generate_rows(spec, 707, 0, 100_000)
     end = N[:, -1]
@@ -185,7 +185,7 @@ def test_normalized_scale_mean_matches_oracle():
 
 
 def test_bessel3_transience_proxy():
-    g = make_grid(1.0, 1024)
+    g = TimeGrid(1.0, 1024)
     R = _bessel3(g, 1.0, 808, 0, 5000)
     mins = R.min(axis=1)
     probs = [(mins < eps).mean() for eps in (0.1, 0.05, 0.01)]
@@ -194,7 +194,7 @@ def test_bessel3_transience_proxy():
 
 
 def test_generator_spec_validation():
-    g = make_grid(1.0, 4)
+    g = TimeGrid(1.0, 4)
     with pytest.raises(ValueError, match="unknown family"):
         GeneratorSpec("levy", {}, g)
     with pytest.raises(ValueError, match="requires"):
@@ -214,7 +214,7 @@ def test_generator_spec_validation():
 
 
 def test_generator_spec_config_roundtrip():
-    g = make_grid(4.0, 128)
+    g = TimeGrid(4.0, 128)
     for family in sorted(FAMILIES):
         params = {}
         if family in ("bessel3", "scale_martingale"):
@@ -231,7 +231,7 @@ def test_generator_spec_config_roundtrip():
 
 
 def test_generate_rows_batch_split_invariance():
-    g = make_grid(1.0, 64)
+    g = TimeGrid(1.0, 64)
     spec = GeneratorSpec("bessel3", {"x0": 1.0}, g)
     full = generate_rows(spec, 99, 0, 10)
     split = np.vstack([generate_rows(spec, 99, 0, 4), generate_rows(spec, 99, 4, 6)])
@@ -239,7 +239,7 @@ def test_generate_rows_batch_split_invariance():
 
 
 def test_make_ensemble_distinct_paths_and_seeds():
-    g = make_grid(1.0, 16)
+    g = TimeGrid(1.0, 16)
     spec = GeneratorSpec("brownian", {}, g)
     vals = generate_rows(spec, 12, 0, 5)
     assert len(vals) == 5

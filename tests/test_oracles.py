@@ -9,6 +9,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
 from sigmapaths import oracles
@@ -44,6 +46,25 @@ def test_drifted_line_survival_integrates_density():
     for b, t in ((1.0, 2.0), (0.5, 4.0)):
         tail, _ = integrate.quad(_passage_density_drifted, t, np.inf, args=(1.0, b))
         assert oracles.drifted_line_passage_survival(b, t) == pytest.approx(tail, abs=1e-9)
+
+
+def _drifted_line_survival_in_one_expression(b, t):
+    """The survival formula with its product always taken, which overflows in
+    ``exp(2 b)`` past b = 354.9."""
+    rt = math.sqrt(t)
+    return oracles.norm_cdf((1.0 - b * t) / rt) - math.exp(2.0 * b) * oracles.norm_cdf((-1.0 - b * t) / rt)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.floats(0.0, 354.0, exclude_min=True), st.floats(1e-6, 1e4))
+def test_drifted_line_survival_keeps_its_bits_below_the_overflow(b, t):
+    assert oracles.drifted_line_passage_survival(b, t).hex() == _drifted_line_survival_in_one_expression(b, t).hex()
+
+
+@pytest.mark.parametrize("b", [354.9, 356.0, 1e6])
+def test_drifted_line_survival_is_finite_past_the_overflow(b):
+    for t in (1e-6, 1.0 / b, 0.5, 1.0, 64.0):
+        assert 0.0 <= oracles.drifted_line_passage_survival(b, t) <= 1.0
 
 
 def test_drifted_laplace_by_quadrature():

@@ -6,14 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.random import Generator, Philox
 
-from sigmapaths.grids import make_grid
+from sigmapaths.grids import TimeGrid
 from sigmapaths.streams import MAX_SEED, KeySequence, StreamKey
 
 from reference import gaussian_increments
 
 
 def test_same_key_reproduces_exactly():
-    g = make_grid(1.0, 512)
+    g = TimeGrid(1.0, 512)
     key = StreamKey(master_seed=42, path_index=3, substream=1)
     a = gaussian_increments(g, key)
     b = gaussian_increments(g, key)
@@ -21,7 +21,7 @@ def test_same_key_reproduces_exactly():
 
 
 def test_distinct_indices_give_distinct_streams():
-    g = make_grid(1.0, 256)
+    g = TimeGrid(1.0, 256)
     base = gaussian_increments(g, StreamKey(42, 0, 0))
     assert not np.array_equal(base, gaussian_increments(g, StreamKey(42, 1, 0)))
     assert not np.array_equal(base, gaussian_increments(g, StreamKey(42, 0, 1)))
@@ -29,7 +29,7 @@ def test_distinct_indices_give_distinct_streams():
 
 
 def test_call_order_does_not_matter():
-    g = make_grid(1.0, 128)
+    g = TimeGrid(1.0, 128)
     keys = [StreamKey(7, i, 0) for i in range(20)]
     forward = {k.path_index: gaussian_increments(g, k) for k in keys}
     backward = {k.path_index: gaussian_increments(g, k) for k in reversed(keys)}
@@ -38,7 +38,7 @@ def test_call_order_does_not_matter():
 
 
 def test_increment_variance_scales_with_dt():
-    g = make_grid(1.0, 4096)  # dt = 1/4096
+    g = TimeGrid(1.0, 4096)  # dt = 1/4096
     x = gaussian_increments(g, StreamKey(11, 0, 0))
     assert x.var() == pytest.approx(g.dt, rel=0.1)
 
@@ -46,7 +46,7 @@ def test_increment_variance_scales_with_dt():
 def _pooled_unit_draws(n_total=1_000_000, seed=2718):
     """Unit-variance draws (dt = 1) pooled over keyed streams."""
     per = 2**16
-    g = make_grid(float(per), per)
+    g = TimeGrid(float(per), per)
     blocks = [gaussian_increments(g, StreamKey(seed, i, 0)) for i in range(n_total // per + 1)]
     return np.concatenate(blocks)[:n_total]
 
@@ -78,7 +78,7 @@ def test_master_seed_domain_is_64_bits():
         with pytest.raises(ValueError, match="master_seed"):
             StreamKey(seed)
     # the largest seed is a valid key of its own stream
-    g = make_grid(1.0, 64)
+    g = TimeGrid(1.0, 64)
     top = gaussian_increments(g, StreamKey(2**64 - 1))
     assert not np.array_equal(top, gaussian_increments(g, StreamKey(0)))
 
