@@ -41,13 +41,14 @@ from .decompose import sigma_compose
 from .experiments import EXPERIMENTS, lemma_balance_experiment
 from .generators import FAMILIES, GeneratorSpec, row_passes
 from .grids import Path, TimeGrid, write_paths_csv
-from .streams import MAX_SEED
+from .streams import MAX_PATHS, MAX_SEED
 from .verify import VERIFY_SUITES, run_suites
 
 EXIT_ACCEPTANCE = 3
 EXIT_OUTPUT = 4
 _MAX_SIMULATE_VALUES = 50_000_000
 _SEED = click.IntRange(0, MAX_SEED)
+_PATHS = click.IntRange(1, MAX_PATHS)
 
 
 def _read_config(ctx: click.Context, param: click.Parameter, value):
@@ -159,7 +160,7 @@ def main():
 
 @main.command()
 @_family_options
-@click.option("--paths", type=click.IntRange(min=1), default=10, show_default=True)
+@click.option("--paths", type=_PATHS, default=10, show_default=True)
 @_common_options
 def simulate(family, horizon, n_steps, paths, seed, out, formats, workers, **options):
     """Generate an ensemble and write it in the long-form CSV path format."""
@@ -196,7 +197,7 @@ def simulate(family, horizon, n_steps, paths, seed, out, formats, workers, **opt
 
 @main.command()
 @_family_options
-@click.option("--paths", type=click.IntRange(min=1), default=10000, show_default=True)
+@click.option("--paths", type=_PATHS, default=10000, show_default=True)
 @_common_options
 def decompose(family, horizon, n_steps, paths, seed, out, formats, workers, **options):
     """Decompose a positive-martingale ensemble and write the class-(D)
@@ -261,7 +262,7 @@ def experiment():
 
 
 def _make_experiment_command(name, defn):
-    @click.option("--paths", type=click.IntRange(min=1), default=10000, show_default=True)
+    @click.option("--paths", type=_PATHS, default=10000, show_default=True)
     @_common_options
     def cmd(paths, seed, out, formats, workers, **params):
         fmt = _parse_formats(formats, {"csv", "json", "svg"})

@@ -24,14 +24,15 @@ for discretely sampled martingales.
 
 The per-path class-(D) statistics come from one carried kernel,
 :func:`class_d_carried`, which takes paths block by block with the bits of
-one block; :func:`class_d_path_stats` is its one-block case, and the balance
-experiments stream their paths through it.
+one block; the balance experiments stream their paths through it, and
+:func:`class_d_report` reads the vectors of :func:`class_d_finish`, joined in
+path order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Sequence
 
 import numpy as np
 
@@ -345,24 +346,6 @@ def minimality_gap(M: Path, C: Path) -> float:
 # class-(D) diagnostics
 
 
-def class_d_path_stats(M: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Per-path class-(D) statistics of ``(rows, n+1)`` positive M-paths with
-    ``M_0 = 1``: the vectors ``(mc, int_right, int_left, log_inv_i, qv_u,
-    err_log, err_inf, m_T)``, each of length ``rows``.  Every statistic is a
-    reduction along its own row, so it does not depend on the other rows.
-    The one-block case of :func:`class_d_carried`."""
-    M = np.asarray(M, dtype=float)
-    if M.ndim != 2:
-        raise ValueError("each batch must be a 2-D (paths, points) array")
-    if np.any(M[:, 0] != 1.0):
-        raise ValueError("every path must start at M_0 = 1")
-    carry = class_d_start(len(M))
-    terms = np.zeros((2, len(M), M.shape[1] - 1))
-    r, j, t = class_d_carried(M, carry, np.empty(2 * M.size))
-    terms[:, r, j] = t
-    return class_d_finish(carry, terms)
-
-
 def class_d_start(rows: int) -> np.ndarray:
     """Carried class-(D) state of ``rows`` paths at ``M_0 = 1``, for
     :func:`class_d_carried`: per path (columns), the running minimum ``I``, the
@@ -420,9 +403,11 @@ def class_d_carried(M: np.ndarray, carry: np.ndarray, work: np.ndarray) -> tuple
 
 
 def class_d_finish(carry: np.ndarray, terms: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The :func:`class_d_path_stats` vectors from the carried state at the
-    horizon and the full ``(2, rows, n)`` rows of Stieltjes terms (zero where
-    ``I`` does not fall), each summed once along its row."""
+    """The per-path class-(D) statistics ``(mc, int_right, int_left,
+    log_inv_i, qv_u, err_log, err_inf, m_T)``, vectors of length ``rows``,
+    from the carried state at the horizon and the full ``(2, rows, n)`` rows
+    of Stieltjes terms (zero where ``I`` does not fall), each summed once
+    along its row."""
     i_min, _, qv, drift_min, err_log, m_T = carry
     log_inv_i = -np.log(i_min)
     mc = m_T * (1.0 / i_min)
@@ -432,13 +417,10 @@ def class_d_finish(carry: np.ndarray, terms: np.ndarray) -> tuple[np.ndarray, ..
     return mc, int_right, int_left, log_inv_i, qv.copy(), err_log.copy(), err_inf, m_T.copy()
 
 
-def class_d_from_path_stats(parts: Iterable[tuple[np.ndarray, ...]], grid: TimeGrid) -> ClassDReport:
-    """Report from per-path statistic tuples (:func:`class_d_path_stats`
-    results), concatenated in the order ``parts`` yields them."""
-    parts = list(parts)
-    if not parts:
-        raise ValueError("empty ensemble")
-    mc, int_right, int_left, log_inv_i, qv_u, err_log, err_inf, m_T = map(np.concatenate, zip(*parts))
+def class_d_report(stats: Sequence[np.ndarray], grid: TimeGrid) -> ClassDReport:
+    """Report from the eight per-path vectors of :func:`class_d_finish`, each
+    joined over the ensemble in path order; none of them is copied."""
+    mc, int_right, int_left, log_inv_i, qv_u, err_log, err_inf, m_T = stats
     n = mc.size
     if n < 2:
         raise ValueError("need at least 2 paths")

@@ -46,8 +46,8 @@ Estimation strategy notes, shared by several experiments:
   carried per-row state that is exact or one sequential sum.
   ``generators.row_passes`` fills full rows for the API edge from the same
   blocks.  Stops are decided at grid resolution by one rule,
-  :func:`_first_stop`, which ``_primary_blocks`` applies; a stopped path
-  draws no block past its stop and leaves the reduction there; that is
+  ``generators._first_stop``, which ``_primary_blocks`` applies; a stopped
+  path draws no block past its stop and leaves the reduction there; that is
   what makes the 10^5-path tail studies affordable.  A passage time is the
   time of the walked grid at the stop index, never that index times a
   second step.
@@ -65,7 +65,7 @@ from numpy.random import Generator, Philox
 
 from . import oracles
 from .calculus import tanaka_carried
-from .decompose import ClassDReport, class_d_carried, class_d_finish, class_d_from_path_stats, class_d_start
+from .decompose import ClassDReport, class_d_carried, class_d_finish, class_d_report, class_d_start
 from .generators import GeneratorSpec, _primary_blocks
 from .grids import McEstimate, TimeGrid, median, quantile
 from .reports import Chart
@@ -117,7 +117,7 @@ def _run_batches(fn: Callable, n_paths: int, rows: int, workers: int, *common) -
 
 
 # ---------------------------------------------------------------------------
-# keyed chunk engine (every path is drawn by it) and the one stop rule
+# keyed chunk engine (every path is drawn by it)
 
 #: Steps per draw block of the family outputs (``generators._primary_blocks``)
 #: that the first-passage walker, the class-(D) batch and ``row_passes`` walk.
@@ -185,25 +185,6 @@ def _keyed_chunks(seed, first, rows, start, dt, n_steps, block, retired, restart
         if restart:
             pos[alive] = W[:, :, -1]
         yield step, alive, W.transpose(0, 2, 1)
-
-
-def _first_stop(P, times, upper=None, lower=None, line_b=None):
-    """The stop rule of every stopped path: the first column of each row of
-    ``P`` (paths at grid ``times``) where ``P >= upper``, ``P <= lower`` or
-    ``P + line_b * t >= 1``, of those given (at least one).  Returns the rows
-    that stop, and their stop column (the last column for rows that do not)."""
-    hits = []
-    if upper is not None:
-        hits.append(P >= upper)
-    if lower is not None:
-        hits.append(P <= lower)
-    if line_b is not None:
-        hits.append(P + line_b * times[None, :] >= 1.0)
-    trig = hits[0]  # the first given condition, OR-ed in place with the others
-    for hit in hits[1:]:
-        trig |= hit
-    has = trig.any(axis=1)
-    return has, np.where(has, trig.argmax(axis=1), P.shape[1] - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -325,8 +306,7 @@ def _martingale_batch(args) -> tuple[np.ndarray, ...]:
     array is path 0 held at its stop, as ``generators.row_passes`` fills it,
     shaped ``(1, n + 1)`` in the batch that starts at path 0 and ``(0, n +
     1)`` in every other."""
-    first, rows, cfg, seed = args
-    spec = GeneratorSpec.from_config(cfg)
+    first, rows, spec, seed = args
     n = spec.grid.n_steps
     block = min(_WALK_BLOCK, n)
     terms = np.zeros((2, rows, n))
@@ -358,14 +338,13 @@ def lemma_balance_experiment(
     mspec = _martingale_spec(spec)
     if n_paths < 2:
         raise ValueError(f"--paths {n_paths}: the balance estimates need --paths of at least 2")
-    cfg = mspec.to_config()
     n, k = mspec.grid.n_steps, 3 if "x0" in mspec.params else 1
     # one path holds its two rows of Stieltjes terms and, on each block, its k-component draw block (M in
     # place), one temporary of the Bessel norm, two work rows, and the copy that the running minimum takes
     # of the rows that set a new low, with a spare row
     rows = _batch_rows(2 * n + (k + 5) * min(_WALK_BLOCK, n))
-    *stats, path0 = _run_batches(_martingale_batch, n_paths, rows, workers, cfg, master_seed)
-    classd = class_d_from_path_stats([stats], mspec.grid)
+    *stats, path0 = _run_batches(_martingale_batch, n_paths, rows, workers, mspec, master_seed)
+    classd = class_d_report(stats, mspec.grid)
     degenerate = classd.e_mc.stderr == 0.0 and classd.e_int.stderr == 0.0
     return LemmaBalanceReport(spec_cfg=spec.to_config(), seed=master_seed, classd=classd, degenerate=degenerate,
                               path0=path0[0])
@@ -492,8 +471,7 @@ def _bessel_revisit_batch(args):
     reaching the horizon score ``min(num/den, 1)`` there.  Returns (state at
     t, survival scores, ambiguous flags, correction mass).
     """
-    (first, rows, cfg, seed, level, t_idx) = args
-    spec = GeneratorSpec.from_config(cfg)
+    (first, rows, spec, seed, level, t_idx) = args
     bessel = spec.family == "bessel3"
     state_t = np.empty(rows)
     score = np.empty(rows)
@@ -572,7 +550,7 @@ def azema_conditional_experiment(
     # one path holds its draw block (the state in place) plus two ``scan`` temporaries
     rows = _batch_rows(((3 if spec.family == "bessel3" else 1) + 2) * _REVISIT_BLOCK)
     state_t, score, ambiguous, correction = _run_batches(_bessel_revisit_batch, n_paths, rows, workers,
-                                                         spec.to_config(), master_seed, level, t_idx)
+                                                         spec, master_seed, level, t_idx)
 
     edges = _state_bin_edges(state_t, bins)
 
@@ -657,8 +635,7 @@ def _two_infinity_batch(args):
     its residual, the running min of ``M`` and the running max of ``S``.
     Each step is exact or one sequential sum, so the block size changes no
     bit.  ``h_indices`` are ascending grid indices of at least 1."""
-    (first, rows, cfg, seed, level, h_indices) = args
-    spec = GeneratorSpec.from_config(cfg)
+    (first, rows, spec, seed, level, h_indices) = args
     s0 = 1.0 - level / np.full(rows, spec.params["x0"])  # S_0
     base = np.abs(s0)
     tanaka = np.full(rows, -0.0)  # the exact additive identity
@@ -728,11 +705,10 @@ def two_infinity_check(
     if h_indices[0] < 1 or any(a >= b for a, b in zip(h_indices, h_indices[1:])):
         raise ValueError(f"horizons {hs} fall on grid indices {h_indices} of {grid.n_steps} steps; "
                          "they need distinct indices of at least 1: raise --n-steps")
-    cfg = spec.to_config()
     # one path holds its 3-component draw block (S in place of its first component), L, M and one temporary
     # of the Bessel norm
     rows = _batch_rows(6 * min(_TERMINAL_BLOCK, grid.n_steps))
-    gaps, violation = _run_batches(_two_infinity_batch, n_paths, rows, workers, cfg, master_seed, y, h_indices)
+    gaps, violation = _run_batches(_two_infinity_batch, n_paths, rows, workers, spec, master_seed, y, h_indices)
     medians = [median(gaps[:, k]) for k in range(len(hs))]
     noninc = all(medians[k + 1] <= medians[k] + 1e-12 for k in range(len(medians) - 1))
     return TwoInfinityReport(
@@ -752,17 +728,16 @@ def two_infinity_check(
 
 
 def _walk_brownian_batch(args):
-    """Walk Brownian rows block by block until a trigger or the horizon.
+    """Walk Brownian rows block by block until a stop or the horizon.
 
-    Triggers: ``upper`` level (B >= upper), ``lower`` level (B <= lower),
-    or the drifted line ``B + line_b * t >= 1``, as the ``a``, ``lower`` and
-    ``b`` of a stopped Brownian spec walked by ``generators._primary_blocks``.
-    Returns per path: stop step (grid index, -1 when censored), value at the
-    stop (final value when censored), prefix minimum up to the stop, and the
-    censored mask.
+    ``params`` are a stopped Brownian family's own, walked by
+    ``generators._primary_blocks``: ``brownian_stopped_level`` when they hold
+    ``a`` (``B >= a``, or ``B <= lower`` with the optional ``lower``), else
+    ``brownian_drift_stopped_line`` (``B + b t >= 1``).  Returns per path:
+    stop step (grid index, -1 when censored), value at the stop (final value
+    when censored), prefix minimum up to the stop, and the censored mask.
     """
-    (first, rows, seed, horizon, n_steps, upper, lower, line_b) = args
-    params = {k: v for k, v in (("a", upper), ("lower", lower), ("b", line_b)) if v is not None}
+    (first, rows, seed, horizon, n_steps, params) = args
     spec = GeneratorSpec("brownian_stopped_level" if "a" in params else "brownian_drift_stopped_line", params,
                          TimeGrid(horizon, n_steps))
     run_min = np.zeros(rows)
@@ -794,13 +769,13 @@ def _walk_steps(horizon: float, dt: float) -> int:
     return n_steps
 
 
-def _walk(n_paths, master_seed, horizon, n_steps, workers, **trig) -> tuple:
-    """The first-passage walker on ``TimeGrid(horizon, n_steps)``.  Returns
-    per path: the passage time, read off that grid (``inf`` when censored),
-    the value at the stop and the prefix minimum up to the stop."""
+def _walk(n_paths, master_seed, horizon, n_steps, workers, params) -> tuple:
+    """The first-passage walker on ``TimeGrid(horizon, n_steps)``, stopped
+    by the stopped Brownian family of ``params``.  Returns per path: the
+    passage time, read off that grid (``inf`` when censored), the value at
+    the stop and the prefix minimum up to the stop."""
     stop_step, stop_value, run_min, censored = _run_batches(
-        _walk_brownian_batch, n_paths, _batch_rows(_WALK_BLOCK), workers,
-        master_seed, horizon, n_steps, trig.get("upper"), trig.get("lower"), trig.get("line_b"))
+        _walk_brownian_batch, n_paths, _batch_rows(_WALK_BLOCK), workers, master_seed, horizon, n_steps, params)
     return np.where(censored, np.inf, TimeGrid(horizon, n_steps).times[stop_step]), stop_value, run_min
 
 
@@ -892,9 +867,12 @@ def saturation_probe(
     running minimum before T_1; X_L = |B_L| = -I_{T_1} is strictly positive
     with probability 1, and its survival P(X_L >= a) = 1/(1+a) (gambler's
     ruin) is estimated at a = 1, 2, 4.  Simulation stops at the decision time
-    T_1 ^ T_{-4}, which settles every level event exactly and leaves only an
-    exponentially rare horizon censoring; samples from paths that hit the
-    lower barrier are right-censored there and flagged.
+    T_1 ^ T_{-4}, which settles every level event exactly; samples from paths
+    that hit the lower barrier are right-censored there and flagged.  Paths
+    that reach neither barrier by the horizon are dropped (``censoring_rate``),
+    about 0.75 exp(-pi^2 T / 50) of them: 2e-6 at the default T = 64 but 34%
+    at T = 4.  They are the paths that wander down, so a short horizon biases
+    the survival low (0.213, 0.073 and 0.059 at T = 4 against 0.5, 0.333, 0.2).
 
     kind='saturated_level_set': H = {t <= T_1 : B_t <= 0}; the end of the
     running-minimum set lies in H pathwise (the running minimum never exceeds
@@ -905,8 +883,8 @@ def saturation_probe(
     if not nonsaturated and kind != "saturated_level_set":
         raise ValueError(f"kind must be 'nonsaturated_zero_set' or 'saturated_level_set', got {kind!r}")
     a_max = max(_SATURATION_LEVELS)
-    t_hit, stop_value, run_min = _walk(n_paths, master_seed, horizon, n_steps, workers, upper=1.0,
-                                       lower=-a_max if nonsaturated else None)
+    t_hit, stop_value, run_min = _walk(n_paths, master_seed, horizon, n_steps, workers,
+                                       {"a": 1.0, "lower": -a_max} if nonsaturated else {"a": 1.0})
     ok = _stopped(t_hit, f"level 1 or {-a_max:g}") if nonsaturated else np.isfinite(t_hit)
     levels, keep = (_SATURATION_LEVELS, _KEEP_SAMPLES) if nonsaturated else ((), 0)
     neg_min = -run_min[ok]
@@ -1016,18 +994,18 @@ def tail_experiment(
         if not times:
             raise ValueError(f"--horizon {horizon} lies below every survival time {list(_TAIL_TIMES)}; "
                              f"raise it to at least {min(_TAIL_TIMES)}")
-        trig = {"upper": a}
+        params = {"a": a}
     elif kind == "sigma_b_expectation":
         if not 0 < b < math.inf:
             raise ValueError(f"b must be positive and finite, got {b}")
         times = [horizon / 8, horizon / 4, horizon / 2, horizon]
-        trig = {"line_b": b}
+        params = {"b": b}
     else:
         raise ValueError(f"kind must be 'T_a_heavy_tail' or 'sigma_b_expectation', got {kind!r}")
     if times[0] < dt:
         raise ValueError(f"--dt {dt} is longer than the survival time {times[0]:g}, which the walked grid "
                          f"cannot resolve: lower --dt to at most {times[0]:g}")
-    t_hit, stop_value, _ = _walk(n_paths, master_seed, horizon, n_steps, workers, **trig)
+    t_hit, stop_value, _ = _walk(n_paths, master_seed, horizon, n_steps, workers, params)
     survival = [McEstimate.from_samples((t_hit > t).astype(float)) for t in times]
     censoring = float(np.mean(np.isinf(t_hit)))
     warning = ""

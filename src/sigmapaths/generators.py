@@ -17,24 +17,25 @@ Families
                                   scale-function martingale normalized to 1
 
 Every row is drawn from its own keyed streams (path index ``first_index +
-i``) through the one keyed chunk engine of :mod:`~.experiments` and its one
-stop rule, both applied here only.  :func:`_primary_blocks` is the one block
-generator of the family outputs: it turns each engine block into ``B``,
-``R``, ``exp(B - t/2)`` or ``x0/R`` in place (the Bessel norm into the first
-component), holds a stopped row at its stop inside the block, and stops drawing
-the row after that block.  Every batch of :mod:`~.experiments` reduces these
-blocks as they come: the first-passage walker, the class-(D) batch of the
-balance experiments, the two-infinity batch and the last-visit walker (which
-restarts the engine's running sums at every block).  :func:`row_passes`
-fills full rows from them, one row per path and each stopped row's tail
-from its stop column, one pass of at most one full-row batch at a time in
-one reused buffer, and :func:`generate_rows` stacks those passes into a
-``(rows, n+1)`` matrix.  A single path is ``rows=1`` and a row does not
-depend on the batch it was drawn in, so ensembles can be built in any order,
-split across any number of workers, and still come out bit-identical.
-:class:`~.grids.Path` objects are built from rows only at the API edge
-(``simulate``, which writes each pass before drawing the next, the
-``verify`` suites, and ``decompose``'s CSV, from the class-(D) batch).
+i``) through the one keyed chunk engine of :mod:`~.experiments`, which is
+called here only.  :func:`_primary_blocks` is the one block generator of the
+family outputs: it turns each engine block into ``B``, ``R``, ``exp(B -
+t/2)`` or ``x0/R`` in place (the Bessel norm into the first component),
+applies the one stop rule, :func:`_first_stop`, holds a stopped row at its
+stop inside the block, and stops drawing the row after that block.  Every
+batch of :mod:`~.experiments` reduces these blocks as they come: the
+first-passage walker, the class-(D) batch of the balance experiments, the
+two-infinity batch and the last-visit walker (which restarts the engine's
+running sums at every block).  :func:`row_passes` fills full rows from them,
+one row per path and each stopped row's tail from its stop column, one pass
+of at most one full-row batch at a time in one reused buffer, and
+:func:`generate_rows` stacks those passes into a ``(rows, n+1)`` matrix.  A
+single path is ``rows=1`` and a row does not depend on the batch it was
+drawn in, so ensembles can be built in any order, split across any number of
+workers, and still come out bit-identical.  :class:`~.grids.Path` objects
+are built from rows only at the API edge (``simulate``, which writes each
+pass before drawing the next, the ``verify`` suites, and ``decompose``'s
+CSV, from the class-(D) batch).
 """
 
 from __future__ import annotations
@@ -134,6 +135,17 @@ def _hold(values: np.ndarray, stop: np.ndarray) -> np.ndarray:
     return values
 
 
+def _first_stop(P: np.ndarray, times: np.ndarray, upper=None, lower=None, line_b=None) -> np.ndarray:
+    """The stop rule of every stopped path: the first column of each row of
+    ``P`` (paths at grid ``times``) where ``P >= upper`` (given an ``upper``
+    level, else ``P + line_b * t >= 1``) or, given a ``lower`` level, ``P <=
+    lower``; -1 for a row where none holds."""
+    trig = P >= upper if upper is not None else P + line_b * times[None, :] >= 1.0
+    if lower is not None:
+        trig |= P <= lower
+    return np.where(trig.any(axis=1), trig.argmax(axis=1), -1)
+
+
 def _bessel_norm(W: np.ndarray) -> np.ndarray:
     """Euclidean norm of 3-D positions ``W`` (shape ``(..., 3)``), summing the
     squares in component order, into ``W[..., 0]`` in place; returns it."""
@@ -161,7 +173,7 @@ def _primary_blocks(spec: GeneratorSpec, master_seed: int, first_index: int, row
     and ``restart`` goes to the engine.  ``P`` is the engine's block (its
     component 0 for the Bessel families), transformed in place, and the next
     block overwrites it."""
-    from .experiments import _first_stop, _keyed_chunks
+    from .experiments import _keyed_chunks
 
     grid, p = spec.grid, spec.params
     x0 = p.get("x0")
@@ -175,10 +187,9 @@ def _primary_blocks(spec: GeneratorSpec, master_seed: int, first_index: int, row
         if x0 is None:  # B_0 = 0, and exp(0 - 0/2) = 1 exactly
             P = W[:, :, 0]
             if level is not None or line_b is not None:
-                has, at = _first_stop(P[:, 1:], grid.times[step + 1:step + 1 + cs], upper=level,
-                                      lower=p.get("lower"), line_b=line_b)
-                stop[has] = at[has]
-                retired[alive[has]] = True
+                stop = _first_stop(P[:, 1:], grid.times[step + 1:step + 1 + cs], upper=level,
+                                   lower=p.get("lower"), line_b=line_b)
+                retired[alive[stop >= 0]] = True
             if spec.family == "exp_martingale":
                 np.exp(np.subtract(P, grid.times[step:step + cs + 1] / 2.0, out=P), out=P)
             _hold(P[:, 1:], stop)

@@ -66,6 +66,10 @@ class TimeGrid:
         times.flags.writeable = False
         object.__setattr__(self, "times", times)
 
+    def __reduce__(self):
+        # a grid pickles as its two numbers and rebuilds its read-only times
+        return TimeGrid, (self.horizon, self.n_steps)
+
     @property
     def dt(self) -> float:
         """Step size ``horizon / n_steps``."""

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
-__all__ = ["StreamKey", "KeySequence", "RNG_INFO", "MAX_SEED"]
+__all__ = ["StreamKey", "KeySequence", "RNG_INFO", "MAX_SEED", "MAX_PATHS"]
 
 #: Echoed into every report (design decision: fixed once, recorded).
 RNG_INFO = {"bit_generator": "Philox4x64", "gaussian_transform": "ziggurat"}
@@ -27,6 +27,8 @@ _U32 = 1 << 32
 
 #: Largest master seed: seeds fill one 64-bit word of the Philox key.
 MAX_SEED = (1 << 64) - 1
+#: Most paths of one ensemble: path indices fill 32 bits of the Philox key.
+MAX_PATHS = _U32
 
 
 @dataclass(frozen=True)
@@ -45,7 +47,7 @@ class StreamKey:
     def __post_init__(self):
         if not 0 <= self.master_seed <= MAX_SEED:
             raise ValueError(f"master_seed out of range [0, 2^64): {self.master_seed}")
-        if not 0 <= self.path_index < _U32:
+        if not 0 <= self.path_index < MAX_PATHS:
             raise ValueError(f"path_index out of range [0, 2^32): {self.path_index}")
         if not 0 <= self.substream < _U32:
             raise ValueError(f"substream out of range [0, 2^32): {self.substream}")

@@ -13,8 +13,7 @@ from hypothesis.extra import numpy as hnp
 import reference
 from sigmapaths import experiments
 from sigmapaths.calculus import tanaka_carried, tanaka_raw
-from sigmapaths.decompose import (class_d_carried, class_d_finish, class_d_from_path_stats, class_d_path_stats,
-                                  class_d_start)
+from sigmapaths.decompose import class_d_carried, class_d_finish, class_d_start
 from sigmapaths.generators import GeneratorSpec, _bessel_norm, _primary_blocks, generate_rows
 from sigmapaths.grids import TimeGrid
 from sigmapaths.reports import report_json_bytes
@@ -25,21 +24,11 @@ _SPECS = {
     "exp_martingale stopped": GeneratorSpec("exp_martingale", {"stop_level": 0.5}, TimeGrid(4.0, 64)),
     "scale_martingale": GeneratorSpec("scale_martingale", {"x0": 2.0}, TimeGrid(1.0, 48)),
 }
-_ENSEMBLE = generate_rows(_SPECS["exp_martingale stopped"], 17, 0, 40)
 
 
 def _bitwise_equal(a, b):
     return len(a) == len(b) and all(
         x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes() for x, y in zip(a, b))
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.lists(st.integers(1, _ENSEMBLE.shape[0] - 1), unique=True, max_size=8))
-def test_class_d_from_path_stats_ignores_row_splits(cuts):
-    grid = _SPECS["exp_martingale stopped"].grid
-    whole = class_d_from_path_stats([class_d_path_stats(_ENSEMBLE)], grid).as_dict()
-    pieces = np.split(_ENSEMBLE, sorted(cuts))
-    assert class_d_from_path_stats(map(class_d_path_stats, pieces), grid).as_dict() == whole
 
 
 @lru_cache(maxsize=None)
@@ -75,14 +64,14 @@ def test_reports_ignore_batch_values(batch_values):
 
 
 def _in_batches(fn, args, batch_values):
-    """Run the batch function ``fn`` on ``args = (first, rows, cfg, seed, ...)``
+    """Run the batch function ``fn`` on ``args = (first, rows, spec, seed, ...)``
     split into batches of ``_batch_rows(len(grid))`` rows under
     ``experiments._BATCH_VALUES = batch_values``, concatenated in path order."""
-    first, rows, cfg, common = args[0], args[1], args[2], args[2:]
+    first, rows, spec, common = args[0], args[1], args[2], args[2:]
     saved = experiments._BATCH_VALUES
     experiments._BATCH_VALUES = batch_values
     try:
-        size = experiments._batch_rows(len(GeneratorSpec.from_config(cfg).grid))
+        size = experiments._batch_rows(len(spec.grid))
     finally:
         experiments._BATCH_VALUES = saved
     parts = [fn((first + f, min(size, rows - f), *common)) for f in range(0, rows, size)]
@@ -93,35 +82,35 @@ def _in_batches(fn, args, batch_values):
 @given(st.sampled_from(sorted(_SPECS)), st.integers(0, 50), st.integers(1, 30), st.integers(1, 3000))
 def test_tiled_martingale_batch_matches_one_block(name, first, rows, batch_values):
     spec = _SPECS[name]
-    batched = _in_batches(experiments._martingale_batch, (first, rows, spec.to_config(), 23), batch_values)
+    batched = _in_batches(experiments._martingale_batch, (first, rows, spec, 23), batch_values)
     drawn = generate_rows(spec, 23, first, rows)
-    assert _bitwise_equal(batched[:-1], class_d_path_stats(drawn))
+    assert _bitwise_equal(batched[:-1], reference.class_d_path_stats(drawn))
     # the row of path 0 comes back once, from the batch that starts at it
     assert _bitwise_equal(batched[-1:], (drawn[:1 if first == 0 else 0],))
 
 
 def _batch_args(rows):
     """Small argument tuples for every batch function of ``experiments``."""
-    bessel = GeneratorSpec("bessel3", {"x0": 1.0}, TimeGrid(8.0, 256)).to_config()
-    expmart = GeneratorSpec("exp_martingale", {}, TimeGrid(4.0, 128)).to_config()
+    bessel = GeneratorSpec("bessel3", {"x0": 1.0}, TimeGrid(8.0, 256))
+    expmart = GeneratorSpec("exp_martingale", {}, TimeGrid(4.0, 128))
     return {
         "_martingale_batch": (3, rows, expmart, 5),
         "_bessel_revisit_batch": (3, rows, bessel, 5, 1.0, 32),
         "_two_infinity_batch": (3, rows, bessel, 5, 1.0, [128, 256]),
-        "_walk_brownian_batch": (3, rows, 5, 4.0, 400, 1.0, -2.0, None),
+        "_walk_brownian_batch": (3, rows, 5, 4.0, 400, {"a": 1.0, "lower": -2.0}),
     }
 
 
 def _split_cases(rows):
-    """Batch functions taking ``(first, rows, cfg, seed, ...)``: the last-visit
+    """Batch functions taking ``(first, rows, spec, seed, ...)``: the last-visit
     walker on both of its families over three of its restart blocks, and the
     two-infinity batch."""
     long = TimeGrid(8.0, 1200)
     return {
         "last-visit bessel3": (experiments._bessel_revisit_batch,
-                               (3, rows, GeneratorSpec("bessel3", {"x0": 1.0}, long).to_config(), 5, 1.0, 150)),
+                               (3, rows, GeneratorSpec("bessel3", {"x0": 1.0}, long), 5, 1.0, 150)),
         "last-visit exp_martingale": (experiments._bessel_revisit_batch,
-                                      (3, rows, GeneratorSpec("exp_martingale", {}, long).to_config(), 5, 0.5, 150)),
+                                      (3, rows, GeneratorSpec("exp_martingale", {}, long), 5, 0.5, 150)),
         "two-infinity": (experiments._two_infinity_batch, _batch_args(rows)["_two_infinity_batch"]),
     }
 
@@ -163,7 +152,7 @@ def test_last_visit_walker_in_one_block_matches_full_row_scoring(family, t_at, r
     spec, levels = _REVISIT_CASES[family]
     n = spec.grid.n_steps
     t_idx = {"first": 1, "middle": n // 2, "last": n - 1}[t_at]
-    args = (3, rows, spec.to_config(), seed, levels[level_at], t_idx)
+    args = (3, rows, spec, seed, levels[level_at], t_idx)
     saved = experiments._REVISIT_BLOCK
     experiments._REVISIT_BLOCK = n
     try:
@@ -274,7 +263,7 @@ def test_keyed_chunks_stop_drawing_retired_rows(block, data):
     assert W[walked].tobytes() == brownian_rows(g, 31, 4, rows)[:, 1:][walked].tobytes()
 
 
-_TRIGGERS = {"levels": (0.8, -0.5, None), "upper": (0.5, None, None), "line": (None, None, 0.5)}
+_TRIGGERS = {"levels": {"a": 0.8, "lower": -0.5}, "upper": {"a": 0.5}, "line": {"b": 0.5}}
 
 
 def _walk_in_blocks(block, args):
@@ -290,17 +279,17 @@ def _walk_in_blocks(block, args):
 @given(st.integers(1, 8), st.integers(0, 10**6), st.sampled_from(sorted(_TRIGGERS)), st.integers(1, 400))
 def test_one_chunk_walk_equals_stop_at_mask_rows(rows, seed, trigger, block):
     g = _WALK_GRID
-    upper, lower, line_b = _TRIGGERS[trigger]
+    params = _TRIGGERS[trigger]
     stop_step, stop_value, run_min, censored = _walk_in_blocks(
-        block, (2, rows, seed, g.horizon, g.n_steps, upper, lower, line_b))
+        block, (2, rows, seed, g.horizon, g.n_steps, params))
     B = brownian_rows(g, seed, 2, rows)
     mask = np.zeros(B.shape, dtype=bool)
-    if upper is not None:
-        mask |= B >= upper
-    if lower is not None:
-        mask |= B <= lower
-    if line_b is not None:  # the times of the walker's grid, TimeGrid(horizon, n_steps)
-        mask |= B + line_b * g.times >= 1.0
+    if "a" in params:
+        mask |= B >= params["a"]
+    if "lower" in params:
+        mask |= B <= params["lower"]
+    if "b" in params:  # the times of the walker's grid, TimeGrid(horizon, n_steps)
+        mask |= B + params["b"] * g.times >= 1.0
     frozen, stop = stop_at_mask_rows(B, mask)
     assert np.array_equal(censored, ~mask.any(axis=1))
     assert np.array_equal(np.where(censored, g.n_steps, stop_step), stop)
@@ -312,8 +301,7 @@ def test_one_chunk_walk_equals_stop_at_mask_rows(rows, seed, trigger, block):
 @given(st.integers(1, 8), st.integers(0, 10**6), st.sampled_from(sorted(_TRIGGERS)), st.integers(1, 320))
 def test_walk_blocks_match_one_block_per_chunk(rows, seed, trigger, block):
     g = _WALK_GRID
-    upper, lower, line_b = _TRIGGERS[trigger]
-    args = (2, rows, seed, g.horizon, g.n_steps, upper, lower, line_b)
+    args = (2, rows, seed, g.horizon, g.n_steps, _TRIGGERS[trigger])
     assert _bitwise_equal(_walk_in_blocks(block, args), _walk_in_blocks(g.n_steps, args))
 
 
@@ -407,25 +395,12 @@ def test_tanaka_raw_matches_reference(k):
     assert k.tobytes() == before.tobytes()
 
 
-_CLASS_D_SPECS = {
-    f"{family} {params}": GeneratorSpec(family, params, TimeGrid(2.0, 96)) for family, params in [
-        ("exp_martingale", {}), ("exp_martingale", {"stop_level": 0.3}),
-        ("exp_martingale", {"stop_line_drift": 0.5}), ("scale_martingale", {"x0": 1.5})]}
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.sampled_from(sorted(_CLASS_D_SPECS)), st.integers(1, 12), st.integers(0, 10**6))
-def test_class_d_path_stats_matches_reference(name, rows, seed):
-    M = generate_rows(_CLASS_D_SPECS[name], seed, 0, rows)
-    before = M.copy()
-    assert _bitwise_equal(class_d_path_stats(M), reference.class_d_path_stats(before))
-    assert M.tobytes() == before.tobytes()
-
-
 # The streamed class-(D) batch against the full-row reduction of the reference rows.  A stop level of
 # 1e-9 stops about half the rows at step 1; at 0.3 some rows never stop on this grid.
-_STREAM_SPECS = {**_CLASS_D_SPECS, "exp_martingale {'stop_level': 1e-09}": GeneratorSpec(
-    "exp_martingale", {"stop_level": 1e-9}, TimeGrid(2.0, 96))}
+_STREAM_SPECS = {
+    f"{family} {params}": GeneratorSpec(family, params, TimeGrid(2.0, 96)) for family, params in [
+        ("exp_martingale", {}), ("exp_martingale", {"stop_level": 0.3}), ("exp_martingale", {"stop_level": 1e-9}),
+        ("exp_martingale", {"stop_line_drift": 0.5}), ("scale_martingale", {"x0": 1.5})]}
 
 
 def _streamed_martingale_batch(spec, seed, first, rows, cuts, block):
@@ -435,7 +410,7 @@ def _streamed_martingale_batch(spec, seed, first, rows, cuts, block):
     saved = experiments._WALK_BLOCK
     experiments._WALK_BLOCK = block
     try:
-        parts = [experiments._martingale_batch((first + a, b - a, spec.to_config(), seed))[:-1]
+        parts = [experiments._martingale_batch((first + a, b - a, spec, seed))[:-1]
                  for a, b in zip([0, *cuts], [*cuts, rows])]
     finally:
         experiments._WALK_BLOCK = saved
@@ -483,13 +458,14 @@ def test_class_d_carried_over_blocks_matches_one_block(M, data):
     for row, held in zip(M, data.draw(st.lists(st.integers(0, last), min_size=len(M), max_size=len(M)))):
         row[held:] = row[held]
     ends = sorted({*data.draw(st.lists(st.integers(1, last), max_size=6)), last})
+    before = M.copy()
     carry = class_d_start(len(M))
     terms = np.zeros((2, len(M), last))
     for a, b in zip([0, *ends[:-1]], ends):
         r, j, t = class_d_carried(M[:, a:b + 1], carry, np.empty(2 * M.size))
         terms[:, r, a + j] = t
-    assert _bitwise_equal(class_d_finish(carry, terms), class_d_path_stats(M))
-    assert _bitwise_equal(class_d_path_stats(M), reference.class_d_path_stats(M))
+    assert M.tobytes() == before.tobytes()  # M is only read
+    assert _bitwise_equal(class_d_finish(carry, terms), reference.class_d_path_stats(M))
 
 
 def test_balance_batches_hold_blocks_and_two_rows_of_terms():
@@ -510,10 +486,9 @@ def test_balance_batches_hold_blocks_and_two_rows_of_terms():
 @given(st.integers(1, 8), st.integers(0, 10**6), st.sampled_from([0.5, 1.0, 1.5, 3.0]),
        st.lists(st.integers(1, 128), min_size=1, max_size=5, unique=True).map(sorted))
 def test_two_infinity_batch_matches_reference(rows, seed, level, h_indices):
-    cfg = GeneratorSpec("bessel3", {"x0": 1.0}, TimeGrid(8.0, 128)).to_config()
-    args = (2, rows, cfg, seed, level, list(h_indices))
-    expected = reference.two_infinity_reduce(generate_rows(GeneratorSpec.from_config(cfg), seed, 2, rows),
-                                             level, h_indices)
+    spec = GeneratorSpec("bessel3", {"x0": 1.0}, TimeGrid(8.0, 128))
+    args = (2, rows, spec, seed, level, list(h_indices))
+    expected = reference.two_infinity_reduce(generate_rows(spec, seed, 2, rows), level, h_indices)
     assert _bitwise_equal(experiments._two_infinity_batch(args), expected)
     assert args[5] == h_indices
 
@@ -540,11 +515,11 @@ _TWO_INF_HORIZONS = [24, 48, 96]
 def _two_infinity_in_blocks(x0, level, rows, cuts, block):
     """``_two_infinity_batch`` on ``_TWO_INF_GRID`` with ``_TERMINAL_BLOCK =
     block``, split into row batches at ``cuts`` and concatenated in path order."""
-    cfg = GeneratorSpec("bessel3", {"x0": x0}, _TWO_INF_GRID).to_config()
+    spec = GeneratorSpec("bessel3", {"x0": x0}, _TWO_INF_GRID)
     saved = experiments._TERMINAL_BLOCK
     experiments._TERMINAL_BLOCK = block
     try:
-        parts = [experiments._two_infinity_batch((4 + a, b - a, cfg, 11, level, _TWO_INF_HORIZONS))
+        parts = [experiments._two_infinity_batch((4 + a, b - a, spec, 11, level, _TWO_INF_HORIZONS))
                  for a, b in zip([0, *cuts], [*cuts, rows])]
     finally:
         experiments._TERMINAL_BLOCK = saved

@@ -368,6 +368,10 @@ def test_largest_seed_is_accepted(runner, tmp_path):
     assert json.loads((out / "lemma_balance.json").read_text())["seed"] == 2**64 - 1
 
 
+#: One path more than the stream keys hold: path indices fill 32 bits of the Philox key.
+_UNKEYABLE_PATHS = str((1 << 32) + 1)
+
+
 @pytest.mark.parametrize("argv,option", [
     (["experiment", "lemma-balance", "--n-steps", "16", "--paths", "50", "--workers", "0"], "--workers"),
     (["experiment", "lemma-balance", "--n-steps", "16", "--paths", "50", "--workers", "-4"], "--workers"),
@@ -422,6 +426,10 @@ def test_largest_seed_is_accepted(runner, tmp_path):
     (["decompose", "--family", "exp_martingale", "--n-steps", "9223372036854775807"], "n_steps"),
     (["experiment", "tail", "--paths", "10", "--dt", "1e-300"], "--dt"),
     (["experiment", "saturation", "--paths", "10", "--dt", "1e-300"], "--dt"),
+    (["experiment", "tail", "--horizon", "1", "--dt", "0.5", "--paths", _UNKEYABLE_PATHS], "--paths"),
+    (["experiment", "two-infinity", "--horizon", "4", "--n-steps", "64", "--paths", _UNKEYABLE_PATHS], "--paths"),
+    (["decompose", "--family", "exp_martingale", "--n-steps", "16", "--paths", _UNKEYABLE_PATHS], "--paths"),
+    (["simulate", "--family", "brownian", "--n-steps", "1", "--paths", _UNKEYABLE_PATHS], "--paths"),
 ], ids=["workers-0", "workers-negative", "simulate-no-paths", "tail-dt-0", "tail-horizon-negative",
         "saturation-zero-steps", "lemma-stop-level-negative", "decompose-stop-line-drift-negative",
         "tail-no-paths", "two-infinity-no-paths", "azema-paths-negative", "decompose-no-paths",
@@ -435,8 +443,17 @@ def test_largest_seed_is_accepted(runner, tmp_path):
         "simulate-svg", "decompose-svg", "saturation-too-few-stops", "tail-sigma_b-too-few-stops",
         "tail-one-path", "lemma-one-path", "decompose-one-path", "tail-time-below-one-step",
         "tail-sigma_b-time-below-one-step", "decompose-n-steps-too-large", "tail-dt-too-small",
-        "saturation-dt-too-small"])
-def test_out_of_domain_input_exits_2(runner, tmp_path, argv, option):
+        "saturation-dt-too-small", "tail-paths-past-keys", "two-infinity-paths-past-keys",
+        "decompose-paths-past-keys", "simulate-paths-past-keys"])
+def test_out_of_domain_input_exits_2(runner, tmp_path, monkeypatch, argv, option):
+    run_batches = experiments._run_batches
+
+    def keyable_run_batches(fn, n_paths, *rest):
+        # a run past the keyed path range fails only at the batch that holds path 2^32, hours in
+        assert n_paths <= 1 << 32, f"{n_paths} paths reached the batch runner"
+        return run_batches(fn, n_paths, *rest)
+
+    monkeypatch.setattr(experiments, "_run_batches", keyable_run_batches)
     out = tmp_path / "o"
     r = runner.invoke(main, [*argv, "--out", str(out)])
     assert r.exit_code == 2, r.output

@@ -1,6 +1,8 @@
 """Multiplicative decomposition: explicit formulas, roundtrips, minimality,
 zero-carried scoring, and the class-(D) diagnostics."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,8 +10,7 @@ from sigmapaths.calculus import local_time_tanaka, running_min, tanaka_raw
 from sigmapaths.decompose import (
     CARRIED_SCORE_THRESHOLD,
     carried_by_zeros,
-    class_d_from_path_stats,
-    class_d_path_stats,
+    class_d_report,
     default_zero_threshold,
     minimality_gap,
     mult_compose,
@@ -22,7 +23,7 @@ from sigmapaths.generators import GeneratorSpec, generate_rows
 from sigmapaths.grids import Path, TimeGrid
 from sigmapaths.streams import StreamKey
 
-from reference import gaussian_increments
+from reference import class_d_path_stats, gaussian_increments
 
 
 def _path(values, horizon=1.0):
@@ -374,14 +375,10 @@ def test_zero_set_equality_and_c_consistency():
 # -- class-(D) diagnostics ------------------------------------------------------
 
 
-def _class_d(batches, grid):
-    return class_d_from_path_stats(map(class_d_path_stats, batches), grid)
-
-
 def test_class_d_constant_ensemble_exact():
     g = TimeGrid(1.0, 16)
     M = np.ones((8, 17))
-    rep = _class_d([M], g)
+    rep = class_d_report(class_d_path_stats(M), g)
     assert rep.e_mc.mean == 1.0 and rep.e_mc.stderr == 0.0
     assert rep.e_int.mean == 1.0
     assert rep.e_log_inv_i.mean == 0.0
@@ -393,7 +390,7 @@ def test_class_d_degenerate_exponential_closed_forms():
     for n in (64, 256):
         g = TimeGrid(1.0, n)
         M = np.exp(-g.times)[None, :].repeat(4, axis=0)
-        rep = _class_d([M], g)
+        rep = class_d_report(class_d_path_stats(M), g)
         assert rep.e_log_inv_i.mean == pytest.approx(1.0, abs=1e-9)
         # exact discrete quadratic variation of the deterministic path; O(dt)
         assert rep.e_qv_u.mean == pytest.approx(n * (np.exp(-g.dt) - 1.0) ** 2, rel=1e-9)
@@ -403,10 +400,24 @@ def test_class_d_degenerate_exponential_closed_forms():
 
 def test_class_d_requires_paths():
     g = TimeGrid(1.0, 4)
-    with pytest.raises(ValueError, match="empty"):
-        _class_d([], g)
-    with pytest.raises(ValueError, match="M_0"):
-        _class_d([np.full((3, 5), 2.0)], g)
+    for rows in (0, 1):
+        with pytest.raises(ValueError, match="at least 2 paths"):
+            class_d_report(class_d_path_stats(np.ones((rows, 5))), g)
+
+
+def test_class_d_report_copies_no_vector():
+    # the eight per-path vectors as the batch runner joins them: the report's reductions hold one temporary
+    # of a vector at a time, where concatenating the eight again peaked at 9 vectors
+    n = 100_000
+    stats = tuple(np.linspace(1.0, 2.0, n) for _ in range(8))
+    tracemalloc.start()
+    try:
+        rep = class_d_report(stats, TimeGrid(1.0, 4))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rep.n_paths == n
+    assert peak < 2 * 8 * n, peak
 
 
 def test_class_d_pathwise_identities_converge_under_refinement():
@@ -420,7 +431,7 @@ def test_class_d_pathwise_identities_converge_under_refinement():
             inc = gaussian_increments(g, StreamKey(893, i, 0))
             batch[i] = np.exp(np.concatenate([[0.0], np.cumsum(inc)]) - g.times / 2.0)
         batch[:, 0] = 1.0
-        rep = _class_d([batch], g)
+        rep = class_d_report(class_d_path_stats(batch), g)
         errs[n] = (rep.pathwise_log_identity_median_err, rep.pathwise_inf_identity_median_err)
     assert errs[2048][0] < errs[512][0]
     assert errs[2048][1] < errs[512][1]
@@ -428,6 +439,6 @@ def test_class_d_pathwise_identities_converge_under_refinement():
 
 def test_class_d_from_ensemble_wrapper():
     g = TimeGrid(1.0, 32)
-    rep = _class_d([generate_rows(GeneratorSpec("exp_martingale", {}, g), 3, 0, 16)], g)
+    rep = class_d_report(class_d_path_stats(generate_rows(GeneratorSpec("exp_martingale", {}, g), 3, 0, 16)), g)
     assert rep.n_paths == 16
     assert rep.e_mc.n_samples == rep.e_int.n_samples == rep.e_qv_u.n_samples

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from sigmapaths import experiments, oracles
-from sigmapaths.decompose import class_d_from_path_stats, class_d_path_stats
+from sigmapaths.decompose import class_d_report
 from sigmapaths.experiments import (
     EXPERIMENTS,
     LEMMA_ACCEPTANCE_SPECS,
@@ -21,6 +21,8 @@ from sigmapaths.generators import GeneratorSpec
 from sigmapaths.grids import Path, TimeGrid
 from sigmapaths.reports import reports_equal_ignoring_meta
 
+from reference import class_d_path_stats
+
 
 def _grid(h, n):
     return TimeGrid(float(h), n)
@@ -32,7 +34,7 @@ def _grid(h, n):
 def test_lemma_balance_constant_surrogate_exact():
     # a constant positive "martingale" keeps C at 1: both sides are exactly 1
     g = _grid(1, 16)
-    rep = class_d_from_path_stats([class_d_path_stats(np.ones((64, 17)))], g)
+    rep = class_d_report(class_d_path_stats(np.ones((64, 17))), g)
     assert rep.e_mc.mean == 1.0
     assert rep.e_int.mean == 1.0
 

@@ -1,11 +1,12 @@
 """Process family generators against their closed-form oracles."""
 
+import pickle
+
 import numpy as np
 import pytest
 
 from sigmapaths import experiments, oracles
-from sigmapaths.experiments import _first_stop
-from sigmapaths.generators import FAMILIES, GeneratorSpec, generate_rows
+from sigmapaths.generators import FAMILIES, GeneratorSpec, _first_stop, generate_rows
 from sigmapaths.grids import TimeGrid
 
 
@@ -73,8 +74,7 @@ def test_stopped_hitting_on_deterministic_ramp(fixed_normals):
     fixed_normals(np.full(4, 0.5))  # sqrt(dt) = 0.5: b_t = t
     ramp = _ramp(np.full(4, 0.25))
     frozen = generate_rows(GeneratorSpec("brownian_stopped_level", {"a": 0.5}, g), 0, 0, 1)
-    _, stop = _first_stop(ramp, g.times, upper=0.5)
-    assert stop[0] == 2
+    assert _first_stop(ramp, g.times, upper=0.5)[0] == 2
     assert np.array_equal(frozen[0], [0.0, 0.25, 0.5, 0.5, 0.5])
 
 
@@ -83,16 +83,14 @@ def test_stopped_hitting_never_triggers(fixed_normals):
     fixed_normals(np.full(4, 0.2))
     ramp = _ramp(np.full(4, 0.1))
     frozen = generate_rows(GeneratorSpec("brownian_stopped_level", {"a": 5.0}, g), 0, 0, 1)
-    _, stop = _first_stop(ramp, g.times, upper=5.0)
-    assert stop[0] == 4  # the final index: not stopped
+    assert _first_stop(ramp, g.times, upper=5.0)[0] == -1  # not stopped
     assert np.array_equal(frozen, ramp)
 
 
 def test_stopped_hitting_line_rule():
     g = TimeGrid(1.0, 4)
     flat = _ramp(np.zeros(4))
-    _, stop = _first_stop(flat, g.times, line_b=2.0)  # 0 + 2t >= 1 at t = 0.5
-    assert stop[0] == 2
+    assert _first_stop(flat, g.times, line_b=2.0)[0] == 2  # 0 + 2t >= 1 at t = 0.5
 
 
 def test_exp_martingale_degenerate_stream(fixed_normals):
@@ -228,6 +226,19 @@ def test_generator_spec_config_roundtrip():
         assert back.family == spec.family
         assert back.params == spec.params
         assert np.array_equal(back.grid.times, g.times)
+
+
+def test_spec_pickles_its_grid_as_two_numbers():
+    # every batch takes its spec as it is: the grid pickles as (horizon, n_steps) and rebuilds its times
+    g = TimeGrid(64.0, 16384)
+    spec = GeneratorSpec("bessel3", {"x0": 1.0}, g)
+    blob = pickle.dumps(spec)
+    back = pickle.loads(blob)
+    assert len(blob) < 1024, len(blob)
+    assert (back.family, back.params, back.grid) == (spec.family, spec.params, g)
+    assert pickle.loads(pickle.dumps(g)) == g
+    assert back.grid.times.tobytes() == g.times.tobytes()
+    assert not back.grid.times.flags.writeable
 
 
 def test_generate_rows_batch_split_invariance():

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from sigmapaths import generators
-from sigmapaths.experiments import _first_stop
 from sigmapaths.grids import (
     McEstimate,
     Path,
@@ -82,8 +81,8 @@ def test_path_rejects_nan_and_length_mismatch():
 
 def _stop_row(values, level):
     """The shared stop rule at ``values >= level``, and the row frozen from there."""
-    has, stop = _first_stop(np.array([values]), None, upper=level)
-    return generators._hold(np.array([values]), np.where(has, stop, -1))[0], int(stop[0])
+    stop = generators._first_stop(np.array([values]), None, upper=level)
+    return generators._hold(np.array([values]), stop)[0], int(stop[0])
 
 
 def test_stop_path_first_crossing():
@@ -96,7 +95,7 @@ def test_stop_path_first_crossing():
 def test_stop_path_never_triggers():
     v = np.array([0.0, 0.5, 1.2, 0.7])
     frozen, k = _stop_row(v, 5.0)
-    assert k == len(v) - 1  # the final index: not stopped
+    assert k == -1  # not stopped
     assert np.array_equal(frozen, v)
 
 
