@@ -9,7 +9,6 @@ from .calculus import (
     local_time_tanaka,
     quadratic_variation,
     running_extremum,
-    sigma_example_triple,
     skorokhod_map,
 )
 from .decompose import (
@@ -23,16 +22,18 @@ from .decompose import (
     mult_decompose,
     mult_decompose_exp,
     sigma_compose,
+    sigma_example_triple,
     sigma_martingale,
 )
 from .experiments import (
     azema_conditional_experiment,
+    generate_rows,
     lemma_balance_experiment,
     saturation_probe,
     tail_experiment,
     two_infinity_check,
 )
-from .generators import GeneratorSpec, generate_rows
+from .generators import GeneratorSpec
 from .grids import (
     McEstimate,
     Path,

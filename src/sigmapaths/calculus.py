@@ -5,7 +5,8 @@ Two layers live here.  Array kernels (``running_min``, ``ito_sum``,
 ``occupation_sum``) operate along
 the last axis of numpy arrays so ensemble code can process thousands of paths
 per call.  The Path-level operations wrap those kernels with grid checks and
-the container types used across the package.
+the container types used across the package.  This module imports only
+:mod:`~.grids`; the triples built on its kernels live in :mod:`~.decompose`.
 
 Conventions, fixed once:
 
@@ -58,7 +59,6 @@ __all__ = [
     "local_time_tanaka",
     "local_time_occupation",
     "estimate_local_time",
-    "sigma_example_triple",
 ]
 
 
@@ -237,39 +237,4 @@ def estimate_local_time(K: Path, epsilon: float | None = None) -> LocalTimeEstim
         tanaka=local_time_tanaka(K),
         occupation=local_time_occupation(K, eps),
         epsilon=eps,
-    )
-
-
-def sigma_example_triple(K: Path, kind: str):
-    """Canonical zero-carried triples built from a local-martingale path ``K``.
-
-    kind='abs':      X = |K|,        A = Tanaka local time L,  N = X - A
-    kind='pos_part': X = max(K, 0),  A = L / 2,                N = X - A
-    kind='drawdown': X = max(K) - K, A = running max of K,     N = X - A (= -K)
-
-    ``X = N + A`` holds exactly by construction in all three cases.
-    """
-    from .decompose import SigmaTriple, default_zero_threshold  # deferred: decompose imports this module
-
-    if K.values[0] != 0.0:
-        raise ValueError("sigma_example_triple requires K_0 = 0")
-    v = K.values
-    if kind == "abs":
-        X = np.abs(v)
-        A = np.maximum.accumulate(tanaka_raw(v))
-    elif kind == "pos_part":
-        X = np.maximum(v, 0.0)
-        A = 0.5 * np.maximum.accumulate(tanaka_raw(v))
-    elif kind == "drawdown":
-        kbar = running_max(v)
-        X = kbar - v
-        A = kbar
-    else:
-        raise ValueError(f"kind must be 'abs', 'pos_part' or 'drawdown', got {kind!r}")
-    N = X - A
-    return SigmaTriple(
-        submartingale=K.with_values(X, label=f"{kind}({K.label})"),
-        martingale_part=K.with_values(N, label=f"N[{kind}]"),
-        increasing_part=K.with_values(A, label=f"A[{kind}]"),
-        zero_threshold=default_zero_threshold(K.grid),
     )

@@ -8,7 +8,7 @@ gives its own stdout summary line, and ``reports.write_report`` writes its
 JSON, tables and chart.
 
 Files are written as they are produced, so no command holds its whole output.
-``simulate`` draws its paths in the passes of ``generators.row_passes``
+``simulate`` draws its paths in the passes of ``experiments.row_passes``
 (one full-row batch each, ``--workers`` is not used) and writes each pass to
 ``paths.csv`` before drawing the next; it draws nothing unless ``csv`` is in
 ``--formats``.  ``decompose`` writes the table of path 0 row by row, from the
@@ -38,8 +38,8 @@ from click.core import ParameterSource
 from . import reports
 from .calculus import running_min
 from .decompose import sigma_compose
-from .experiments import EXPERIMENTS, lemma_balance_experiment
-from .generators import FAMILIES, GeneratorSpec, row_passes
+from .experiments import EXPERIMENTS, lemma_balance_experiment, row_passes
+from .generators import FAMILIES, GeneratorSpec
 from .grids import Path, TimeGrid, write_paths_csv
 from .streams import MAX_PATHS, MAX_SEED
 from .verify import VERIFY_SUITES, run_suites
@@ -49,6 +49,8 @@ EXIT_OUTPUT = 4
 _MAX_SIMULATE_VALUES = 50_000_000
 _SEED = click.IntRange(0, MAX_SEED)
 _PATHS = click.IntRange(1, MAX_PATHS)
+#: A pool starts all of its processes at once, one per batch up to ``--workers``.
+_WORKERS = click.IntRange(1, 4 * (os.cpu_count() or 1))
 
 
 def _read_config(ctx: click.Context, param: click.Parameter, value):
@@ -85,8 +87,8 @@ def _common_options(fn):
                       help="Output directory.")(fn)
     fn = click.option("--formats", default="json,csv", show_default=True,
                       help="Comma list from {csv,json,svg} (svg: experiments only).")(fn)
-    fn = click.option("--workers", type=click.IntRange(min=1), default=lambda: os.cpu_count() or 1,
-                      help="Worker processes (default: available parallelism).")(fn)
+    fn = click.option("--workers", type=_WORKERS, default=lambda: os.cpu_count() or 1,
+                      help="Worker processes, at most 4 per CPU (default: available parallelism).")(fn)
     fn = click.option("--config", type=click.Path(dir_okay=False), callback=_read_config,
                       expose_value=False, is_eager=True,
                       help="Flat key=value config file supplying option defaults.")(fn)

@@ -12,7 +12,8 @@ martingale part ``m = Y - ell``.  When the increasing part grows only on the
 zero set of the process (a zero-carried, "reflected" submartingale), the
 factorization specializes to ``X = M/I - 1`` with ``I`` the running minimum
 of ``M``, ``C = 1/I`` and ``A = log(1/I)``; these are the smallest members of
-the family sharing a given ``M``.
+the family sharing a given ``M``.  :func:`sigma_example_triple` builds the
+canonical ``|K|``, ``K^+`` and drawdown triples of a local martingale ``K``.
 
 Grid conventions: the d(ell) integrand uses the left-point value of ``Y``
 (a midpoint rule is available as an option); stochastic integrals are always
@@ -36,7 +37,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .calculus import ito_sum, running_min
+from .calculus import ito_sum, running_max, running_min, tanaka_raw
 from .grids import McEstimate, Path, TimeGrid, median
 
 __all__ = [
@@ -50,6 +51,7 @@ __all__ = [
     "mult_decompose",
     "mult_decompose_exp",
     "sigma_compose",
+    "sigma_example_triple",
     "sigma_martingale",
     "carried_by_zeros",
     "minimality_gap",
@@ -283,6 +285,39 @@ def sigma_compose(M: Path) -> SigmaTriple:
         martingale_part=M.with_values(N, label=f"N({M.label})"),
         increasing_part=M.with_values(A, label=f"A({M.label})"),
         zero_threshold=default_zero_threshold(M.grid),
+    )
+
+
+def sigma_example_triple(K: Path, kind: str) -> SigmaTriple:
+    """Canonical zero-carried triples built from a local-martingale path ``K``.
+
+    kind='abs':      X = |K|,        A = Tanaka local time L,  N = X - A
+    kind='pos_part': X = max(K, 0),  A = L / 2,                N = X - A
+    kind='drawdown': X = max(K) - K, A = running max of K,     N = X - A (= -K)
+
+    ``X = N + A`` holds exactly by construction in all three cases.
+    """
+    if K.values[0] != 0.0:
+        raise ValueError("sigma_example_triple requires K_0 = 0")
+    v = K.values
+    if kind == "abs":
+        X = np.abs(v)
+        A = np.maximum.accumulate(tanaka_raw(v))
+    elif kind == "pos_part":
+        X = np.maximum(v, 0.0)
+        A = 0.5 * np.maximum.accumulate(tanaka_raw(v))
+    elif kind == "drawdown":
+        kbar = running_max(v)
+        X = kbar - v
+        A = kbar
+    else:
+        raise ValueError(f"kind must be 'abs', 'pos_part' or 'drawdown', got {kind!r}")
+    N = X - A
+    return SigmaTriple(
+        submartingale=K.with_values(X, label=f"{kind}({K.label})"),
+        martingale_part=K.with_values(N, label=f"N[{kind}]"),
+        increasing_part=K.with_values(A, label=f"A[{kind}]"),
+        zero_threshold=default_zero_threshold(K.grid),
     )
 
 

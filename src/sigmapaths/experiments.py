@@ -33,24 +33,24 @@ Estimation strategy notes, shared by several experiments:
   1/2), plus the mean tail-correction mass.
 
 * Every path is drawn by one keyed chunk engine, :func:`_keyed_chunks`,
-  whose one caller is ``generators._primary_blocks``, the block generator
-  of the family outputs.  It draws each path's streams in blocks and
-  carries one running sum per stream across them, so a position is one
-  cumulative sum and the block size changes no report byte; column 0 of a
-  block is the position before it.  Only the last-visit walker, which
-  serves both azema-law families, restarts its sum at every block, so its
-  block of ``_REVISIT_BLOCK`` steps is part of both azema-law reports'
-  identity.  Every batch reduces the blocks of ``_primary_blocks`` as they
-  come: the first-passage walker (on the stopped Brownian families), the
-  last-visit walker, and the two-infinity and class-(D) batches with
+  the one block generator of the family outputs.  It draws each path's
+  streams in blocks and carries one running sum per stream across them, so
+  a position is one cumulative sum and the block size changes no report
+  byte; ``generators._family_block`` turns each block into the family's
+  output, and column 0 of a block is the value before it.  Only the
+  last-visit walker, which serves both azema-law families, restarts its sum
+  at every block, so its block of ``_REVISIT_BLOCK`` steps is part of both
+  azema-law reports' identity.  Every batch reduces the engine's blocks as
+  they come: the first-passage walker (on the stopped Brownian families),
+  the last-visit walker, and the two-infinity and class-(D) batches with
   carried per-row state that is exact or one sequential sum.
-  ``generators.row_passes`` fills full rows for the API edge from the same
-  blocks.  Stops are decided at grid resolution by one rule,
-  ``generators._first_stop``, which ``_primary_blocks`` applies; a stopped
-  path draws no block past its stop and leaves the reduction there; that is
-  what makes the 10^5-path tail studies affordable.  A passage time is the
-  time of the walked grid at the stop index, never that index times a
-  second step.
+  :func:`row_passes` fills full rows for the API edge from the same blocks,
+  and :func:`generate_rows` stacks them.  Stops are decided at grid
+  resolution by one rule, ``generators._first_stop``, which
+  ``_family_block`` applies; a stopped path draws no block past its stop
+  and leaves the reduction there; that is what makes the 10^5-path tail
+  studies affordable.  A passage time is the time of the walked grid at the
+  stop index, never that index times a second step.
 """
 
 from __future__ import annotations
@@ -66,7 +66,7 @@ from numpy.random import Generator, Philox
 from . import oracles
 from .calculus import tanaka_carried
 from .decompose import ClassDReport, class_d_carried, class_d_finish, class_d_report, class_d_start
-from .generators import GeneratorSpec, _primary_blocks
+from .generators import GeneratorSpec, _family_block
 from .grids import McEstimate, TimeGrid, median, quantile
 from .reports import Chart
 from .streams import RNG_INFO, KeySequence, StreamKey
@@ -86,6 +86,8 @@ __all__ = [
     "EXPERIMENTS",
     "ExperimentDef",
     "LEMMA_ACCEPTANCE_SPECS",
+    "generate_rows",
+    "row_passes",
 ]
 
 #: Values one batch holds at a time (8 MiB of float64): the smallest block whose arrays all get
@@ -117,10 +119,10 @@ def _run_batches(fn: Callable, n_paths: int, rows: int, workers: int, *common) -
 
 
 # ---------------------------------------------------------------------------
-# keyed chunk engine (every path is drawn by it)
+# keyed chunk engine (every path is drawn by it) and the full rows of the API edge
 
-#: Steps per draw block of the family outputs (``generators._primary_blocks``)
-#: that the first-passage walker, the class-(D) batch and ``row_passes`` walk.
+#: Steps per draw block of the family outputs that the first-passage walker,
+#: the class-(D) batch and ``row_passes`` walk.
 #: A block does not change a report byte; a shorter one draws fewer normals
 #: past a path's stop.
 _WALK_BLOCK = 1000
@@ -137,41 +139,47 @@ _TERMINAL_BLOCK = 4096
 _ESCAPE_MULT = 8.0
 
 
-def _keyed_chunks(seed, first, rows, start, dt, n_steps, block, retired, restart=False):
-    """Walk ``rows`` paths of ``len(start)`` Brownian components from
-    ``start``, ``block`` grid steps at a time.
+def _keyed_chunks(spec: GeneratorSpec, seed: int, first: int, rows: int, block: int,
+                  retired: np.ndarray | None = None, restart: bool = False):
+    """Walk ``rows`` paths of ``spec``'s family, ``block`` grid steps at a
+    time, one keyed stream set per path.
 
-    Component ``c`` of row ``i`` draws from ``StreamKey(seed, first + i, c)``,
-    a counter-based stream, so the blocks see the same increments as one
-    draw.  Each block puts the sum of the earlier increments in column 0,
+    Component ``c`` of row ``i`` (3 components from ``(x0, 0, 0)`` for the
+    Bessel families, else 1 from 0) draws from ``StreamKey(seed, first + i,
+    c)``, a counter-based stream, so the blocks see the same increments as
+    one draw.  Each block puts the sum of the earlier increments in column 0,
     draws its increments after it and takes one cumsum, and numpy's
     accumulate is sequential, so a position is ``start`` plus one cumulative
     sum of its stream, the same bits for every ``block``.  With ``restart``,
     each block's sum starts again from the last position instead.
 
-    Each block yields ``(step, alive, W)``: the grid index before the block,
-    the rows still walking, and their positions at grid indices ``step`` to
-    ``step + cs``, shaped ``(len(alive), cs + 1, len(start))``.  Column 0 is
-    the carried sum itself, so it equals the last column of the block before
-    bit for bit, and ``start`` in the first block.  Rows the caller sets in
-    ``retired`` are not drawn again.  Every block reuses one buffer, and each
-    stream draws straight into it; callers may overwrite ``W``, and reduce it
-    in a function of their own, so that the reduction's temporaries are freed
-    before the next block is drawn.
+    ``generators._family_block`` turns each block into the family's output
+    ``P``, and each block yields ``(step, alive, P, stop)``: the grid index
+    before the block, the rows still walking, ``P`` at grid indices ``step``
+    to ``step + cs``, and each row's stop column in ``P[:, 1:]`` (-1 for
+    none).  Column 0 is the carried position's, equal to the last column of
+    the block before bit for bit.  A stopped row is not drawn after that
+    block, nor is a row the caller sets in ``retired``.  Every block reuses
+    one buffer, and each stream draws straight into it; callers may
+    overwrite ``P``, and reduce it in a function of their own, so that the
+    reduction's temporaries are freed before the next block is drawn.
     """
+    grid, x0 = spec.grid, spec.params.get("x0")
+    start = (0.0,) if x0 is None else (x0, 0.0, 0.0)
     k = len(start)
     gens = [[Generator(Philox(KeySequence(StreamKey(seed, first + i, c).philox_key()))) for c in range(k)]
             for i in range(rows)]
     pos = np.tile(np.asarray(start, dtype=float), (rows, 1))  # added after each cumsum
     raw = np.zeros((rows, k))  # Brownian sum so far; stays 0 with ``restart``
-    buf = np.empty(rows * k * (min(block, n_steps) + 1))
-    sqrt_dt = math.sqrt(dt)
+    buf = np.empty(rows * k * (min(block, grid.n_steps) + 1))
+    sqrt_dt = math.sqrt(grid.dt)
+    retired = np.zeros(rows, dtype=bool) if retired is None else retired
     alive = np.arange(rows)
-    for step in range(0, n_steps, block):
+    for step in range(0, grid.n_steps, block):
         alive = alive[~retired[alive]]
         if not alive.size:
             return
-        cs = min(block, n_steps - step)
+        cs = min(block, grid.n_steps - step)
         W = buf[: alive.size * k * (cs + 1)].reshape(alive.size, k, cs + 1)  # out= needs each stream contiguous
         for r, i in enumerate(alive):
             for c in range(k):
@@ -184,7 +192,43 @@ def _keyed_chunks(seed, first, rows, start, dt, n_steps, block, retired, restart
         W += pos[alive][:, :, None]
         if restart:
             pos[alive] = W[:, :, -1]
-        yield step, alive, W.transpose(0, 2, 1)
+        P, stop = _family_block(spec, step, W.transpose(0, 2, 1))
+        retired[alive[stop >= 0]] = True
+        yield step, alive, P, stop
+
+
+def row_passes(spec: GeneratorSpec, master_seed: int, first_index: int, rows: int):
+    """The rows of :func:`generate_rows`, in passes of at most one full-row
+    batch (``_batch_rows(len(grid))`` rows).
+
+    Each pass yields ``(off, R)``: the offset of its first row from
+    ``first_index`` and its rows, walked by :func:`_keyed_chunks` in
+    ``_WALK_BLOCK`` blocks, so each row equals one cumulative sum of its
+    streams bit for bit.  A stopped row stops drawing after the block that
+    holds its stop, and its tail is filled from the stop column.  ``R`` lives
+    in one buffer that the next pass overwrites, so the passes hold one
+    pass's rows at a time, however many there are."""
+    bound = _batch_rows(len(spec.grid))
+    buf = np.empty((min(bound, rows), len(spec.grid)))
+    for off in range(0, rows, bound):
+        out = buf[:min(bound, rows - off)]
+        for step, alive, P, stop in _keyed_chunks(spec, master_seed, first_index + off, len(out), _WALK_BLOCK):
+            end = step + P.shape[1]
+            out[alive, step:end] = P
+            out[alive[stop >= 0], end:] = P[stop >= 0, -1:]
+        del P  # a view of this pass's block buffer: free it before the next pass draws
+        yield off, out
+
+
+def generate_rows(spec: GeneratorSpec, master_seed: int, first_index: int, rows: int) -> np.ndarray:
+    """Batch of the family's output, one keyed stream set per path: the
+    passes of :func:`row_passes` in one ``(rows, n+1)`` matrix.  A single
+    path is ``rows=1``, and a row does not depend on the batch it was drawn
+    in."""
+    out = np.empty((rows, len(spec.grid)))
+    for off, R in row_passes(spec, master_seed, first_index, rows):
+        out[off:off + len(R)] = R
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +347,7 @@ def _martingale_batch(args) -> tuple[np.ndarray, ...]:
     the terms at each new low go into two zeroed full-length rows per path,
     each summed once at the end: everywhere else, and after a stop, ``dC``
     is +0.0, so these rows equal the full-row terms bit for bit.  The last
-    array is path 0 held at its stop, as ``generators.row_passes`` fills it,
+    array is path 0 held at its stop, as :func:`row_passes` fills it,
     shaped ``(1, n + 1)`` in the batch that starts at path 0 and ``(0, n +
     1)`` in every other."""
     first, rows, spec, seed = args
@@ -313,7 +357,7 @@ def _martingale_batch(args) -> tuple[np.ndarray, ...]:
     carry = class_d_start(rows)
     buf = np.empty(2 * rows * block)
     path0 = np.empty((1 if first == 0 else 0, n + 1))
-    for step, alive, M, _ in _primary_blocks(spec, seed, first, rows, block, np.zeros(rows, dtype=bool)):
+    for step, alive, M, _ in _keyed_chunks(spec, seed, first, rows, block):
         c = carry[:, alive]
         r, j, t = class_d_carried(M, c, buf)
         carry[:, alive] = c
@@ -460,7 +504,7 @@ def _bessel_revisit_batch(args):
     """One batch of the last-visit walker, for both azema-law families.
 
     The state is the Bessel norm ``R``, or ``M = exp(B - t/2)``, as
-    ``generators._primary_blocks`` yields it, and the exact probability that
+    :func:`_keyed_chunks` yields it, and the exact probability that
     it visits the level after a stopping time where it stands at ``z`` is
     ``min(num/den, 1)``, with ``(num, den) = (level, R)`` for Bessel(3) and
     ``(M, level)`` for the exponential martingale.  The state is walked in
@@ -496,7 +540,7 @@ def _bessel_revisit_batch(args):
             correction[alive[escaped]] = resid
             retired[alive[crossed | escaped]] = True
 
-    for step, alive, P, _ in _primary_blocks(spec, seed, first, rows, _REVISIT_BLOCK, retired, restart=True):
+    for step, alive, P, _ in _keyed_chunks(spec, seed, first, rows, _REVISIT_BLOCK, retired, restart=True):
         scan(step, alive, P)
     live = ~retired
     num, den = hit(P[~retired[alive], -1])  # every live row walked the last block
@@ -628,7 +672,7 @@ class TwoInfinityReport:
 def _two_infinity_batch(args):
     """Per path: |M - 2I| at each horizon index, and the x-range violation.
 
-    The Bessel(3) paths of ``generators._primary_blocks`` are walked in
+    The Bessel(3) paths of :func:`_keyed_chunks` are walked in
     ``_TERMINAL_BLOCK``-step blocks, each turned into ``S = 1 - level/R`` in
     place (column 0 is the last ``S`` of the block before), and each block is
     reduced with carried per-row state: the Tanaka sum and the running max of
@@ -647,7 +691,7 @@ def _two_infinity_batch(args):
     block = min(_TERMINAL_BLOCK, spec.grid.n_steps)
     buf = np.empty(2 * rows * block)
     h = 0
-    for step, _, S, _ in _primary_blocks(spec, seed, first, rows, block, np.zeros(rows, dtype=bool)):
+    for step, _, S, _ in _keyed_chunks(spec, seed, first, rows, block):
         cs = S.shape[1] - 1
         # M's buffer holds the Tanaka increments first
         L = buf[:rows * cs].reshape(rows, cs)
@@ -731,7 +775,7 @@ def _walk_brownian_batch(args):
     """Walk Brownian rows block by block until a stop or the horizon.
 
     ``params`` are a stopped Brownian family's own, walked by
-    ``generators._primary_blocks``: ``brownian_stopped_level`` when they hold
+    :func:`_keyed_chunks`: ``brownian_stopped_level`` when they hold
     ``a`` (``B >= a``, or ``B <= lower`` with the optional ``lower``), else
     ``brownian_drift_stopped_line`` (``B + b t >= 1``).  Returns per path:
     stop step (grid index, -1 when censored), value at the stop (final value
@@ -743,7 +787,7 @@ def _walk_brownian_batch(args):
     run_min = np.zeros(rows)
     stop_step = np.full(rows, -1, dtype=np.int64)
     stop_value = np.zeros(rows)
-    for step, alive, P, stop in _primary_blocks(spec, seed, first, rows, _WALK_BLOCK, np.zeros(rows, dtype=bool)):
+    for step, alive, P, stop in _keyed_chunks(spec, seed, first, rows, _WALK_BLOCK):
         stop_value[alive] = P[:, -1]
         run_min[alive] = np.minimum(run_min[alive], P.min(axis=1))  # a held tail repeats its stop
         stopped = stop >= 0
@@ -772,11 +816,14 @@ def _walk_steps(horizon: float, dt: float) -> int:
 def _walk(n_paths, master_seed, horizon, n_steps, workers, params) -> tuple:
     """The first-passage walker on ``TimeGrid(horizon, n_steps)``, stopped
     by the stopped Brownian family of ``params``.  Returns per path: the
-    passage time, read off that grid (``inf`` when censored), the value at
-    the stop and the prefix minimum up to the stop."""
+    passage time, that grid's time at the stop (``inf`` when censored), the
+    value at the stop and the prefix minimum up to the stop.  The times are
+    ``linspace``'s bits, ``i * (horizon / n_steps)`` and ``horizon`` at
+    ``n_steps``, read without building the grid."""
     stop_step, stop_value, run_min, censored = _run_batches(
         _walk_brownian_batch, n_paths, _batch_rows(_WALK_BLOCK), workers, master_seed, horizon, n_steps, params)
-    return np.where(censored, np.inf, TimeGrid(horizon, n_steps).times[stop_step]), stop_value, run_min
+    t_hit = np.where(stop_step == n_steps, float(horizon), stop_step * (horizon / n_steps))
+    return np.where(censored, np.inf, t_hit), stop_value, run_min
 
 
 def _stopped(t_hit, what) -> np.ndarray:

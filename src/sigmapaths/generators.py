@@ -16,26 +16,14 @@ Families
 * ``scale_martingale``           ``x0 / R_t`` for a Bessel(3) path ``R``: the
                                   scale-function martingale normalized to 1
 
-Every row is drawn from its own keyed streams (path index ``first_index +
-i``) through the one keyed chunk engine of :mod:`~.experiments`, which is
-called here only.  :func:`_primary_blocks` is the one block generator of the
-family outputs: it turns each engine block into ``B``, ``R``, ``exp(B -
-t/2)`` or ``x0/R`` in place (the Bessel norm into the first component),
-applies the one stop rule, :func:`_first_stop`, holds a stopped row at its
-stop inside the block, and stops drawing the row after that block.  Every
-batch of :mod:`~.experiments` reduces these blocks as they come: the
-first-passage walker, the class-(D) batch of the balance experiments, the
-two-infinity batch and the last-visit walker (which restarts the engine's
-running sums at every block).  :func:`row_passes` fills full rows from them,
-one row per path and each stopped row's tail from its stop column, one pass
-of at most one full-row batch at a time in one reused buffer, and
-:func:`generate_rows` stacks those passes into a ``(rows, n+1)`` matrix.  A
-single path is ``rows=1`` and a row does not depend on the batch it was
-drawn in, so ensembles can be built in any order, split across any number of
-workers, and still come out bit-identical.  :class:`~.grids.Path` objects
-are built from rows only at the API edge (``simulate``, which writes each
-pass before drawing the next, the ``verify`` suites, and ``decompose``'s
-CSV, from the class-(D) batch).
+Every path is drawn from its own keyed streams (path index ``first_index +
+i``) by the one keyed chunk engine, ``experiments._keyed_chunks``, which
+hands each block of positions to :func:`_family_block`.  That pure function
+turns the block into ``B``, ``R``, ``exp(B - t/2)`` or ``x0/R`` in place
+(the Bessel norm into the first component), applies the one stop rule,
+:func:`_first_stop`, and holds a stopped row at its stop inside the block;
+the engine stops drawing the row after that block.  This module imports no
+other module of the package but :mod:`~.grids`.
 """
 
 from __future__ import annotations
@@ -48,7 +36,7 @@ import numpy as np
 
 from .grids import TimeGrid
 
-__all__ = ["GeneratorSpec", "FAMILIES", "generate_rows", "row_passes"]
+__all__ = ["GeneratorSpec", "FAMILIES"]
 
 #: family -> (required params, optional params)
 FAMILIES: dict[str, tuple[set, set]] = {
@@ -124,7 +112,7 @@ class GeneratorSpec:
 
 
 # ---------------------------------------------------------------------------
-# blocks and rows: the keyed chunk engine of ``experiments``, one running sum per stream
+# family blocks: what each block of the keyed chunk engine of ``experiments`` becomes
 
 
 def _hold(values: np.ndarray, stop: np.ndarray) -> np.ndarray:
@@ -155,81 +143,32 @@ def _bessel_norm(W: np.ndarray) -> np.ndarray:
     return np.sqrt(R, out=R)
 
 
-def _primary_blocks(spec: GeneratorSpec, master_seed: int, first_index: int, rows: int, block: int,
-                    retired: np.ndarray, restart: bool = False):
-    """Walk ``rows`` paths of the family's primary output (``B``, ``R``,
-    ``exp(B - t/2)`` or ``x0/R``) through :func:`~.experiments._keyed_chunks`,
-    ``block`` grid steps at a time, one keyed stream set per path.
+def _family_block(spec: GeneratorSpec, step: int, W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One engine block ``W`` of ``spec``'s keyed positions, as
+    ``experiments._keyed_chunks`` draws it (grid indices ``step`` to ``step +
+    cs``), turned in place into the family's output: ``B``, ``R``, ``exp(B -
+    t/2)`` or ``x0/R`` (the Bessel norm into the first component).
 
-    Each block yields ``(step, alive, P, stop)``: the grid index before the
-    block, the rows still walking, their values at grid indices ``step`` to
-    ``step + cs`` (shaped ``(len(alive), cs + 1)``; column 0 comes from the
-    engine and repeats the last column of the block before), and each row's
-    stop column in ``P[:, 1:]``, -1 for rows that do not stop in the block.
-    A stopped row is held at its stop (for ``exp_martingale``, at
-    ``exp(B_s - s/2)``, what the stopped ``(B, t)`` gives from there on) and
-    is not drawn after that block, so its value from there on is ``P[row,
-    -1]``.  Rows the caller sets in ``retired`` are not drawn again either,
-    and ``restart`` goes to the engine.  ``P`` is the engine's block (its
-    component 0 for the Bessel families), transformed in place, and the next
-    block overwrites it."""
-    from .experiments import _keyed_chunks
-
-    grid, p = spec.grid, spec.params
-    x0 = p.get("x0")
-    start = (0.0,) if x0 is None else (x0, 0.0, 0.0)
+    Returns ``(P, stop)``: the output, shaped ``(len(W), cs + 1)``, and each
+    row's stop column in ``P[:, 1:]`` by :func:`_first_stop`, -1 for rows
+    that do not stop in the block.  A stopped row is held at its stop (for
+    ``exp_martingale``, at ``exp(B_s - s/2)``, what the stopped ``(B, t)``
+    gives from there on), so its value from there on is ``P[row, -1]``."""
+    p, times = spec.params, spec.grid.times
+    cs = W.shape[1] - 1
+    stop = np.full(len(W), -1)
+    if "x0" in p:  # the Bessel families never stop; R_0 = sqrt(x0^2) = x0 and x0/x0 = 1 exactly
+        P = _bessel_norm(W)
+        if spec.family == "scale_martingale":
+            np.divide(p["x0"], P, out=P)
+        return P, stop
+    P = W[:, :, 0]  # B_0 = 0, and exp(0 - 0/2) = 1 exactly
     level = p.get("a", p.get("stop_level"))
     line_b = p.get("b", p.get("stop_line_drift"))
-    for step, alive, W in _keyed_chunks(master_seed, first_index, rows, start, grid.dt, grid.n_steps, block,
-                                        retired, restart):
-        cs = W.shape[1] - 1
-        stop = np.full(alive.size, -1)
-        if x0 is None:  # B_0 = 0, and exp(0 - 0/2) = 1 exactly
-            P = W[:, :, 0]
-            if level is not None or line_b is not None:
-                stop = _first_stop(P[:, 1:], grid.times[step + 1:step + 1 + cs], upper=level,
-                                   lower=p.get("lower"), line_b=line_b)
-                retired[alive[stop >= 0]] = True
-            if spec.family == "exp_martingale":
-                np.exp(np.subtract(P, grid.times[step:step + cs + 1] / 2.0, out=P), out=P)
-            _hold(P[:, 1:], stop)
-        else:  # the Bessel families never stop; R_0 = sqrt(x0^2) = x0 and x0/x0 = 1 exactly
-            P = _bessel_norm(W)
-            if spec.family == "scale_martingale":
-                np.divide(x0, P, out=P)
-        yield step, alive, P, stop
-
-
-def row_passes(spec: GeneratorSpec, master_seed: int, first_index: int, rows: int):
-    """The rows of :func:`generate_rows`, in passes of at most one full-row
-    batch (``_batch_rows(len(grid))`` rows).
-
-    Each pass yields ``(off, R)``: the offset of its first row from
-    ``first_index`` and its rows, walked by :func:`_primary_blocks` in
-    ``_WALK_BLOCK`` blocks, so each row equals one cumulative sum of its
-    streams bit for bit.  A stopped row stops drawing after the block that
-    holds its stop, and its tail is filled from the stop column.  ``R`` lives
-    in one buffer that the next pass overwrites, so the passes hold one
-    pass's rows at a time, however many there are."""
-    from .experiments import _WALK_BLOCK, _batch_rows
-
-    bound = _batch_rows(len(spec.grid))
-    buf = np.empty((min(bound, rows), len(spec.grid)))
-    for off in range(0, rows, bound):
-        out = buf[:min(bound, rows - off)]
-        for step, alive, P, stop in _primary_blocks(spec, master_seed, first_index + off, len(out),
-                                                    _WALK_BLOCK, np.zeros(len(out), dtype=bool)):
-            end = step + P.shape[1]
-            out[alive, step:end] = P
-            out[alive[stop >= 0], end:] = P[stop >= 0, -1:]
-        del P  # a view of this pass's block buffer: free it before the next pass draws
-        yield off, out
-
-
-def generate_rows(spec: GeneratorSpec, master_seed: int, first_index: int, rows: int) -> np.ndarray:
-    """Batch of the family's primary output, one keyed stream set per path:
-    the passes of :func:`row_passes` in one ``(rows, n+1)`` matrix."""
-    out = np.empty((rows, len(spec.grid)))
-    for off, R in row_passes(spec, master_seed, first_index, rows):
-        out[off:off + len(R)] = R
-    return out
+    if level is not None or line_b is not None:
+        stop = _first_stop(P[:, 1:], times[step + 1:step + 1 + cs], upper=level, lower=p.get("lower"),
+                           line_b=line_b)
+    if spec.family == "exp_martingale":
+        np.exp(np.subtract(P, times[step:step + cs + 1] / 2.0, out=P), out=P)
+    _hold(P[:, 1:], stop)
+    return P, stop

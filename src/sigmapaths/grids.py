@@ -5,7 +5,7 @@ Every process in this package lives on a :class:`TimeGrid`: a uniform
 discretization ``0 = t_0 < t_1 < ... < t_n = T``.  A :class:`Path` holds the
 sampled values at those grid points; it is the type of the API edge (the
 decomposition operations and CSV files), while paths are generated as row
-matrices by :func:`sigmapaths.generators.generate_rows`.  Integrals and
+matrices by :func:`sigmapaths.experiments.generate_rows`.  Integrals and
 hitting times downstream are always defined in terms of grid sums and grid
 indices.  Hitting times are resolved at grid resolution (first grid index
 at/after the crossing), with no sub-step bridge correction; the resulting

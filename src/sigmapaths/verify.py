@@ -13,14 +13,16 @@ from typing import Callable
 
 import numpy as np
 
-from .calculus import ito_integral, regulator, sigma_example_triple
+from .calculus import ito_integral, regulator
 from .decompose import (
     carried_by_zeros,
     minimality_gap,
     sigma_compose,
+    sigma_example_triple,
     sigma_martingale,
 )
-from .generators import GeneratorSpec, generate_rows
+from .experiments import generate_rows
+from .generators import GeneratorSpec
 from .grids import Path, TimeGrid
 
 __all__ = ["VERIFY_SUITES", "run_suite", "run_suites"]

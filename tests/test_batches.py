@@ -14,7 +14,8 @@ import reference
 from sigmapaths import experiments
 from sigmapaths.calculus import tanaka_carried, tanaka_raw
 from sigmapaths.decompose import class_d_carried, class_d_finish, class_d_start
-from sigmapaths.generators import GeneratorSpec, _bessel_norm, _primary_blocks, generate_rows
+from sigmapaths.experiments import generate_rows
+from sigmapaths.generators import GeneratorSpec
 from sigmapaths.grids import TimeGrid
 from sigmapaths.reports import report_json_bytes
 
@@ -165,6 +166,8 @@ def test_last_visit_walker_in_one_block_matches_full_row_scoring(family, t_at, r
 
 
 _WALK_GRID = TimeGrid(3.0, 300)
+#: ``B`` and ``R``, the one- and three-component walks of the engine.
+_WALK_SPECS = (GeneratorSpec("brownian", {}, _WALK_GRID), GeneratorSpec("bessel3", {"x0": 1.5}, _WALK_GRID))
 
 
 class _CountingGenerator:
@@ -178,14 +181,15 @@ class _CountingGenerator:
         return self.gen.standard_normal(out=out)
 
 
-def _walked(start, rows, block, retire_after=None, restart=False):
-    """Walk ``_WALK_GRID`` with ``_keyed_chunks`` in blocks of ``block`` steps,
-    checking that column 0 of each block is the position before it, bit for
-    bit.  Returns the positions after index 0 (NaN where a row no longer
+def _walked(spec, rows, block, retire_after=None, restart=False):
+    """Walk ``spec`` with ``_keyed_chunks`` in blocks of ``block`` steps,
+    checking that column 0 of each block is the value before it, bit for
+    bit.  Returns the values after index 0 (NaN where a row no longer
     walks), the ``(step, steps)`` of each yielded block, and the normals each
-    row drew; row ``i`` is retired after block ``retire_after[i]``."""
-    g = _WALK_GRID
-    out = np.full((rows, g.n_steps, len(start)), np.nan)
+    row drew, one column per component; row ``i`` is retired after block
+    ``retire_after[i]``."""
+    g = spec.grid
+    out = np.full((rows, g.n_steps), np.nan)
     retired = np.zeros(rows, dtype=bool)
     blocks, gens = [], []
 
@@ -195,19 +199,19 @@ def _walked(start, rows, block, retire_after=None, restart=False):
 
     saved, experiments.Generator = experiments.Generator, counting
     try:
-        for j, (step, alive, W) in enumerate(experiments._keyed_chunks(
-                31, 4, rows, start, g.dt, g.n_steps, block, retired, restart=restart)):
-            assert not retired[alive].any()
-            assert W.shape == (alive.size, W.shape[1], len(start))
-            before = np.tile(start, (alive.size, 1)) if step == 0 else out[alive, step - 1]
-            assert W[:, 0].tobytes() == before.tobytes()
-            out[alive, step:step + W.shape[1] - 1] = W[:, 1:]
-            blocks.append((step, W.shape[1] - 1))
+        for j, (step, alive, P, stop) in enumerate(experiments._keyed_chunks(
+                spec, 31, 4, rows, block, retired, restart=restart)):
+            assert not retired[alive].any() and (stop == -1).all()
+            assert P.shape == (alive.size, P.shape[1])
+            before = np.full(alive.size, spec.params.get("x0", 0.0)) if step == 0 else out[alive, step - 1]
+            assert P[:, 0].tobytes() == before.tobytes()
+            out[alive, step:step + P.shape[1] - 1] = P[:, 1:]
+            blocks.append((step, P.shape[1] - 1))
             if retire_after is not None:
                 retired[np.asarray(retire_after) == j] = True
     finally:
         experiments.Generator = saved
-    drawn = np.array([gen.drawn for gen in gens]).reshape(rows, len(start))
+    drawn = np.array([gen.drawn for gen in gens]).reshape(rows, -1)
     return out, blocks, drawn
 
 
@@ -216,33 +220,23 @@ def _block_ends(n_steps, block):
     return sorted({min(b, n_steps) for b in range(block, n_steps + block, block)})
 
 
-def _norm(W):
-    return _bessel_norm(W)
-
-
 @settings(max_examples=40, deadline=None)
 @given(st.integers(1, 6), st.integers(1, 320))
 def test_keyed_chunks_match_one_block_engine(rows, block):
     g = _WALK_GRID
-    B = [brownian_rows(g, 31, 4, rows, substream=c)[:, 1:] for c in range(3)]
-    R = bessel3_rows(g, 1.5, 31, 4, rows)[:, 1:]
-    W1 = _walked((0.0,), rows, block)[0]
-    W3 = _walked((1.5, 0.0, 0.0), rows, block)[0]
-    assert W1[:, :, 0].tobytes() == B[0].tobytes()
-    assert [W3[:, :, c].tobytes() for c in range(3)] == [(B[0] + 1.5).tobytes(), B[1].tobytes(), B[2].tobytes()]
-    assert _norm(W3).tobytes() == R.tobytes()
-    # the last-visit walker's restart at every block keeps the positions to rounding
-    assert np.max(np.abs(_walked((0.0,), rows, block, restart=True)[0][:, :, 0] - B[0])) <= 1e-12
-    assert np.max(np.abs(_norm(_walked((1.5, 0.0, 0.0), rows, block, restart=True)[0]) - R)) <= 1e-12
+    for spec, expected in zip(_WALK_SPECS, (brownian_rows(g, 31, 4, rows), bessel3_rows(g, 1.5, 31, 4, rows))):
+        assert _walked(spec, rows, block)[0].tobytes() == expected[:, 1:].tobytes()
+        # the last-visit walker's restart at every block keeps the values to rounding
+        assert np.max(np.abs(_walked(spec, rows, block, restart=True)[0] - expected[:, 1:])) <= 1e-12
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 5), st.integers(1, 320), st.booleans())
 def test_keyed_chunk_blocks_keep_every_position_bit(rows, block, restart):
-    for start in ((0.0,), (1.5, 0.0, 0.0)):
-        W, blocks, drawn = _walked(start, rows, block, restart=restart)
+    for spec in _WALK_SPECS:
+        W, blocks, drawn = _walked(spec, rows, block, restart=restart)
         if not restart:
-            assert W.tobytes() == _walked(start, rows, _WALK_GRID.n_steps)[0].tobytes()
+            assert W.tobytes() == _walked(spec, rows, _WALK_GRID.n_steps)[0].tobytes()
         ends = _block_ends(_WALK_GRID.n_steps, block)
         assert blocks == list(zip([0, *ends[:-1]], np.diff([0, *ends]).tolist()))
         assert (drawn == _WALK_GRID.n_steps).all()
@@ -255,8 +249,7 @@ def test_keyed_chunks_stop_drawing_retired_rows(block, data):
     ends = _block_ends(g.n_steps, block)
     retire_after = data.draw(st.lists(st.integers(0, len(ends)), min_size=1, max_size=6))
     rows = len(retire_after)
-    W, _, drawn = _walked((0.0,), rows, block, retire_after)
-    W = W[:, :, 0]
+    W, _, drawn = _walked(_WALK_SPECS[0], rows, block, retire_after)
     walked = ~np.isnan(W)
     for i, j in enumerate(retire_after):
         assert walked[i].sum() == drawn[i, 0] == ends[min(j, len(ends) - 1)]
@@ -321,9 +314,9 @@ def _engine_rows(spec, seed, first, rows, block, bound):
     passes, gens = [], []
     keyed_chunks = experiments._keyed_chunks
 
-    def recording(seed, first, rows, *rest):
+    def recording(spec, seed, first, rows, *rest):
         passes.append(rows)
-        return keyed_chunks(seed, first, rows, *rest)
+        return keyed_chunks(spec, seed, first, rows, *rest)
 
     def counting(bitgen):
         gens.append(_CountingGenerator(bitgen))
@@ -559,7 +552,7 @@ def test_bessel_blocks_hold_the_norm_in_the_engine_block(family):
     spec = GeneratorSpec(family, {"x0": 1.0}, TimeGrid(4.0, 4000))
     tracemalloc.start()
     try:
-        for _ in _primary_blocks(spec, 3, 0, 200, 1000, np.zeros(200, dtype=bool)):
+        for _ in experiments._keyed_chunks(spec, 3, 0, 200, 1000):
             pass
         _, peak = tracemalloc.get_traced_memory()
     finally:

@@ -11,12 +11,12 @@ from sigmapaths.calculus import (
     local_time_tanaka,
     quadratic_variation,
     running_extremum,
-    sigma_example_triple,
     skorokhod_map,
     tanaka_raw,
 )
-from sigmapaths.decompose import carried_by_zeros, default_zero_threshold
-from sigmapaths.generators import GeneratorSpec, generate_rows
+from sigmapaths.decompose import carried_by_zeros, default_zero_threshold, sigma_example_triple
+from sigmapaths.experiments import generate_rows
+from sigmapaths.generators import GeneratorSpec
 from sigmapaths.grids import Path, TimeGrid
 from sigmapaths.streams import StreamKey
 

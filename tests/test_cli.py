@@ -11,12 +11,12 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from sigmapaths import experiments, generators
+from sigmapaths import experiments
 from sigmapaths.calculus import running_min
 from sigmapaths.cli import main
 from sigmapaths.decompose import sigma_compose
-from sigmapaths.experiments import EXPERIMENTS, _martingale_spec
-from sigmapaths.generators import GeneratorSpec, generate_rows
+from sigmapaths.experiments import EXPERIMENTS, _martingale_spec, generate_rows
+from sigmapaths.generators import GeneratorSpec
 from sigmapaths.grids import Path as GridPath, read_paths_csv
 from sigmapaths.reports import reports_equal_ignoring_meta, write_csv_table
 
@@ -308,7 +308,7 @@ def test_simulate_json_only_draws_no_path(runner, tmp_path, monkeypatch):
     def no_draws(*args):
         raise AssertionError("simulate --formats json drew a path")
 
-    monkeypatch.setattr(generators, "_primary_blocks", no_draws)
+    monkeypatch.setattr(experiments, "_keyed_chunks", no_draws)
     out = tmp_path / "json"
     r = runner.invoke(main, ["simulate", "--family", "brownian", "--paths", "3", "--formats", "json",
                              "--out", str(out)])
@@ -459,6 +459,26 @@ def test_out_of_domain_input_exits_2(runner, tmp_path, monkeypatch, argv, option
     assert r.exit_code == 2, r.output
     assert option in r.output, r.output
     assert not out.exists()
+
+
+_MAX_WORKERS = 4 * (os.cpu_count() or 1)
+
+
+@pytest.mark.parametrize("workers", [_MAX_WORKERS, _MAX_WORKERS + 1], ids=["at-bound", "above-bound"])
+def test_workers_are_bounded_by_the_cpu_count(runner, tmp_path, monkeypatch, workers):
+    run_batches, asked = experiments._run_batches, []
+
+    def in_process(fn, n_paths, rows, workers, *common):
+        asked.append(workers)  # the pool this would start, which the test does not
+        return run_batches(fn, n_paths, rows, 1, *common)
+
+    monkeypatch.setattr(experiments, "_run_batches", in_process)
+    r = runner.invoke(main, ["experiment", "tail", "--horizon", "1", "--dt", "0.5", "--paths", "10",
+                             "--workers", str(workers), "--formats", "json", "--out", str(tmp_path / "o")])
+    if workers <= _MAX_WORKERS:
+        assert r.exit_code == 0 and asked == [workers], r.output
+    else:
+        assert r.exit_code == 2 and "--workers" in r.output and not asked, r.output
 
 
 def test_tail_sigma_b_runs_where_its_oracle_factor_overflows(runner, tmp_path):

@@ -19,7 +19,8 @@ from sigmapaths.decompose import (
     sigma_compose,
     sigma_martingale,
 )
-from sigmapaths.generators import GeneratorSpec, generate_rows
+from sigmapaths.experiments import generate_rows
+from sigmapaths.generators import GeneratorSpec
 from sigmapaths.grids import Path, TimeGrid
 from sigmapaths.streams import StreamKey
 

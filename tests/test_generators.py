@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from sigmapaths import experiments, oracles
-from sigmapaths.generators import FAMILIES, GeneratorSpec, _first_stop, generate_rows
+from sigmapaths.experiments import generate_rows
+from sigmapaths.generators import FAMILIES, GeneratorSpec, _first_stop
 from sigmapaths.grids import TimeGrid
 
 
