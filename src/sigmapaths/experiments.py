@@ -66,7 +66,7 @@ from numpy.random import Generator, Philox
 from . import oracles
 from .calculus import tanaka_carried
 from .decompose import ClassDReport, class_d_carried, class_d_finish, class_d_report, class_d_start
-from .generators import GeneratorSpec, _family_block
+from .generators import GeneratorSpec, _family_block, _family_start
 from .grids import McEstimate, TimeGrid, median, quantile
 from .reports import Chart
 from .streams import RNG_INFO, KeySequence, StreamKey
@@ -144,10 +144,10 @@ def _keyed_chunks(spec: GeneratorSpec, seed: int, first: int, rows: int, block: 
     """Walk ``rows`` paths of ``spec``'s family, ``block`` grid steps at a
     time, one keyed stream set per path.
 
-    Component ``c`` of row ``i`` (3 components from ``(x0, 0, 0)`` for the
-    Bessel families, else 1 from 0) draws from ``StreamKey(seed, first + i,
-    c)``, a counter-based stream, so the blocks see the same increments as
-    one draw.  Each block puts the sum of the earlier increments in column 0,
+    Component ``c`` of row ``i`` (of the ``generators._family_start(spec)``
+    it starts from) draws from ``StreamKey(seed, first + i, c)``, a
+    counter-based stream, so the blocks see the same increments as one
+    draw.  Each block puts the sum of the earlier increments in column 0,
     draws its increments after it and takes one cumsum, and numpy's
     accumulate is sequential, so a position is ``start`` plus one cumulative
     sum of its stream, the same bits for every ``block``.  With ``restart``,
@@ -164,8 +164,7 @@ def _keyed_chunks(spec: GeneratorSpec, seed: int, first: int, rows: int, block: 
     overwrite ``P``, and reduce it in a function of their own, so that the
     reduction's temporaries are freed before the next block is drawn.
     """
-    grid, x0 = spec.grid, spec.params.get("x0")
-    start = (0.0,) if x0 is None else (x0, 0.0, 0.0)
+    grid, start = spec.grid, _family_start(spec)
     k = len(start)
     gens = [[Generator(Philox(KeySequence(StreamKey(seed, first + i, c).philox_key()))) for c in range(k)]
             for i in range(rows)]
@@ -816,14 +815,11 @@ def _walk_steps(horizon: float, dt: float) -> int:
 def _walk(n_paths, master_seed, horizon, n_steps, workers, params) -> tuple:
     """The first-passage walker on ``TimeGrid(horizon, n_steps)``, stopped
     by the stopped Brownian family of ``params``.  Returns per path: the
-    passage time, that grid's time at the stop (``inf`` when censored), the
-    value at the stop and the prefix minimum up to the stop.  The times are
-    ``linspace``'s bits, ``i * (horizon / n_steps)`` and ``horizon`` at
-    ``n_steps``, read without building the grid."""
+    passage time, read off that grid (``inf`` when censored), the value at
+    the stop and the prefix minimum up to the stop."""
     stop_step, stop_value, run_min, censored = _run_batches(
         _walk_brownian_batch, n_paths, _batch_rows(_WALK_BLOCK), workers, master_seed, horizon, n_steps, params)
-    t_hit = np.where(stop_step == n_steps, float(horizon), stop_step * (horizon / n_steps))
-    return np.where(censored, np.inf, t_hit), stop_value, run_min
+    return np.where(censored, np.inf, TimeGrid(horizon, n_steps).times[stop_step]), stop_value, run_min
 
 
 def _stopped(t_hit, what) -> np.ndarray:

@@ -17,9 +17,10 @@ Families
                                   scale-function martingale normalized to 1
 
 Every path is drawn from its own keyed streams (path index ``first_index +
-i``) by the one keyed chunk engine, ``experiments._keyed_chunks``, which
-hands each block of positions to :func:`_family_block`.  That pure function
-turns the block into ``B``, ``R``, ``exp(B - t/2)`` or ``x0/R`` in place
+i``) by the one keyed chunk engine, ``experiments._keyed_chunks``, from
+the start :func:`_family_start` gives, and the engine hands each block of
+positions to :func:`_family_block`.  That pure function turns the block
+into ``B``, ``R``, ``exp(B - t/2)`` or ``x0/R`` in place
 (the Bessel norm into the first component), applies the one stop rule,
 :func:`_first_stop`, and holds a stopped row at its stop inside the block;
 the engine stops drawing the row after that block.  This module imports no
@@ -141,6 +142,13 @@ def _bessel_norm(W: np.ndarray) -> np.ndarray:
     R += W[..., 1] * W[..., 1]
     R += W[..., 2] * W[..., 2]
     return np.sqrt(R, out=R)
+
+
+def _family_start(spec: GeneratorSpec) -> tuple[float, ...]:
+    """The start of the keyed positions ``spec``'s family is drawn from:
+    ``(x0, 0, 0)`` for the Bessel families (3 components), else ``(0,)``."""
+    x0 = spec.params.get("x0")
+    return (0.0,) if x0 is None else (x0, 0.0, 0.0)
 
 
 def _family_block(spec: GeneratorSpec, step: int, W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -5,8 +5,6 @@ from concurrent.futures import Future
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from sigmapaths import experiments, oracles
 from sigmapaths.decompose import class_d_report
@@ -273,26 +271,6 @@ def test_tail_passage_times_come_from_the_walked_grid():
     rep = tail_experiment("T_a_heavy_tail", 2000, 7, a=0.5, horizon=1.0, dt=1 / 3 + 1e-12)
     assert rep.levels == (1.0,)
     assert rep.empirical_survival[0].mean == rep.censoring_rate
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.floats(1e-6, 1e6), st.integers(1, 100_000), st.data())
-def test_walk_reads_passage_times_off_the_walked_grid_without_building_it(horizon, n_steps, data):
-    # censored rows (-1) and rows that stop at the horizon's index among any others
-    stop = np.array([-1, n_steps, *data.draw(st.lists(st.integers(-1, n_steps), max_size=20))])
-    run_batches = experiments._run_batches
-
-    def batches(fn, n_paths, rows, workers, *common):
-        assert fn is experiments._walk_brownian_batch and n_paths == stop.size
-        return stop, np.zeros(stop.size), np.zeros(stop.size), stop < 0
-
-    experiments._run_batches = batches
-    try:
-        t_hit = experiments._walk(stop.size, 0, horizon, n_steps, 1, {"a": 1.0})[0]
-    finally:
-        experiments._run_batches = run_batches
-    expected = np.where(stop < 0, np.inf, TimeGrid(horizon, n_steps).times[stop])
-    assert t_hit.tobytes() == expected.tobytes()
 
 
 def test_tail_sigma_b_reports_not_asserts():

@@ -4,6 +4,7 @@ path and not edited) reads from each workload's commands."""
 
 import ast
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
@@ -36,13 +37,13 @@ def test_no_module_imports_inside_a_function(path):
     assert _function_imports(path) == []
 
 
-#: The study span of each workload, and the keyed streams per path: components x commands.
-_STUDIES = {"balance": ("lemma_balance_experiment", 1 * 2), "passage": ("tail_experiment", 1 * 1),
-            "lastvisit": ("azema_conditional_experiment", 3 * 1), "terminal": ("two_infinity_check", 3 * 1)}
+#: The study span of each workload, and the keyed streams per path: components x commands
+#: (balance runs lemma-balance and decompose).  CI's tracer-contract step reads the same table.
+_CONTRACT = json.loads((ROOT / "tests" / "tracer_contract.json").read_text(encoding="utf-8"))
 _PATHS = 64
 
 
-@pytest.mark.parametrize("workload", sorted(_STUDIES))
+@pytest.mark.parametrize("workload", sorted(_CONTRACT))
 def test_traced_workload_counts_draws_keys_and_batches(workload, tmp_path):
     tracing, workloads = _load("tracing"), _load("workloads")
     w = workloads.WORKLOADS[workload]
@@ -56,6 +57,6 @@ def test_traced_workload_counts_draws_keys_and_batches(workload, tmp_path):
     assert codes == [None] * len(w.commands)
     counts = tracer.counts
     assert all(counts[k] > 0 for k in ("streams.normals", "streams.keys", "experiments.batches")), counts
-    study, keys_per_path = _STUDIES[workload]
-    assert f"experiments.{study}" in tracer.calls, sorted(tracer.calls)
-    assert counts["streams.keys"] == _PATHS * keys_per_path
+    contract = _CONTRACT[workload]
+    assert f"experiments.{contract['study']}" in tracer.calls, sorted(tracer.calls)
+    assert counts["streams.keys"] == _PATHS * contract["keys_per_path"]
