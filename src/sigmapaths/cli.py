@@ -2,10 +2,10 @@
 
 Commands: ``simulate`` (write path ensembles as CSV), ``decompose`` (run the
 multiplicative decomposition diagnostics over an ensemble), ``verify`` (exact
-property suites), and ``experiment`` (the Monte Carlo studies; subcommands
-are generated from the experiment registry).  An experiment's report object
-gives its own stdout summary line, and ``reports.write_report`` writes its
-JSON, tables and chart.
+property suites), and ``experiment`` (the Monte Carlo studies: each
+subcommand declares its options and calls its study in ``experiments``).
+An experiment's report object gives its own stdout summary line, and
+``reports.write_report`` writes its JSON, tables and chart.
 
 Files are written as they are produced, so no command holds its whole output.
 ``simulate`` draws its paths in the passes of ``experiments.row_passes``
@@ -38,11 +38,12 @@ from click.core import ParameterSource
 from . import reports
 from .calculus import running_min
 from .decompose import sigma_compose
-from .experiments import EXPERIMENTS, lemma_balance_experiment, row_passes
+from .experiments import (azema_conditional_experiment, lemma_balance_experiment, row_passes, saturation_probe,
+                          tail_experiment, two_infinity_check)
 from .generators import FAMILIES, GeneratorSpec
 from .grids import Path, TimeGrid, write_paths_csv
 from .streams import MAX_PATHS, MAX_SEED
-from .verify import VERIFY_SUITES, run_suites
+from .verify import VERIFY_SUITES, run_suite
 
 EXIT_ACCEPTANCE = 3
 EXIT_OUTPUT = 4
@@ -109,7 +110,7 @@ _FAMILY_PARAMS = set().union(*(required | optional for required, optional in FAM
 
 def _reject_foreign_options(family: str, options) -> None:
     """Exit 2 when an option set on the command line sets a parameter that
-    ``family`` does not take, which ``GeneratorSpec.from_options`` would drop."""
+    ``family`` does not take, which :func:`_build_spec` would drop."""
     if family not in FAMILIES:
         return  # the spec reports an unknown family
     ctx = click.get_current_context()
@@ -122,9 +123,14 @@ def _reject_foreign_options(family: str, options) -> None:
 
 
 def _build_spec(family, horizon, n_steps, options) -> GeneratorSpec:
+    """The spec of ``family`` on ``TimeGrid(horizon, n_steps)`` from option
+    values that span every family: the family's required parameters, and its
+    optional ones that are not 0 (0 means off)."""
     _reject_foreign_options(family, options)
+    required, optional = FAMILIES.get(family, (set(), set()))
+    params = {k: v for k, v in options.items() if k in required or (k in optional and v != 0)}
     try:
-        return GeneratorSpec.from_options(family, TimeGrid(horizon, n_steps), **options)
+        return GeneratorSpec(family, params, TimeGrid(horizon, n_steps))
     except ValueError as exc:
         raise click.UsageError(str(exc))
 
@@ -251,7 +257,8 @@ def verify(suite, seed):
     """Run an exact property suite; exits 3 if a property fails."""
     names = sorted(VERIFY_SUITES) if suite == "all" else [suite]
     failed = False
-    for name, ok, detail in run_suites(names, seed):
+    for name in names:
+        ok, detail = run_suite(name, seed)
         click.echo(f"[{'PASS' if ok else 'FAIL'}] {name}: {detail}")
         failed = failed or not ok
     if failed:
@@ -260,33 +267,95 @@ def verify(suite, seed):
 
 @main.group()
 def experiment():
-    """Run a named Monte Carlo experiment (names come from the registry)."""
+    """Run a named Monte Carlo experiment."""
 
 
-def _make_experiment_command(name, defn):
-    @click.option("--paths", type=_PATHS, default=10000, show_default=True)
-    @_common_options
-    def cmd(paths, seed, out, formats, workers, **params):
-        fmt = _parse_formats(formats, {"csv", "json", "svg"})
-        if "family" in params:
-            _reject_foreign_options(params["family"], params)
-        try:
-            report = defn.runner(seed=seed, n_paths=paths, workers=workers, **params)
-        except ValueError as exc:
-            raise click.UsageError(str(exc))
-        written = _write_guard(reports.write_report, out, name.replace("-", "_"), report, fmt)
-        click.echo(f"{report.summary()} -> {out} ({', '.join(written)})")
-
-    for pname, default in reversed(list(defn.params.items())):
-        ptype = {int: int, float: float}.get(type(default), str)
-        cmd = click.option(f"--{pname.replace('_', '-')}", pname, type=ptype,
-                           default=default, show_default=True)(cmd)
-    cmd = click.command(name=name, help=defn.summary)(cmd)
-    return cmd
+def _write_experiment(name, out, formats, study):
+    """Parse ``--formats``, run ``study()`` (a ``ValueError`` exits 2), write
+    its report's files under ``out`` and print its summary line."""
+    fmt = _parse_formats(formats, {"csv", "json", "svg"})
+    try:
+        report = study()
+    except ValueError as exc:
+        raise click.UsageError(str(exc))
+    written = _write_guard(reports.write_report, out, name.replace("-", "_"), report, fmt)
+    click.echo(f"{report.summary()} -> {out} ({', '.join(written)})")
 
 
-for _name, _defn in EXPERIMENTS.items():
-    experiment.add_command(_make_experiment_command(_name, _defn))
+def _experiment_options(fn):
+    """``--paths`` and the common options, which every experiment ends with."""
+    return click.option("--paths", type=_PATHS, default=10000, show_default=True)(_common_options(fn))
+
+
+@experiment.command("lemma-balance")
+@click.option("--family", default="exp_martingale", show_default=True)
+@click.option("--horizon", type=float, default=1.0, show_default=True)
+@click.option("--n-steps", type=int, default=2048, show_default=True)
+@click.option("--x0", type=float, default=1.0, show_default=True)
+@click.option("--stop-level", type=float, default=0.0, show_default=True)
+@click.option("--stop-line-drift", type=float, default=0.0, show_default=True)
+@_experiment_options
+def lemma_balance(family, horizon, n_steps, paths, seed, out, formats, workers, **options):
+    """paired estimates of E[M_T C_T] and 1 + E[sum M dC] with C = 1/I"""
+    _write_experiment("lemma-balance", out, formats, lambda: lemma_balance_experiment(
+        _build_spec(family, horizon, n_steps, options), paths, seed, workers))
+
+
+@experiment.command("azema-law")
+@click.option("--family", default="bessel3", show_default=True)
+@click.option("--x0", type=float, default=1.0, show_default=True)
+@click.option("--level", type=float, default=1.0, show_default=True)
+@click.option("--t", type=float, default=1.0, show_default=True)
+@click.option("--bins", type=int, default=20, show_default=True)
+@click.option("--horizon", type=float, default=64.0, show_default=True)
+@click.option("--n-steps", type=int, default=16384, show_default=True)
+@_experiment_options
+def azema_law(family, x0, level, t, bins, horizon, n_steps, paths, seed, out, formats, workers):
+    """state-binned conditional law of a last visit vs min(y/z, 1)"""
+    _write_experiment("azema-law", out, formats, lambda: azema_conditional_experiment(
+        _build_spec(family, horizon, n_steps, {"x0": x0}), level, t, bins, paths, seed, workers))
+
+
+@experiment.command("two-infinity")
+@click.option("--x0", type=float, default=1.0, show_default=True)
+@click.option("--level", type=float, default=1.0, show_default=True)
+@click.option("--horizon", type=float, default=64.0, show_default=True)
+@click.option("--n-steps", type=int, default=16384, show_default=True)
+@_experiment_options
+def two_infinity(x0, level, horizon, n_steps, paths, seed, out, formats, workers):
+    """median |M_T - 2 I_T| across doubling horizons (last-visit construction)"""
+    def study():
+        if not horizon >= 4.0:
+            raise ValueError(f"two-infinity needs --horizon of at least 4 (its smallest doubling horizon), "
+                             f"got {horizon}")
+        hs = [horizon / 2**k for k in range(5, -1, -1) if horizon / 2**k >= 4.0]  # at most six, ascending
+        return two_infinity_check(_build_spec("bessel3", horizon, n_steps, {"x0": x0}), hs, paths, seed,
+                                  level=level, workers=workers)
+    _write_experiment("two-infinity", out, formats, study)
+
+
+@experiment.command("saturation")
+@click.option("--kind", default="nonsaturated_zero_set", show_default=True)
+@click.option("--horizon", type=float, default=64.0, show_default=True)
+@click.option("--dt", type=float, default=4e-4, show_default=True)
+@_experiment_options
+def saturation(kind, horizon, dt, paths, seed, out, formats, workers):
+    """ends of random sets under Brownian paths stopped at level 1"""
+    _write_experiment("saturation", out, formats, lambda: saturation_probe(
+        kind, paths, seed, horizon=horizon, dt=dt, workers=workers))
+
+
+@experiment.command("tail")
+@click.option("--kind", default="T_a_heavy_tail", show_default=True)
+@click.option("--a", type=float, default=1.0, show_default=True)
+@click.option("--b", type=float, default=1.0, show_default=True)
+@click.option("--horizon", type=float, default=64.0, show_default=True)
+@click.option("--dt", type=float, default=1e-3, show_default=True)
+@_experiment_options
+def tail(kind, a, b, horizon, dt, paths, seed, out, formats, workers):
+    """heavy tail of T_a / the sigma_b stopped-martingale expectation"""
+    _write_experiment("tail", out, formats, lambda: tail_experiment(
+        kind, paths, seed, a=a, b=b, horizon=horizon, dt=dt, workers=workers))
 
 
 if __name__ == "__main__":

@@ -3,7 +3,8 @@ times, saturation probes, and passage-time tails.
 
 Estimation strategy notes, shared by several experiments:
 
-* Every experiment is a pure function of (spec, parameters, master seed).
+* Every experiment is a pure function of (spec, parameters, master seed),
+  and one ``experiment`` subcommand of the CLI calls it directly.
   Paths are generated from per-path keyed streams in batches, and a batch is
   the only grouping of paths: one rule, :func:`_batch_rows`, sizes every
   batch so that it holds about ``_BATCH_VALUES`` values at a time (per path,
@@ -83,8 +84,6 @@ __all__ = [
     "TwoInfinityReport",
     "SaturationReport",
     "TailReport",
-    "EXPERIMENTS",
-    "ExperimentDef",
     "LEMMA_ACCEPTANCE_SPECS",
     "generate_rows",
     "row_passes",
@@ -381,7 +380,7 @@ def lemma_balance_experiment(
     mspec = _martingale_spec(spec)
     if n_paths < 2:
         raise ValueError(f"--paths {n_paths}: the balance estimates need --paths of at least 2")
-    n, k = mspec.grid.n_steps, 3 if "x0" in mspec.params else 1
+    n, k = mspec.grid.n_steps, len(_family_start(mspec))
     # one path holds its two rows of Stieltjes terms and, on each block, its k-component draw block (M in
     # place), one temporary of the Bessel norm, two work rows, and the copy that the running minimum takes
     # of the rows that set a new low, with a spare row
@@ -565,8 +564,8 @@ def azema_conditional_experiment(
     Paths are binned by their state at time ``t``; within each bin the
     empirical column averages per-path survival scores (1 for an observed
     revisit in ``(t, horizon]``, else the exact residual hit probability from
-    the state where simulation stopped).  ``bins`` is either a bin count
-    (quantile edges over the observed states) or explicit edges.
+    the state where simulation stopped).  ``bins`` is either a bin count of
+    at most ``n_paths`` (edges over the observed states) or explicit edges.
     """
     grid = spec.grid
     if not 0 < t < grid.horizon:
@@ -590,8 +589,10 @@ def azema_conditional_experiment(
         formula_at = oracles.exp_martingale_level_hit_probability
     else:
         raise ValueError("azema experiment supports bessel3 and exp_martingale specs")
+    if isinstance(bins, int) and bins > n_paths:  # most bins would be empty, each an edge and a scan of all paths
+        raise ValueError(f"--bins {bins} exceeds --paths {n_paths}: lower --bins or raise --paths")
     # one path holds its draw block (the state in place) plus two ``scan`` temporaries
-    rows = _batch_rows(((3 if spec.family == "bessel3" else 1) + 2) * _REVISIT_BLOCK)
+    rows = _batch_rows((len(_family_start(spec)) + 2) * _REVISIT_BLOCK)
     state_t, score, ambiguous, correction = _run_batches(_bessel_revisit_batch, n_paths, rows, workers,
                                                          spec, master_seed, level, t_idx)
 
@@ -1095,89 +1096,3 @@ def tail_experiment(
         seed=master_seed,
         warning=warning,
     )
-
-
-# ---------------------------------------------------------------------------
-# registry (drives the CLI; help text is generated from these entries)
-
-
-@dataclass(frozen=True)
-class ExperimentDef:
-    summary: str
-    params: dict          # experiment-specific options with defaults
-    runner: Callable      # runner(seed, n_paths, workers, **params) -> report
-
-
-def _run_lemma(seed, n_paths, workers, family, horizon, n_steps, **options):
-    spec = GeneratorSpec.from_options(family, TimeGrid(horizon, n_steps), **options)
-    return lemma_balance_experiment(spec, n_paths, seed, workers)
-
-
-def _run_azema(seed, n_paths, workers, family, x0, level, t, bins, horizon, n_steps):
-    spec = GeneratorSpec.from_options(family, TimeGrid(horizon, n_steps), x0=x0)
-    return azema_conditional_experiment(spec, level, t, bins, n_paths, seed, workers)
-
-
-def _run_two_infinity(seed, n_paths, workers, x0, level, horizon, n_steps):
-    if not horizon >= 4.0:
-        raise ValueError(f"two-infinity needs --horizon of at least 4 (its smallest doubling horizon), "
-                         f"got {horizon}")
-    spec = GeneratorSpec("bessel3", {"x0": x0}, TimeGrid(horizon, n_steps))
-    hs = []
-    h = horizon
-    while h >= 4.0 and len(hs) < 6:
-        hs.append(h)
-        h /= 2.0
-    return two_infinity_check(spec, sorted(hs), n_paths, seed, level=level, workers=workers)
-
-
-def _run_saturation(seed, n_paths, workers, kind, horizon, dt):
-    return saturation_probe(kind, n_paths, seed, horizon=horizon, dt=dt, workers=workers)
-
-
-def _run_tail(seed, n_paths, workers, kind, a, b, horizon, dt):
-    return tail_experiment(kind, n_paths, seed, a=a, b=b, horizon=horizon, dt=dt, workers=workers)
-
-
-EXPERIMENTS: dict[str, ExperimentDef] = {
-    "lemma-balance": ExperimentDef(
-        summary="paired estimates of E[M_T C_T] and 1 + E[sum M dC] with C = 1/I",
-        params={
-            "family": "exp_martingale",
-            "horizon": 1.0,
-            "n_steps": 2048,
-            "x0": 1.0,
-            "stop_level": 0.0,
-            "stop_line_drift": 0.0,
-        },
-        runner=_run_lemma,
-    ),
-    "azema-law": ExperimentDef(
-        summary="state-binned conditional law of a last visit vs min(y/z, 1)",
-        params={
-            "family": "bessel3",
-            "x0": 1.0,
-            "level": 1.0,
-            "t": 1.0,
-            "bins": 20,
-            "horizon": 64.0,
-            "n_steps": 16384,
-        },
-        runner=_run_azema,
-    ),
-    "two-infinity": ExperimentDef(
-        summary="median |M_T - 2 I_T| across doubling horizons (last-visit construction)",
-        params={"x0": 1.0, "level": 1.0, "horizon": 64.0, "n_steps": 16384},
-        runner=_run_two_infinity,
-    ),
-    "saturation": ExperimentDef(
-        summary="ends of random sets under Brownian paths stopped at level 1",
-        params={"kind": "nonsaturated_zero_set", "horizon": 64.0, "dt": 4e-4},
-        runner=_run_saturation,
-    ),
-    "tail": ExperimentDef(
-        summary="heavy tail of T_a / the sigma_b stopped-martingale expectation",
-        params={"kind": "T_a_heavy_tail", "a": 1.0, "b": 1.0, "horizon": 64.0, "dt": 1e-3},
-        runner=_run_tail,
-    ),
-}

@@ -23,8 +23,9 @@ positions to :func:`_family_block`.  That pure function turns the block
 into ``B``, ``R``, ``exp(B - t/2)`` or ``x0/R`` in place
 (the Bessel norm into the first component), applies the one stop rule,
 :func:`_first_stop`, and holds a stopped row at its stop inside the block;
-the engine stops drawing the row after that block.  This module imports no
-other module of the package but :mod:`~.grids`.
+the engine stops drawing the row after that block.  A spec holds exactly
+the parameters its family takes (``FAMILIES``); which command-line options
+become them is ``cli``'s rule.  This module imports only :mod:`~.grids`.
 """
 
 from __future__ import annotations
@@ -93,15 +94,6 @@ class GeneratorSpec:
         for k in sorted(self.params):
             cfg[k] = repr(float(self.params[k]))
         return cfg
-
-    @classmethod
-    def from_options(cls, family: str, grid: TimeGrid, **options: float) -> "GeneratorSpec":
-        """Spec from option values that span every family, as the CLI has
-        them: the family's required parameters that are given, and its
-        optional ones that are not 0 (0 means off)."""
-        required, optional = FAMILIES.get(family, (set(), set()))
-        params = {k: v for k, v in options.items() if k in required or (k in optional and v != 0)}
-        return cls(family, params, grid)
 
     @classmethod
     def from_config(cls, cfg: Mapping[str, str]) -> "GeneratorSpec":

@@ -25,7 +25,7 @@ from .experiments import generate_rows
 from .generators import GeneratorSpec
 from .grids import Path, TimeGrid
 
-__all__ = ["VERIFY_SUITES", "run_suite", "run_suites"]
+__all__ = ["VERIFY_SUITES", "run_suite"]
 
 
 def _random_z_inputs(rng: np.random.Generator, n_cases: int, n: int):
@@ -48,6 +48,7 @@ def _random_z_inputs(rng: np.random.Generator, n_cases: int, n: int):
 
 
 def skorokhod_suite(seed: int = 20240) -> tuple[bool, str]:
+    """Reflection map exactness on random/adversarial inputs."""
     rng = np.random.default_rng(seed)
     n_cases = 1000
     for z in _random_z_inputs(rng, n_cases, 257):
@@ -74,6 +75,7 @@ def _random_positive_martingale(rng, grid) -> Path:
 
 
 def minimality_suite(seed: int = 20241) -> tuple[bool, str]:
+    """The zero-carried source is the smallest admissible one."""
     rng = np.random.default_rng(seed)
     grid = TimeGrid(1.0, 128)
     n_cases = 1000
@@ -98,6 +100,7 @@ def minimality_suite(seed: int = 20241) -> tuple[bool, str]:
 
 
 def sigma_roundtrip_suite(seed: int = 20242) -> tuple[bool, str]:
+    """Compose/recover martingale roundtrip at 1e-12."""
     rng = np.random.default_rng(seed)
     grid = TimeGrid(1.0, 256)
     n_cases = 1000
@@ -112,6 +115,7 @@ def sigma_roundtrip_suite(seed: int = 20242) -> tuple[bool, str]:
 
 
 def zero_sets_suite(seed: int = 20243) -> tuple[bool, str]:
+    """Zero-set equalities and reflection consistency."""
     rng = np.random.default_rng(seed)
     grid = TimeGrid(1.0, 512)
     eps = 2.0 * np.sqrt(grid.dt)
@@ -133,6 +137,7 @@ def zero_sets_suite(seed: int = 20243) -> tuple[bool, str]:
 
 
 def carried_suite(seed: int = 20244) -> tuple[bool, str]:
+    """Carried-by-zeros discrimination on Brownian paths."""
     grid = TimeGrid(1.0, 2**14)
     worst_good, best_bad = 0.0, np.inf
     for i, row in enumerate(generate_rows(GeneratorSpec("brownian", {}, grid), seed, 0, 20)):
@@ -147,6 +152,7 @@ def carried_suite(seed: int = 20244) -> tuple[bool, str]:
 
 
 def ito_linearity_suite(seed: int = 20245) -> tuple[bool, str]:
+    """Stochastic sums are linear in the integrand."""
     rng = np.random.default_rng(seed)
     grid = TimeGrid(1.0, 256)
     worst = 0.0
@@ -162,23 +168,16 @@ def ito_linearity_suite(seed: int = 20245) -> tuple[bool, str]:
     return ok, f"200 cases, max linearity defect {worst:.3e} (tol 1e-12)"
 
 
-VERIFY_SUITES: dict[str, tuple[Callable[[int], tuple[bool, str]], str]] = {
-    "skorokhod": (skorokhod_suite, "reflection map exactness on random/adversarial inputs"),
-    "minimality": (minimality_suite, "zero-carried source is the smallest admissible one"),
-    "sigma-roundtrip": (sigma_roundtrip_suite, "compose/recover martingale roundtrip at 1e-12"),
-    "zero-sets": (zero_sets_suite, "zero-set equalities and reflection consistency"),
-    "carried": (carried_suite, "carried-by-zeros discrimination on Brownian paths"),
-    "ito-linearity": (ito_linearity_suite, "stochastic sums are linear in the integrand"),
+VERIFY_SUITES: dict[str, Callable[[int], tuple[bool, str]]] = {
+    "skorokhod": skorokhod_suite,
+    "minimality": minimality_suite,
+    "sigma-roundtrip": sigma_roundtrip_suite,
+    "zero-sets": zero_sets_suite,
+    "carried": carried_suite,
+    "ito-linearity": ito_linearity_suite,
 }
 
 
 def run_suite(name: str, seed: int | None = None) -> tuple[bool, str]:
-    fn, _ = VERIFY_SUITES[name]
+    fn = VERIFY_SUITES[name]
     return fn() if seed is None else fn(seed)
-
-
-def run_suites(names, seed: int | None = None):
-    """Yield ``(name, ok, detail)`` per suite."""
-    for name in names:
-        ok, detail = run_suite(name, seed)
-        yield name, ok, detail

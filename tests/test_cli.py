@@ -15,7 +15,7 @@ from sigmapaths import experiments
 from sigmapaths.calculus import running_min
 from sigmapaths.cli import main
 from sigmapaths.decompose import sigma_compose
-from sigmapaths.experiments import EXPERIMENTS, _martingale_spec, generate_rows
+from sigmapaths.experiments import _martingale_spec, generate_rows
 from sigmapaths.generators import GeneratorSpec
 from sigmapaths.grids import Path as GridPath, read_paths_csv
 from sigmapaths.reports import reports_equal_ignoring_meta, write_csv_table
@@ -83,8 +83,68 @@ def test_verify_passes_and_fails_cleanly(runner):
 def test_experiment_help_lists_registry(runner):
     r = runner.invoke(main, ["experiment", "--help"])
     assert r.exit_code == 0
-    for name in EXPERIMENTS:
+    for name in ("lemma-balance", "azema-law", "two-infinity", "saturation", "tail"):
         assert name in r.output
+
+
+def _opt(name, kind, default):
+    """The row of an option shown with its default and not required."""
+    return (name, (f"--{name.replace('_', '-')}",), kind, default, True, False)
+
+
+#: The options every command ends with, in --help order.
+_COMMON_OPTIONS = [
+    ("config", ("--config",), "file", None, None, False),
+    ("workers", ("--workers",), "integer range", "computed", None, False),
+    _opt("formats", "text", "json,csv"),
+    ("out", ("--out",), "directory", "out", True, False),
+    _opt("seed", "integer range", 0),
+]
+_FAMILY_OPTIONS = [
+    _opt("stop_line_drift", "float", 0.0), _opt("stop_level", "float", 0.0), _opt("x0", "float", 1.0),
+    _opt("b", "float", 1.0), _opt("a", "float", 1.0), _opt("n_steps", "integer", 4096),
+    _opt("horizon", "float", 1.0), ("family", ("--family",), "choice", None, None, True),
+]
+_EXPERIMENT_PATHS = [_opt("paths", "integer range", 10000), *_COMMON_OPTIONS]
+
+#: command -> (help line, None where it is not pinned; each option's name, flags, type, default,
+#: show_default and required, in --help order)
+OPTION_TABLES = {
+    "simulate": (None, [*_FAMILY_OPTIONS, _opt("paths", "integer range", 10), *_COMMON_OPTIONS]),
+    "decompose": (None, [*_FAMILY_OPTIONS, *_EXPERIMENT_PATHS]),
+    "lemma-balance": ("paired estimates of E[M_T C_T] and 1 + E[sum M dC] with C = 1/I", [
+        _opt("family", "text", "exp_martingale"), _opt("horizon", "float", 1.0), _opt("n_steps", "integer", 2048),
+        _opt("x0", "float", 1.0), _opt("stop_level", "float", 0.0), _opt("stop_line_drift", "float", 0.0),
+        *_EXPERIMENT_PATHS]),
+    "azema-law": ("state-binned conditional law of a last visit vs min(y/z, 1)", [
+        _opt("family", "text", "bessel3"), _opt("x0", "float", 1.0), _opt("level", "float", 1.0),
+        _opt("t", "float", 1.0), _opt("bins", "integer", 20), _opt("horizon", "float", 64.0),
+        _opt("n_steps", "integer", 16384), *_EXPERIMENT_PATHS]),
+    "two-infinity": ("median |M_T - 2 I_T| across doubling horizons (last-visit construction)", [
+        _opt("x0", "float", 1.0), _opt("level", "float", 1.0), _opt("horizon", "float", 64.0),
+        _opt("n_steps", "integer", 16384), *_EXPERIMENT_PATHS]),
+    "saturation": ("ends of random sets under Brownian paths stopped at level 1", [
+        _opt("kind", "text", "nonsaturated_zero_set"), _opt("horizon", "float", 64.0), _opt("dt", "float", 4e-4),
+        *_EXPERIMENT_PATHS]),
+    "tail": ("heavy tail of T_a / the sigma_b stopped-martingale expectation", [
+        _opt("kind", "text", "T_a_heavy_tail"), _opt("a", "float", 1.0), _opt("b", "float", 1.0),
+        _opt("horizon", "float", 64.0), _opt("dt", "float", 1e-3), *_EXPERIMENT_PATHS]),
+}
+
+
+def test_every_command_keeps_its_option_table():
+    def default(p):
+        if callable(p.default):
+            return "computed"
+        return p.default if isinstance(p.default, (int, float, str)) else None
+
+    experiments = main.commands["experiment"].commands
+    commands = {"simulate": main.commands["simulate"], "decompose": main.commands["decompose"], **experiments}
+    tables = {name: (cmd.help if name in experiments else None,
+                     [(p.name, tuple(p.opts), p.type.name, default(p), p.show_default, p.required)
+                      for p in cmd.params])
+              for name, cmd in commands.items()}
+    assert tables == OPTION_TABLES
 
 
 def test_experiment_lemma_balance_report(runner, tmp_path):
@@ -430,6 +490,8 @@ _UNKEYABLE_PATHS = str((1 << 32) + 1)
     (["experiment", "two-infinity", "--horizon", "4", "--n-steps", "64", "--paths", _UNKEYABLE_PATHS], "--paths"),
     (["decompose", "--family", "exp_martingale", "--n-steps", "16", "--paths", _UNKEYABLE_PATHS], "--paths"),
     (["simulate", "--family", "brownian", "--n-steps", "1", "--paths", _UNKEYABLE_PATHS], "--paths"),
+    (["experiment", "azema-law", "--bins", "1000000000", "--paths", "64", "--horizon", "4", "--n-steps", "256"],
+     "--bins"),
 ], ids=["workers-0", "workers-negative", "simulate-no-paths", "tail-dt-0", "tail-horizon-negative",
         "saturation-zero-steps", "lemma-stop-level-negative", "decompose-stop-line-drift-negative",
         "tail-no-paths", "two-infinity-no-paths", "azema-paths-negative", "decompose-no-paths",
@@ -444,13 +506,15 @@ _UNKEYABLE_PATHS = str((1 << 32) + 1)
         "tail-one-path", "lemma-one-path", "decompose-one-path", "tail-time-below-one-step",
         "tail-sigma_b-time-below-one-step", "decompose-n-steps-too-large", "tail-dt-too-small",
         "saturation-dt-too-small", "tail-paths-past-keys", "two-infinity-paths-past-keys",
-        "decompose-paths-past-keys", "simulate-paths-past-keys"])
+        "decompose-paths-past-keys", "simulate-paths-past-keys", "azema-bins-above-paths"])
 def test_out_of_domain_input_exits_2(runner, tmp_path, monkeypatch, argv, option):
     run_batches = experiments._run_batches
 
     def keyable_run_batches(fn, n_paths, *rest):
         # a run past the keyed path range fails only at the batch that holds path 2^32, hours in
         assert n_paths <= 1 << 32, f"{n_paths} paths reached the batch runner"
+        # a bin count above the path count is refused before any path is drawn
+        assert option != "--bins", "a bin count above --paths reached the batch runner"
         return run_batches(fn, n_paths, *rest)
 
     monkeypatch.setattr(experiments, "_run_batches", keyable_run_batches)

@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from sigmapaths import experiments, oracles
+from sigmapaths.cli import experiment as experiment_group
 from sigmapaths.decompose import class_d_report
 from sigmapaths.experiments import (
-    EXPERIMENTS,
     LEMMA_ACCEPTANCE_SPECS,
     azema_conditional_experiment,
     lemma_balance_experiment,
@@ -296,11 +296,11 @@ def test_tail_sigma_b_censoring_vanishes_with_horizon():
 
 
 def test_registry_names_and_runners():
-    assert set(EXPERIMENTS) == {"lemma-balance", "azema-law", "two-infinity",
-                                "saturation", "tail"}
-    for defn in EXPERIMENTS.values():
-        assert defn.summary
-        assert callable(defn.runner)
+    assert set(experiment_group.commands) == {"lemma-balance", "azema-law", "two-infinity",
+                                              "saturation", "tail"}
+    for command in experiment_group.commands.values():
+        assert command.help
+        assert callable(command.callback)
 
 
 def test_experiment_rerun_is_byte_identical():

@@ -188,13 +188,21 @@ def test_ci_installs_the_numpy_of_the_digests():
 
 
 def _run(tmp_path, name, workers):
+    """Run golden entry ``name`` once with every format it writes: its pinned
+    output's bytes, and for an experiment or ``decompose`` the sha256 of each
+    other file it writes and of its stdout line (None for ``simulate``)."""
     argv, output, _ = GOLDEN[name]
     out = tmp_path / f"{name.replace(' ', '_')}-w{workers}"
-    fmt = "csv" if output.endswith(".csv") else "json"
+    fmt = {"experiment": "json,csv,svg", "decompose": "json,csv"}.get(argv[0], "csv")
     r = CliRunner().invoke(main, [*argv, *_SEED, "--workers", str(workers),
                                   "--formats", fmt, "--out", str(out)])
     assert r.exit_code == 0, r.output
-    return (out / output).read_bytes()
+    if argv[0] == "simulate":
+        return (out / output).read_bytes(), None
+    pins = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted(out.iterdir()) if p.suffix != ".json"}
+    pins["stdout"] = hashlib.sha256(r.stdout.replace(str(out), "<out>").encode("utf-8")).hexdigest()
+    return (out / output).read_bytes(), pins
 
 
 def _digest(raw, output):
@@ -205,27 +213,9 @@ def _digest(raw, output):
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_golden_digests(tmp_path, workers):
-    raws = {name: _run(tmp_path, name, workers) for name in GOLDEN}
-    assert {name: _digest(raw, GOLDEN[name][1]) for name, raw in raws.items()} == {
+    runs = {name: _run(tmp_path, name, workers) for name in GOLDEN}
+    assert {name: _digest(raw, GOLDEN[name][1]) for name, (raw, _) in runs.items()} == {
         name: sha for name, (_, _, sha) in GOLDEN.items()}, _numpy_note()
-    docs = {name: json.loads(raws[name]) for name in ("decompose", "lemma-balance")}
+    assert {name: pins for name, (_, pins) in runs.items() if pins is not None} == ARTIFACTS, _numpy_note()
+    docs = {name: json.loads(runs[name][0]) for name in ("decompose", "lemma-balance")}
     assert docs["decompose"]["results"] == docs["lemma-balance"]["results"]["classd"]
-
-
-def _artifacts(tmp_path, name, workers):
-    argv, _, _ = GOLDEN[name]
-    out = tmp_path / f"{name.replace(' ', '_')}-w{workers}"
-    fmt = "json,csv,svg" if argv[0] == "experiment" else "json,csv"
-    r = CliRunner().invoke(main, [*argv, *_SEED, "--workers", str(workers),
-                                  "--formats", fmt, "--out", str(out)])
-    assert r.exit_code == 0, r.output
-    pins = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
-            for p in sorted(out.iterdir()) if p.suffix != ".json"}
-    pins["stdout"] = hashlib.sha256(r.stdout.replace(str(out), "<out>").encode("utf-8")).hexdigest()
-    return pins
-
-
-@pytest.mark.parametrize("workers", [1, 2])
-def test_golden_tables_charts_and_summary_lines(tmp_path, workers):
-    names = [name for name, (argv, _, _) in GOLDEN.items() if argv[0] in ("experiment", "decompose")]
-    assert {name: _artifacts(tmp_path, name, workers) for name in names} == ARTIFACTS, _numpy_note()
