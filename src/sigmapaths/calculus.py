@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import Path
+from .grids import Path, require, require_nondecreasing_from
 
 __all__ = [
     "ReflectionPair",
@@ -148,12 +148,8 @@ class ReflectionPair:
     regulator: Path
 
     def __post_init__(self):
-        y = self.regulated.values
-        k = self.regulator.values
-        if np.any(y < 0):
-            raise ValueError("regulated path must be nonnegative")
-        if k[0] != 0.0 or np.any(np.diff(k) < 0):
-            raise ValueError("regulator must be nondecreasing from 0")
+        require(self.regulated.values < 0, "regulated path must be nonnegative")
+        require_nondecreasing_from(self.regulator.values, 0.0, "regulator")
 
 
 @dataclass(frozen=True, eq=False)

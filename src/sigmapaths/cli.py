@@ -8,13 +8,13 @@ An experiment's report object gives its own stdout summary line, and
 ``reports.write_report`` writes its JSON, tables and chart.
 
 Files are written as they are produced, so no command holds its whole output.
-``simulate`` draws its paths in the passes of ``experiments.row_passes``
-(one full-row batch each, ``--workers`` is not used) and writes each pass to
-``paths.csv`` before drawing the next; it draws nothing unless ``csv`` is in
-``--formats``.  ``decompose`` writes the table of path 0 row by row, from the
-row the balance batch that draws path 0 returns: the CLI process draws
-nothing itself.  The
-``simulate`` size cap bounds its output, one CSV line per value.
+``simulate`` draws its paths in the CLI process (it takes no ``--workers``),
+in the passes of ``experiments.row_passes``, one full-row batch each, and
+writes each pass to ``paths.csv`` before drawing the next; it draws nothing
+unless ``csv`` is in ``--formats``.  Its size cap bounds its output, one CSV
+line per value.  ``decompose`` writes the table of path 0 row by row, from
+the row the balance batch that draws path 0 returns: the CLI process draws
+nothing itself.
 
 Exit codes: 0 success; 2 invalid configuration or usage; 3 an acceptance
 threshold failed while the computation itself succeeded; 4 unwritable
@@ -22,12 +22,13 @@ output.  The master seed, in [0, 2^64), comes from ``--seed``, falling
 back to the ``SIGMA_SEED`` environment variable.  ``--config FILE`` supplies
 defaults from a flat ``key = value`` file (``#`` comments allowed); explicit
 flags win over the file, and a key that names no option of the command exits
-2.  Family and experiment parameters that must be positive must also be
-finite: ``inf`` and ``nan`` exit 2.
+2.  A library ``ValueError`` exits 2: a positive parameter must be finite too,
+and a grid takes at most ``grids.MAX_STEPS`` steps, by ``--n-steps`` or ``--dt``.
 """
 
 from __future__ import annotations
 
+import functools
 import os
 import sys
 from pathlib import Path as FsPath
@@ -81,15 +82,16 @@ def _read_config(ctx: click.Context, param: click.Parameter, value):
     return value
 
 
-def _common_options(fn):
+def _common_options(fn, workers=True):
     fn = click.option("--seed", type=_SEED, default=0, envvar="SIGMA_SEED", show_default=True,
                       help="Master seed in [0, 2^64) (flag wins over SIGMA_SEED).")(fn)
     fn = click.option("--out", type=click.Path(file_okay=False), default="out", show_default=True,
                       help="Output directory.")(fn)
     fn = click.option("--formats", default="json,csv", show_default=True,
                       help="Comma list from {csv,json,svg} (svg: experiments only).")(fn)
-    fn = click.option("--workers", type=_WORKERS, default=lambda: os.cpu_count() or 1,
-                      help="Worker processes, at most 4 per CPU (default: available parallelism).")(fn)
+    if workers:
+        fn = click.option("--workers", type=_WORKERS, default=lambda: os.cpu_count() or 1,
+                          help="Worker processes, at most 4 per CPU (default: available parallelism).")(fn)
     fn = click.option("--config", type=click.Path(dir_okay=False), callback=_read_config,
                       expose_value=False, is_eager=True,
                       help="Flat key=value config file supplying option defaults.")(fn)
@@ -104,30 +106,16 @@ def _parse_formats(formats: str, known: set[str]) -> set[str]:
     return parts
 
 
-#: Options that set a parameter of some family.
-_FAMILY_PARAMS = set().union(*(required | optional for required, optional in FAMILIES.values()))
-
-
-def _reject_foreign_options(family: str, options) -> None:
-    """Exit 2 when an option set on the command line sets a parameter that
-    ``family`` does not take, which :func:`_build_spec` would drop."""
-    if family not in FAMILIES:
-        return  # the spec reports an unknown family
-    ctx = click.get_current_context()
-    required, optional = FAMILIES[family]
-    foreign = sorted(f"--{k.replace('_', '-')}" for k in options
-                     if k in _FAMILY_PARAMS - required - optional
-                     and ctx.get_parameter_source(k) is ParameterSource.COMMANDLINE)
-    if foreign:
-        raise click.UsageError(f"family {family!r} does not take {', '.join(foreign)}")
-
-
 def _build_spec(family, horizon, n_steps, options) -> GeneratorSpec:
-    """The spec of ``family`` on ``TimeGrid(horizon, n_steps)`` from option
-    values that span every family: the family's required parameters, and its
-    optional ones that are not 0 (0 means off)."""
-    _reject_foreign_options(family, options)
+    """The spec of ``family`` on ``TimeGrid(horizon, n_steps)`` from family
+    option values: the family's required parameters, and its optional ones
+    that are not 0 (0 means off).  An option set on the command line for a
+    parameter the family does not take exits 2, not dropped."""
     required, optional = FAMILIES.get(family, (set(), set()))
+    foreign = sorted(f"--{k.replace('_', '-')}" for k in options.keys() - required - optional
+                     if click.get_current_context().get_parameter_source(k) is ParameterSource.COMMANDLINE)
+    if foreign and family in FAMILIES:  # an unknown family is the spec's error
+        raise click.UsageError(f"family {family!r} does not take {', '.join(foreign)}")
     params = {k: v for k, v in options.items() if k in required or (k in optional and v != 0)}
     try:
         return GeneratorSpec(family, params, TimeGrid(horizon, n_steps))
@@ -152,6 +140,12 @@ def _family_options(fn):
     return fn
 
 
+def _experiment_options(fn):
+    """``--paths`` and the common options, which ``decompose`` and every
+    experiment end with."""
+    return click.option("--paths", type=_PATHS, default=10000, show_default=True)(_common_options(fn))
+
+
 def _write_guard(fn, *args, **kwargs):
     try:
         return fn(*args, **kwargs)
@@ -169,8 +163,8 @@ def main():
 @main.command()
 @_family_options
 @click.option("--paths", type=_PATHS, default=10, show_default=True)
-@_common_options
-def simulate(family, horizon, n_steps, paths, seed, out, formats, workers, **options):
+@functools.partial(_common_options, workers=False)
+def simulate(family, horizon, n_steps, paths, seed, out, formats, **options):
     """Generate an ensemble and write it in the long-form CSV path format."""
     fmt = _parse_formats(formats, {"csv", "json"})
     spec = _build_spec(family, horizon, n_steps, options)
@@ -205,8 +199,7 @@ def simulate(family, horizon, n_steps, paths, seed, out, formats, workers, **opt
 
 @main.command()
 @_family_options
-@click.option("--paths", type=_PATHS, default=10000, show_default=True)
-@_common_options
+@_experiment_options
 def decompose(family, horizon, n_steps, paths, seed, out, formats, workers, **options):
     """Decompose a positive-martingale ensemble and write the class-(D)
     diagnostics report: the "classd" block of "experiment lemma-balance" on
@@ -280,11 +273,6 @@ def _write_experiment(name, out, formats, study):
         raise click.UsageError(str(exc))
     written = _write_guard(reports.write_report, out, name.replace("-", "_"), report, fmt)
     click.echo(f"{report.summary()} -> {out} ({', '.join(written)})")
-
-
-def _experiment_options(fn):
-    """``--paths`` and the common options, which every experiment ends with."""
-    return click.option("--paths", type=_PATHS, default=10000, show_default=True)(_common_options(fn))
 
 
 @experiment.command("lemma-balance")

@@ -14,6 +14,9 @@ factorization specializes to ``X = M/I - 1`` with ``I`` the running minimum
 of ``M``, ``C = 1/I`` and ``A = log(1/I)``; these are the smallest members of
 the family sharing a given ``M``.  :func:`sigma_example_triple` builds the
 canonical ``|K|``, ``K^+`` and drawdown triples of a local martingale ``K``.
+Each hypothesis (``M > 0`` with ``M_0 = 1``, ``C`` nondecreasing from 1,
+``X >= 0`` from 0, ``A`` nondecreasing from 0) is written once, and its check
+names the first index where it fails.
 
 Grid conventions: the d(ell) integrand uses the left-point value of ``Y``
 (a midpoint rule is available as an option); stochastic integrals are always
@@ -38,7 +41,7 @@ from typing import Sequence
 import numpy as np
 
 from .calculus import ito_sum, running_max, running_min, tanaka_raw
-from .grids import McEstimate, Path, TimeGrid, median
+from .grids import McEstimate, Path, TimeGrid, median, require, require_nondecreasing_from
 
 __all__ = [
     "MultDecomp",
@@ -71,8 +74,18 @@ def default_zero_threshold(grid: TimeGrid) -> float:
     return 2.0 * float(np.sqrt(grid.dt))
 
 
-def _first_bad(mask: np.ndarray) -> int:
-    return int(np.argmax(mask))
+def _require_unit_martingale(M: np.ndarray) -> None:
+    """The martingale factor's contract: ``M > 0`` with ``M_0 = 1``."""
+    bad = M <= 0
+    bad[0] = M[0] != 1.0
+    require(bad, "M must be positive with M_0 = 1")
+
+
+def _require_nonnegative_from_zero(x: np.ndarray, name: str) -> None:
+    """A source path's contract: ``x_0 = 0`` and ``x >= 0`` (to ``_NEG_FLOOR``)."""
+    bad = x < _NEG_FLOOR
+    bad[0] = x[0] != 0.0
+    require(bad, f"{name} must be nonnegative from 0")
 
 
 # ---------------------------------------------------------------------------
@@ -89,16 +102,9 @@ class MultDecomp:
 
     def __post_init__(self):
         M, C, Y = self.martingale_part.values, self.increasing_part.values, self.source.values
-        if np.any(M <= 0):
-            raise ValueError(f"M must be positive; first violation at index {_first_bad(M <= 0)}")
-        if M[0] != 1.0:
-            raise ValueError("M_0 must equal 1")
-        if C[0] != 1.0 or np.any(np.diff(C) < 0):
-            raise ValueError("C must be nondecreasing with C_0 = 1")
-        resid = np.abs(M * C - (Y + 1.0))
-        scale = np.maximum(np.abs(Y) + 1.0, 1.0)
-        if np.any(resid > _ADDITIVITY_TOL * scale):
-            raise ValueError("M*C does not reproduce Y + 1 within tolerance")
+        _check_factor_pair(M, C)
+        require(np.abs(M * C - (Y + 1.0)) > _ADDITIVITY_TOL * np.maximum(np.abs(Y) + 1.0, 1.0),
+                "M*C must reproduce Y + 1 within tolerance")
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,14 +127,12 @@ class SigmaTriple:
         X, N, A = self.submartingale.values, self.martingale_part.values, self.increasing_part.values
         if not self.zero_threshold > 0:
             raise ValueError("zero_threshold must be positive")
-        if np.any(X < _NEG_FLOOR):
-            raise ValueError(f"X must be nonnegative; first violation at {_first_bad(X < _NEG_FLOOR)}")
-        if X[0] != 0.0 or N[0] != 0.0 or A[0] != 0.0:
-            raise ValueError("X, N, A must all start at 0")
-        if np.any(np.diff(A) < 0):
-            raise ValueError("A must be nondecreasing")
-        if np.any(np.abs(X - (N + A)) > _ADDITIVITY_TOL * np.maximum(np.abs(X), 1.0)):
-            raise ValueError("X = N + A violated beyond tolerance")
+        _require_nonnegative_from_zero(X, "X")
+        require_nondecreasing_from(A, 0.0, "A")
+        if N[0] != 0.0:
+            raise ValueError("N must start at 0")
+        require(np.abs(X - (N + A)) > _ADDITIVITY_TOL * np.maximum(np.abs(X), 1.0),
+                "X = N + A must hold within tolerance")
 
 
 @dataclass(frozen=True)
@@ -199,18 +203,9 @@ def mult_compose(M: Path, C: Path) -> Path:
 
 
 def _check_factor_pair(M: np.ndarray, C: np.ndarray) -> None:
-    if np.any(M <= 0):
-        raise ValueError(f"M must be positive; first violation at index {_first_bad(M <= 0)}")
-    if M[0] != 1.0:
-        raise ValueError("M_0 must equal 1")
-    if C[0] != 1.0:
-        raise ValueError("C_0 must equal 1")
-    dec = np.diff(C) < 0
-    if np.any(dec):
-        raise ValueError(f"C must be nondecreasing; first decrease at index {_first_bad(dec) + 1}")
-    below = M * C < 1.0 - 1e-12
-    if np.any(below):
-        raise ValueError(f"M*C must stay >= 1; first violation at index {_first_bad(below)}")
+    _require_unit_martingale(M)
+    require_nondecreasing_from(C, 1.0, "C")
+    require(M * C < 1.0 - 1e-12, "M*C must stay >= 1")
 
 
 def mult_decompose(Y: Path, ell: Path, integrand_rule: str = "left") -> MultDecomp:
@@ -223,13 +218,9 @@ def mult_decompose(Y: Path, ell: Path, integrand_rule: str = "left") -> MultDeco
     if Y.grid != ell.grid:
         raise ValueError("Y and ell live on different grids")
     y = Y.values
-    if np.any(y < _NEG_FLOOR):
-        raise ValueError(f"Y must be nonnegative; first violation at index {_first_bad(y < _NEG_FLOOR)}")
-    if y[0] != 0.0:
-        raise ValueError("Y_0 must equal 0")
+    _require_nonnegative_from_zero(y, "Y")
+    require_nondecreasing_from(ell.values, 0.0, "ell")
     dl = np.diff(ell.values)
-    if ell.values[0] != 0.0 or np.any(dl < 0):
-        raise ValueError("ell must be nondecreasing with ell_0 = 0")
     if integrand_rule == "left":
         w = 1.0 / (1.0 + y[:-1])
     elif integrand_rule == "midpoint":
@@ -271,10 +262,7 @@ def sigma_compose(M: Path) -> SigmaTriple:
     ``N`` is a consistency diagnostic, not the stored value).
     """
     v = M.values
-    if np.any(v <= 0):
-        raise ValueError(f"M must be positive; first violation at index {_first_bad(v <= 0)}")
-    if v[0] != 1.0:
-        raise ValueError("M_0 must equal 1")
+    _require_unit_martingale(v)
     I = running_min(v)
     X = v / I - 1.0
     A = -np.log(I)
@@ -324,12 +312,8 @@ def sigma_example_triple(K: Path, kind: str) -> SigmaTriple:
 def sigma_martingale(X: Path, A: Path) -> Path:
     """Positive martingale factor ``M = (1 + X) * exp(-A)`` of a triple."""
     x, a = X.values, A.values
-    if np.any(x < _NEG_FLOOR):
-        raise ValueError(f"X must be nonnegative; first violation at index {_first_bad(x < _NEG_FLOOR)}")
-    if x[0] != 0.0:
-        raise ValueError("X_0 must equal 0")
-    if a[0] != 0.0 or np.any(np.diff(a) < 0):
-        raise ValueError("A must be nondecreasing with A_0 = 0")
+    _require_nonnegative_from_zero(x, "X")
+    require_nondecreasing_from(a, 0.0, "A")
     return X.with_values((1.0 + x) * np.exp(-a), label=f"M({X.label})")
 
 
@@ -346,8 +330,7 @@ def carried_by_zeros(X: Path, A: Path, epsilon: float) -> CarriedVerdict:
     if not epsilon > 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     a = A.values
-    if np.any(np.diff(a) < 0):
-        raise ValueError("A must be nondecreasing")
+    require_nondecreasing_from(a, a[0], "A")
     da = np.diff(a)
     x = X.values
     off_zero = (x[:-1] > epsilon) & (x[1:] > epsilon)

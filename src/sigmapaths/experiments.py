@@ -68,7 +68,7 @@ from . import oracles
 from .calculus import tanaka_carried
 from .decompose import ClassDReport, class_d_carried, class_d_finish, class_d_report, class_d_start
 from .generators import GeneratorSpec, _family_block, _family_start
-from .grids import McEstimate, TimeGrid, median, quantile
+from .grids import MAX_STEPS, McEstimate, TimeGrid, median, quantile, require_positive
 from .reports import Chart
 from .streams import RNG_INFO, KeySequence, StreamKey
 
@@ -570,8 +570,7 @@ def azema_conditional_experiment(
     grid = spec.grid
     if not 0 < t < grid.horizon:
         raise ValueError("need 0 < t < horizon with room to resolve last visits")
-    if not 0 < level < math.inf:
-        raise ValueError(f"level must be positive and finite, got {level}")
+    require_positive("level", level)
     t_idx = grid.index_at(t)
     if t_idx < 1:
         raise ValueError("t is below grid resolution")
@@ -742,8 +741,7 @@ def two_infinity_check(
     if not hs or hs[-1] != spec.grid.horizon:
         raise ValueError("largest horizon must equal the spec grid horizon")
     y = spec.params["x0"] if level is None else float(level)
-    if not 0 < y < math.inf:
-        raise ValueError(f"level must be positive and finite, got {y}")
+    require_positive("level", y)
     grid = spec.grid
     h_indices = [grid.index_at(h) for h in hs]
     if h_indices[0] < 1 or any(a >= b for a, b in zip(h_indices, h_indices[1:])):
@@ -799,11 +797,11 @@ def _walk_steps(horizon: float, dt: float) -> int:
     """Grid steps of a walker run over ``[0, horizon]``: at least one, and
     ``dt`` must divide ``horizon`` (to 1e-9 relative), so that the run ends
     at the horizon its report names."""
-    if not (0 < dt < math.inf and 0 < horizon < math.inf):
-        raise ValueError(f"need finite dt > 0 and horizon > 0, got dt={dt}, horizon={horizon}")
-    if not horizon / dt + 1 <= np.iinfo(np.intp).max // 8:  # the bound of TimeGrid's times
+    require_positive("dt", dt)
+    require_positive("horizon", horizon)
+    if not horizon / dt <= MAX_STEPS:
         raise ValueError(f"--dt {dt} cuts --horizon {horizon} into {horizon / dt:.3g} steps, "
-                         "more grid times than a float64 array can hold")
+                         f"more than the grid step bound of {MAX_STEPS}")
     n_steps = round(horizon / dt)
     if n_steps < 1:
         raise ValueError(f"horizon {horizon} rounds to zero steps of dt={dt}")
@@ -1032,16 +1030,14 @@ def tail_experiment(
     if n_paths < 2:
         raise ValueError(f"--paths {n_paths}: the survival estimates need --paths of at least 2")
     if kind == "T_a_heavy_tail":
-        if not 0 < a < math.inf:
-            raise ValueError(f"a must be positive and finite, got {a}")
+        require_positive("a", a)
         times = [t for t in _TAIL_TIMES if t <= horizon]
         if not times:
             raise ValueError(f"--horizon {horizon} lies below every survival time {list(_TAIL_TIMES)}; "
                              f"raise it to at least {min(_TAIL_TIMES)}")
         params = {"a": a}
     elif kind == "sigma_b_expectation":
-        if not 0 < b < math.inf:
-            raise ValueError(f"b must be positive and finite, got {b}")
+        require_positive("b", b)
         times = [horizon / 8, horizon / 4, horizon / 2, horizon]
         params = {"b": b}
     else:

@@ -36,7 +36,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .grids import TimeGrid
+from .grids import TimeGrid, require_positive
 
 __all__ = ["GeneratorSpec", "FAMILIES"]
 
@@ -76,9 +76,8 @@ class GeneratorSpec:
             raise ValueError(f"{self.family} does not accept {sorted(unknown)}")
         if self.family == "exp_martingale" and {"stop_level", "stop_line_drift"} <= given:
             raise ValueError("exp_martingale accepts at most one stopping rule")
-        for k, v in self.params.items():
-            if k in _POSITIVE_PARAMS and not 0 < v < math.inf:
-                raise ValueError(f"parameter {k} must be positive and finite, got {v}")
+        for k in sorted(given & _POSITIVE_PARAMS):
+            require_positive(f"parameter {k}", self.params[k])
         if not -math.inf < self.params.get("lower", -1.0) < 0:  # B_0 = 0 would stop at step 1
             raise ValueError(f"parameter lower must be negative and finite, got {self.params['lower']}")
         if math.sqrt((x0 := self.params.get("x0", 1.0)) * x0) != x0:  # the Bessel norm gives R_0

@@ -11,6 +11,10 @@ indices.  Hitting times are resolved at grid resolution (first grid index
 at/after the crossing), with no sub-step bridge correction; the resulting
 O(sqrt(dt)) first-passage bias is quantified by refinement studies in the
 test suite.
+
+The input rules the other modules share are written here once:
+:func:`require`, :func:`require_nondecreasing_from`, :func:`require_positive`
+and ``MAX_STEPS``, the step bound of every grid.
 """
 
 from __future__ import annotations
@@ -32,6 +36,28 @@ __all__ = [
 
 #: Relative tolerance, in steps, of a CSV ``t`` column against its grid.
 UNIFORMITY_RTOL = 1e-9
+#: Most steps of any grid: its times are then 512 MiB of float64, more than
+#: the largest ``simulate`` output (50,000,000 values) needs.
+MAX_STEPS = 2**26
+
+
+def require(bad: np.ndarray, what: str) -> None:
+    """Raise ``ValueError`` saying ``what`` must hold, at the first index
+    where ``bad`` is true."""
+    i = int(np.argmax(bad))
+    if bad[i]:
+        raise ValueError(f"{what}; first violation at index {i}")
+
+
+def require_nondecreasing_from(a: np.ndarray, start: float, name: str) -> None:
+    """Raise unless ``a[0] == start`` exactly and ``a`` never decreases."""
+    require(np.concatenate(([a[0] != start], a[1:] < a[:-1])), f"{name} must be nondecreasing from {start:g}")
+
+
+def require_positive(name: str, value: float) -> None:
+    """Raise unless ``0 < value < inf``, which ``nan`` fails too."""
+    if not 0 < value < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -53,13 +79,9 @@ class TimeGrid:
     times: np.ndarray = field(init=False, compare=False)
 
     def __post_init__(self):
-        if not 0 < self.horizon < math.inf:
-            raise ValueError(f"horizon must be positive and finite, got {self.horizon}")
-        if self.n_steps < 1:
-            raise ValueError(f"n_steps must be >= 1, got {self.n_steps}")
-        if self.n_steps + 1 > np.iinfo(np.intp).max // 8:
-            raise ValueError(f"n_steps = {self.n_steps} is too large: its n_steps + 1 times exceed "
-                             "what a float64 array can hold")
+        require_positive("horizon", self.horizon)
+        if not 1 <= self.n_steps <= MAX_STEPS:
+            raise ValueError(f"n_steps must be in [1, {MAX_STEPS}] (the grid step bound), got {self.n_steps}")
         object.__setattr__(self, "horizon", float(self.horizon))
         object.__setattr__(self, "n_steps", int(self.n_steps))
         times = np.linspace(0.0, self.horizon, self.n_steps + 1)

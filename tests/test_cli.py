@@ -110,7 +110,8 @@ _EXPERIMENT_PATHS = [_opt("paths", "integer range", 10000), *_COMMON_OPTIONS]
 #: command -> (help line, None where it is not pinned; each option's name, flags, type, default,
 #: show_default and required, in --help order)
 OPTION_TABLES = {
-    "simulate": (None, [*_FAMILY_OPTIONS, _opt("paths", "integer range", 10), *_COMMON_OPTIONS]),
+    "simulate": (None, [*_FAMILY_OPTIONS, _opt("paths", "integer range", 10),
+                        *(row for row in _COMMON_OPTIONS if row[0] != "workers")]),
     "decompose": (None, [*_FAMILY_OPTIONS, *_EXPERIMENT_PATHS]),
     "lemma-balance": ("paired estimates of E[M_T C_T] and 1 + E[sum M dC] with C = 1/I", [
         _opt("family", "text", "exp_martingale"), _opt("horizon", "float", 1.0), _opt("n_steps", "integer", 2048),
@@ -492,6 +493,9 @@ _UNKEYABLE_PATHS = str((1 << 32) + 1)
     (["simulate", "--family", "brownian", "--n-steps", "1", "--paths", _UNKEYABLE_PATHS], "--paths"),
     (["experiment", "azema-law", "--bins", "1000000000", "--paths", "64", "--horizon", "4", "--n-steps", "256"],
      "--bins"),
+    (["experiment", "tail", "--paths", "10", "--horizon", "4", "--dt", "1e-10"], "--dt"),
+    (["experiment", "saturation", "--paths", "10", "--horizon", "4", "--dt", "1e-10"], "--dt"),
+    (["experiment", "lemma-balance", "--paths", "10", "--n-steps", "40000000000"], "n_steps"),
 ], ids=["workers-0", "workers-negative", "simulate-no-paths", "tail-dt-0", "tail-horizon-negative",
         "saturation-zero-steps", "lemma-stop-level-negative", "decompose-stop-line-drift-negative",
         "tail-no-paths", "two-infinity-no-paths", "azema-paths-negative", "decompose-no-paths",
@@ -506,7 +510,8 @@ _UNKEYABLE_PATHS = str((1 << 32) + 1)
         "tail-one-path", "lemma-one-path", "decompose-one-path", "tail-time-below-one-step",
         "tail-sigma_b-time-below-one-step", "decompose-n-steps-too-large", "tail-dt-too-small",
         "saturation-dt-too-small", "tail-paths-past-keys", "two-infinity-paths-past-keys",
-        "decompose-paths-past-keys", "simulate-paths-past-keys", "azema-bins-above-paths"])
+        "decompose-paths-past-keys", "simulate-paths-past-keys", "azema-bins-above-paths",
+        "tail-grid-too-large", "saturation-grid-too-large", "lemma-grid-too-large"])
 def test_out_of_domain_input_exits_2(runner, tmp_path, monkeypatch, argv, option):
     run_batches = experiments._run_batches
 

@@ -194,8 +194,8 @@ def _run(tmp_path, name, workers):
     argv, output, _ = GOLDEN[name]
     out = tmp_path / f"{name.replace(' ', '_')}-w{workers}"
     fmt = {"experiment": "json,csv,svg", "decompose": "json,csv"}.get(argv[0], "csv")
-    r = CliRunner().invoke(main, [*argv, *_SEED, "--workers", str(workers),
-                                  "--formats", fmt, "--out", str(out)])
+    pool = [] if argv[0] == "simulate" else ["--workers", str(workers)]  # simulate draws in the CLI process
+    r = CliRunner().invoke(main, [*argv, *_SEED, *pool, "--formats", fmt, "--out", str(out)])
     assert r.exit_code == 0, r.output
     if argv[0] == "simulate":
         return (out / output).read_bytes(), None

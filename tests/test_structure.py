@@ -37,8 +37,10 @@ def test_no_module_imports_inside_a_function(path):
     assert _function_imports(path) == []
 
 
-#: The study span of each workload, and the keyed streams per path: components x commands
-#: (balance runs lemma-balance and decompose).  CI's tracer-contract step reads the same table.
+#: The study span of each workload, the keyed streams per path (components x commands: balance runs
+#: lemma-balance and decompose), and the work of one round at 64 paths and seed 1, the benchmark's
+#: self-test size: normals, draw calls, batches and rows.  CI's tracer-contract step reads the same
+#: table from the self-test's result files.  A change that alters the work on purpose repins it.
 _CONTRACT = json.loads((ROOT / "tests" / "tracer_contract.json").read_text(encoding="utf-8"))
 _PATHS = 64
 
@@ -60,3 +62,6 @@ def test_traced_workload_counts_draws_keys_and_batches(workload, tmp_path):
     contract = _CONTRACT[workload]
     assert f"experiments.{contract['study']}" in tracer.calls, sorted(tracer.calls)
     assert counts["streams.keys"] == _PATHS * contract["keys_per_path"]
+    work = {"normals": counts["streams.normals"], "calls": counts["streams.calls"],
+            "batches": counts["experiments.batches"], "rows": counts["experiments.rows"]}
+    assert work == {k: contract[k] for k in work}
