@@ -106,16 +106,22 @@ def _parse_formats(formats: str, known: set[str]) -> set[str]:
     return parts
 
 
+def _refuse_unused(owner: str, unused) -> None:
+    """Exit 2 naming each option of ``unused`` that the command line set (not a default or ``--config`` value)."""
+    given = sorted(f"--{k.replace('_', '-')}" for k in unused
+                   if click.get_current_context().get_parameter_source(k) is ParameterSource.COMMANDLINE)
+    if given:
+        raise click.UsageError(f"{owner} does not take {', '.join(given)}")
+
+
 def _build_spec(family, horizon, n_steps, options) -> GeneratorSpec:
     """The spec of ``family`` on ``TimeGrid(horizon, n_steps)`` from family
     option values: the family's required parameters, and its optional ones
     that are not 0 (0 means off).  An option set on the command line for a
     parameter the family does not take exits 2, not dropped."""
     required, optional = FAMILIES.get(family, (set(), set()))
-    foreign = sorted(f"--{k.replace('_', '-')}" for k in options.keys() - required - optional
-                     if click.get_current_context().get_parameter_source(k) is ParameterSource.COMMANDLINE)
-    if foreign and family in FAMILIES:  # an unknown family is the spec's error
-        raise click.UsageError(f"family {family!r} does not take {', '.join(foreign)}")
+    if family in FAMILIES:  # an unknown family is the spec's error
+        _refuse_unused(f"family {family!r}", options.keys() - required - optional)
     params = {k: v for k, v in options.items() if k in required or (k in optional and v != 0)}
     try:
         return GeneratorSpec(family, params, TimeGrid(horizon, n_steps))
@@ -342,6 +348,9 @@ def saturation(kind, horizon, dt, paths, seed, out, formats, workers):
 @_experiment_options
 def tail(kind, a, b, horizon, dt, paths, seed, out, formats, workers):
     """heavy tail of T_a / the sigma_b stopped-martingale expectation"""
+    uses = {"T_a_heavy_tail": {"a"}, "sigma_b_expectation": {"b"}}.get(kind)
+    if uses is not None:  # an unknown kind is the study's error
+        _refuse_unused(f"--kind {kind}", {"a", "b"} - uses)
     _write_experiment("tail", out, formats, lambda: tail_experiment(
         kind, paths, seed, a=a, b=b, horizon=horizon, dt=dt, workers=workers))
 

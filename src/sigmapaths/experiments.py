@@ -507,45 +507,31 @@ def _bessel_revisit_batch(args):
     ``min(num/den, 1)``, with ``(num, den) = (level, R)`` for Bessel(3) and
     ``(M, level)`` for the exponential martingale.  The state is walked in
     ``_REVISIT_BLOCK``-step blocks, each of which restarts its running sums
-    from the last position; after time ``t`` a path is retired as soon as it
-    crosses the level (survival score 1) or ends a block escaped with ``den
-    >= _ESCAPE_MULT * num`` (score = the exact residual ``num/den``).  Paths
-    reaching the horizon score ``min(num/den, 1)`` there.  Returns (state at
-    t, survival scores, ambiguous flags, correction mass).
+    from the last position.  After time ``t`` a path retires at the end of
+    the first block where it crossed the level, escaped (``den >=
+    _ESCAPE_MULT * num``) or reached the horizon, and scores 1 if it crossed,
+    else the residual ``min(num/den, 1)``, its correction mass; it is
+    ambiguous when that exceeds 1/2 (an escaped path's is at most 1/8).
+    Returns (state at t, survival scores, ambiguous flags, correction mass).
     """
     (first, rows, spec, seed, level, t_idx) = args
-    bessel = spec.family == "bessel3"
     state_t = np.empty(rows)
     score = np.empty(rows)
     correction = np.zeros(rows)
     retired = np.zeros(rows, dtype=bool)
-
-    def hit(z):  # (num, den) of the hit probability min(num/den, 1) from state z
-        return (level, z) if bessel else (z, level)
-
-    def scan(step, alive, P):  # P holds the state at grid indices step to end
-        end = step + P.shape[1] - 1
+    for step, alive, P, _ in _keyed_chunks(spec, seed, first, rows, _REVISIT_BLOCK, retired, restart=True):
+        end = step + P.shape[1] - 1  # P holds the state at grid indices step to end
         if step < t_idx <= end:
             state_t[alive] = P[:, t_idx - step]
         if end > t_idx:
             rel = P[:, max(t_idx - step, 0):] - level
             crossed = (rel[:, :-1] * rel[:, 1:] <= 0).any(axis=1)
-            num, den = hit(P[:, -1])
-            escaped = ~crossed & (den >= _ESCAPE_MULT * num)
-            resid = (num / den)[escaped]
-            score[alive[crossed]] = 1.0
-            score[alive[escaped]] = resid
-            correction[alive[escaped]] = resid
-            retired[alive[crossed | escaped]] = True
-
-    for step, alive, P, _ in _keyed_chunks(spec, seed, first, rows, _REVISIT_BLOCK, retired, restart=True):
-        scan(step, alive, P)
-    live = ~retired
-    num, den = hit(P[~retired[alive], -1])  # every live row walked the last block
-    resid = np.minimum(num / den, 1.0)
-    score[live] = resid
-    correction[live] = resid
-    return state_t, score, live & (score > 0.5), correction
+            num, den = (level, P[:, -1]) if spec.family == "bessel3" else (P[:, -1], level)
+            resid = np.minimum(num / den, 1.0)
+            score[alive] = np.where(crossed, 1.0, resid)
+            correction[alive] = np.where(crossed, 0.0, resid)
+            retired[alive[crossed | (den >= _ESCAPE_MULT * num) | (end == spec.grid.n_steps)]] = True
+    return state_t, score, correction > 0.5, correction
 
 
 def azema_conditional_experiment(
@@ -590,7 +576,7 @@ def azema_conditional_experiment(
         raise ValueError("azema experiment supports bessel3 and exp_martingale specs")
     if isinstance(bins, int) and bins > n_paths:  # most bins would be empty, each an edge and a scan of all paths
         raise ValueError(f"--bins {bins} exceeds --paths {n_paths}: lower --bins or raise --paths")
-    # one path holds its draw block (the state in place) plus two ``scan`` temporaries
+    # one path holds its draw block (the state in place) plus two temporaries of its crossing test
     rows = _batch_rows((len(_family_start(spec)) + 2) * _REVISIT_BLOCK)
     state_t, score, ambiguous, correction = _run_batches(_bessel_revisit_batch, n_paths, rows, workers,
                                                          spec, master_seed, level, t_idx)
@@ -675,9 +661,10 @@ def _two_infinity_batch(args):
     ``_TERMINAL_BLOCK``-step blocks, each turned into ``S = 1 - level/R`` in
     place (column 0 is the last ``S`` of the block before), and each block is
     reduced with carried per-row state: the Tanaka sum and the running max of
-    its residual, the running min of ``M`` and the running max of ``S``.
-    Each step is exact or one sequential sum, so the block size changes no
-    bit.  ``h_indices`` are ascending grid indices of at least 1."""
+    its residual, the running min of ``M`` and the running max of ``S``.  A
+    gap reads the min carried into its block and the block's prefix up to its
+    horizon index (grid indices of at least 1).  Each step is exact or one
+    sequential sum, so the block size changes no bit."""
     (first, rows, spec, seed, level, h_indices) = args
     s0 = 1.0 - level / np.full(rows, spec.params["x0"])  # S_0
     base = np.abs(s0)
@@ -689,7 +676,6 @@ def _two_infinity_batch(args):
     gaps = np.empty((rows, len(h_indices)))
     block = min(_TERMINAL_BLOCK, spec.grid.n_steps)
     buf = np.empty(2 * rows * block)
-    h = 0
     for step, _, S, _ in _keyed_chunks(spec, seed, first, rows, block):
         cs = S.shape[1] - 1
         # M's buffer holds the Tanaka increments first
@@ -706,14 +692,10 @@ def _two_infinity_batch(args):
         np.maximum(S[:, 1:], 0.0, out=M)  # M = (1 + X) E, with X = max(S, 0)
         M += 1.0
         M *= E
-        lo = 0
-        while h < len(h_indices) and h_indices[h] <= step + cs:
-            col = h_indices[h] - step - 1
-            np.minimum(m_min, M[:, lo:col + 1].min(axis=1), out=m_min)
-            gaps[:, h] = M[:, col] - 2.0 * m_min
-            lo, h = col + 1, h + 1
-        if lo < cs:
-            np.minimum(m_min, M[:, lo:].min(axis=1), out=m_min)
+        for h, i in enumerate(h_indices):  # M[:, c] is M at grid index step + 1 + c
+            if step < i <= step + cs:
+                gaps[:, h] = M[:, i - step - 1] - 2.0 * np.minimum(m_min, M[:, :i - step].min(axis=1))
+        np.minimum(m_min, M.min(axis=1), out=m_min)
     np.maximum(s_max - 1.0, violation, out=violation)
     return np.abs(gaps, out=gaps), violation
 

@@ -153,6 +153,31 @@ def revisit_reduce(R: np.ndarray, level: float, t_idx: int, bessel: bool) -> tup
     return R[:, t_idx].copy(), score, live & (score > 0.5), np.where(crossed, 0.0, resid)
 
 
+def revisit_blocks(R: np.ndarray, level: float, t_idx: int, bessel: bool, block: int) -> tuple[np.ndarray, ...]:
+    """The last-visit walker's scoring of full ``(rows, n+1)`` state rows
+    walked in ``block``-step blocks, as :func:`revisit_reduce` returns it.  A
+    row closes at the end of the first block past ``t_idx`` where it crossed
+    the level after ``t_idx`` (score 1), where ``den >= 8 num`` at the
+    block's last column (it escaped), or that ends at the horizon; unless it
+    crossed, it scores ``min(num/den, 1)`` at that column, which is also its
+    correction mass, and it is ambiguous when that exceeds 1/2."""
+    n = R.shape[1] - 1
+    score = np.full(len(R), np.nan)
+    correction = np.zeros(len(R))
+    for step in range(0, n, block):
+        end = min(step + block, n)
+        if end <= t_idx:
+            continue
+        rel = R[:, max(step, t_idx):end + 1] - level
+        crossed = (rel[:, :-1] * rel[:, 1:] <= 0).any(axis=1)
+        num, den = (level, R[:, end]) if bessel else (R[:, end], level)
+        resid = np.minimum(num / den, 1.0)
+        close = np.isnan(score) & (crossed | (den >= 8.0 * num) | (end == n))
+        score[close] = np.where(crossed, 1.0, resid)[close]
+        correction[close & ~crossed] = resid[close & ~crossed]
+    return R[:, t_idx].copy(), score, correction > 0.5, correction
+
+
 def class_d_path_stats(M: np.ndarray) -> tuple[np.ndarray, ...]:
     """Per-path class-(D) statistics ``(mc, int_right, int_left, log_inv_i,
     qv_u, err_log, err_inf, m_T)`` of ``(rows, n+1)`` positive M-paths."""

@@ -165,6 +165,37 @@ def test_last_visit_walker_in_one_block_matches_full_row_scoring(family, t_at, r
     assert _bitwise_equal(walked, expected)
 
 
+def _restart_rows(spec, seed, first, rows, block):
+    """Full rows of the last-visit walker's engine: ``_keyed_chunks`` in
+    restart blocks of ``block`` steps, with no row retired (the streams are
+    counter-based, so retiring a row changes none of its values)."""
+    out = np.empty((rows, len(spec.grid)))
+    for step, alive, P, _ in experiments._keyed_chunks(spec, seed, first, rows, block, restart=True):
+        out[alive, step:step + P.shape[1]] = P
+    return out
+
+
+@pytest.mark.parametrize("t_at", ["first", "middle", "last"])
+@pytest.mark.parametrize("family", sorted(_REVISIT_CASES))
+@settings(max_examples=15, deadline=None)
+@given(rows=st.integers(1, 12), seed=st.integers(0, 10**6), level_at=st.integers(0, 2),
+       block=st.one_of(st.integers(1, 16), st.integers(1, 256)))
+def test_last_visit_walker_retires_rows_by_blocks_as_full_rows_score(family, t_at, rows, seed, level_at, block):
+    # rows retire at the end of the first block past t where they crossed, escaped or reached the horizon
+    spec, levels = _REVISIT_CASES[family]
+    n = spec.grid.n_steps
+    t_idx = {"first": 1, "middle": n // 2, "last": n - 1}[t_at]
+    saved = experiments._REVISIT_BLOCK
+    experiments._REVISIT_BLOCK = block
+    try:
+        walked = experiments._bessel_revisit_batch((3, rows, spec, seed, levels[level_at], t_idx))
+    finally:
+        experiments._REVISIT_BLOCK = saved
+    expected = reference.revisit_blocks(_restart_rows(spec, seed, 3, rows, block), levels[level_at], t_idx,
+                                        family == "bessel3", block)
+    assert _bitwise_equal(walked, expected)
+
+
 _WALK_GRID = TimeGrid(3.0, 300)
 #: ``B`` and ``R``, the one- and three-component walks of the engine.
 _WALK_SPECS = (GeneratorSpec("brownian", {}, _WALK_GRID), GeneratorSpec("bessel3", {"x0": 1.5}, _WALK_GRID))

@@ -4,12 +4,15 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sigmapaths import experiments
 from sigmapaths.calculus import running_min
@@ -496,6 +499,8 @@ _UNKEYABLE_PATHS = str((1 << 32) + 1)
     (["experiment", "tail", "--paths", "10", "--horizon", "4", "--dt", "1e-10"], "--dt"),
     (["experiment", "saturation", "--paths", "10", "--horizon", "4", "--dt", "1e-10"], "--dt"),
     (["experiment", "lemma-balance", "--paths", "10", "--n-steps", "40000000000"], "n_steps"),
+    (["experiment", "tail", "--paths", "10", "--kind", "sigma_b_expectation", "--a", "5"], "does not take --a"),
+    (["experiment", "tail", "--paths", "10", "--kind", "T_a_heavy_tail", "--b", "7"], "does not take --b"),
 ], ids=["workers-0", "workers-negative", "simulate-no-paths", "tail-dt-0", "tail-horizon-negative",
         "saturation-zero-steps", "lemma-stop-level-negative", "decompose-stop-line-drift-negative",
         "tail-no-paths", "two-infinity-no-paths", "azema-paths-negative", "decompose-no-paths",
@@ -511,7 +516,7 @@ _UNKEYABLE_PATHS = str((1 << 32) + 1)
         "tail-sigma_b-time-below-one-step", "decompose-n-steps-too-large", "tail-dt-too-small",
         "saturation-dt-too-small", "tail-paths-past-keys", "two-infinity-paths-past-keys",
         "decompose-paths-past-keys", "simulate-paths-past-keys", "azema-bins-above-paths",
-        "tail-grid-too-large", "saturation-grid-too-large", "lemma-grid-too-large"])
+        "tail-grid-too-large", "saturation-grid-too-large", "lemma-grid-too-large", "tail-sigma_b-a", "tail-T_a-b"])
 def test_out_of_domain_input_exits_2(runner, tmp_path, monkeypatch, argv, option):
     run_batches = experiments._run_batches
 
@@ -528,6 +533,57 @@ def test_out_of_domain_input_exits_2(runner, tmp_path, monkeypatch, argv, option
     assert r.exit_code == 2, r.output
     assert option in r.output, r.output
     assert not out.exists()
+
+
+#: Values drawn for a numeric option: the edges of every domain the options have, and two plain values.
+_EDGE_VALUES = ("0", "-1", "nan", "inf", "-inf", "1e-320", "1e-300", "1e-10", "1e10", "1e300", "3", "0.5")
+_IN_PROCESS = ("--workers", "1", "--formats", "json")
+#: command form -> (a run of at most 64 paths and 256 steps, {numeric option: a value inside its domain})
+_NUMERIC_FORMS = {
+    "simulate": (["simulate", "--family", "brownian_stopped_level", "--n-steps", "64", "--paths", "4"],
+                 {"--horizon": "2", "--n-steps": "32", "--paths": "8", "--a": "0.5", "--seed": "5"}),
+    "decompose": (["decompose", "--family", "exp_martingale", "--n-steps", "64", "--paths", "16", *_IN_PROCESS],
+                  {"--horizon": "2", "--n-steps": "32", "--paths": "8", "--stop-level": "1", "--seed": "5"}),
+    "lemma-balance": (["experiment", "lemma-balance", "--n-steps", "64", "--paths", "16", *_IN_PROCESS],
+                      {"--horizon": "2", "--n-steps": "32", "--paths": "8", "--stop-line-drift": "0.5"}),
+    "azema-law bessel3": (["experiment", "azema-law", "--horizon", "4", "--n-steps", "256", "--paths", "64",
+                           "--bins", "4", *_IN_PROCESS],
+                          {"--x0": "2", "--level": "1.5", "--t": "2", "--bins": "3", "--horizon": "8",
+                           "--n-steps": "128", "--paths": "48"}),
+    "azema-law exp_martingale": (["experiment", "azema-law", "--family", "exp_martingale", "--level", "0.5",
+                                  "--horizon", "4", "--n-steps", "256", "--paths", "64", "--bins", "4",
+                                  *_IN_PROCESS],
+                                 {"--level": "0.25", "--t": "2", "--bins": "3", "--horizon": "8",
+                                  "--n-steps": "128", "--paths": "48"}),
+    "two-infinity": (["experiment", "two-infinity", "--horizon", "8", "--n-steps", "256", "--paths", "16",
+                      *_IN_PROCESS],
+                     {"--x0": "2", "--level": "0.5", "--horizon": "16", "--n-steps": "128", "--paths": "8"}),
+    "saturation": (["experiment", "saturation", "--horizon", "4", "--dt", "0.05", "--paths", "32", *_IN_PROCESS],
+                   {"--horizon": "8", "--dt": "0.1", "--paths": "16", "--seed": "5"}),
+    "tail T_a": (["experiment", "tail", "--kind", "T_a_heavy_tail", "--horizon", "4", "--dt", "0.05",
+                  "--paths", "32", *_IN_PROCESS], {"--a": "0.5", "--horizon": "8", "--dt": "0.1", "--paths": "16"}),
+    "tail sigma_b": (["experiment", "tail", "--kind", "sigma_b_expectation", "--horizon", "4", "--dt", "0.05",
+                      "--paths", "32", *_IN_PROCESS], {"--b": "2", "--horizon": "8", "--dt": "0.1", "--paths": "16"}),
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(sorted(_NUMERIC_FORMS)), st.data())
+def test_numeric_option_values_exit_0_or_2_with_strict_json(form, data):
+    # one numeric option at an edge of its domain or inside it: the run either refuses the value with exit
+    # 2 or writes reports that parse as strict JSON, never a crash or a NaN token
+    argv, inside = _NUMERIC_FORMS[form]
+    option = data.draw(st.sampled_from(sorted(inside)))
+    value = data.draw(st.sampled_from([*_EDGE_VALUES, inside[option]]))
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "o"
+        r = CliRunner().invoke(main, [*argv, option, value, "--out", str(out)])
+        assert r.exit_code in (0, 2), (r.exit_code, r.output, r.exception)
+        if r.exit_code == 0:
+            written = sorted(out.glob("*.json"))
+            assert written, r.output
+            for f in written:
+                _strict_json(f.read_bytes())
 
 
 _MAX_WORKERS = 4 * (os.cpu_count() or 1)
